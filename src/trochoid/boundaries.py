@@ -143,13 +143,15 @@ def segment_depth_residual(t: float, d_hat: float, k: int) -> float:
 
 
 def solve_segment_depth(d_hat: float, k: int) -> float:
-    """Unique root in (0, 1) of d_hat * sum_{j=1}^{k-1} t^(2j) = 1.
+    """Unique positive root of d_hat * sum_{j=1}^{k-1} t^(2j) = 1.
 
-    The left side is strictly increasing from 0 to d_hat*(k-1) >= ... on
-    t in (0, inf), so bisection brackets the root; Newton steps polish it to
-    |residual| < 1e-12.  Equivalent to the degree-2k polynomial
-    d_hat*t^(2k) - (d_hat+1)*t^2 + 1 with its spurious t = 1 root factored
-    out analytically.
+    The left side increases strictly from 0 to infinity on t in (0, inf) and
+    equals d_hat*(k-1) at t = 1, so the root lies in (0, 1) when
+    d_hat*(k-1) > 1 and at or above 1 otherwise (d_hat = 0.3, k = 3 gives
+    t = 1.18).  Bisection brackets it, doubling the upper end past 1 when
+    needed; Newton steps polish it to |residual| < 1e-12.  Equivalent to
+    the degree-2k polynomial d_hat*t^(2k) - (d_hat+1)*t^2 + 1 with its
+    spurious t = 1 root factored out analytically.
     """
     if d_hat <= 0:
         raise InvalidSpecError(f"d_hat must be positive, got {d_hat}")

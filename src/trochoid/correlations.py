@@ -14,18 +14,16 @@ where P is the k-2 step path-weight matrix of the leading v x v block,
 built by the recursion P_1 = S, P_j = S @ P_(j-1) with the diagonal zeroed
 after each product (discarding walks that return to their origin).
 
-Two implementations are provided:
+``induce_cyclic_correlations`` never materializes P.  Because a sweep step
+only modifies column v, the leading block S only ever grows at its border,
+so the diagonals of its powers can be maintained incrementally; row-times-P
+products then unroll into matrix-vector chains.  O(k) matvecs per node.
 
-* ``induce_cyclic_correlations(..., variant="reference")`` rebuilds P from
-  scratch at every node: transparent, but O(n^4) matmul work for k >= 4.
-* ``variant="fast"`` never materializes P.  Because a sweep step only
-  modifies column v, the leading block S only ever grows at its border, so
-  the diagonals of its powers can be maintained incrementally; row-times-P
-  products then unroll into matrix-vector chains.  O(k) matvecs per node.
-
-Both variants consume one independent random stream per edge, so their flip
-decisions coincide and outputs match bit-for-bit whenever the aggregate
-signs do (ties at |w| ~ 1e-16 are the only way they can diverge).
+``_induce_reference`` is the tests' oracle: it rebuilds P from scratch at
+every node, which is transparent but O(n^4) matmul work for k >= 4.  Both
+consume one independent random stream per edge, so their flip decisions
+coincide and outputs match bit-for-bit whenever the aggregate signs do
+(ties at |w| ~ 1e-16 are the only way they can diverge).
 """
 
 from __future__ import annotations
@@ -156,32 +154,15 @@ def _induce_fast(m: np.ndarray, spec: DenseCyclicSpec, seed: int) -> np.ndarray:
     return m
 
 
-def induce_cyclic_correlations(
-    m: DenseMatrix,
-    spec: DenseCyclicSpec,
-    seed: int,
-    variant: str = "fast",
-) -> DenseMatrix:
-    """Return a copy of ``m`` with order-k cyclic correlations induced.
-
-    ``variant`` selects the path-weight evaluation strategy ("reference" or
-    "fast"); both produce the same flip pattern.
-    """
+def induce_cyclic_correlations(m: DenseMatrix, spec: DenseCyclicSpec, seed: int) -> DenseMatrix:
+    """Return a copy of ``m`` with order-k cyclic correlations induced."""
     if m.n != spec.n:
         raise InvalidSpecError(f"matrix dimension {m.n} does not match spec n={spec.n}")
-    seed = normalize_seed(seed)
-    out = m.entries.copy()
-    if variant == "reference":
-        _induce_reference(out, spec, seed)
-    elif variant == "fast":
-        _induce_fast(out, spec, seed)
-    else:
-        raise InvalidSpecError(f"unknown variant {variant!r}")
-    return DenseMatrix(out)
+    return DenseMatrix(_induce_fast(m.entries.copy(), spec, normalize_seed(seed)))
 
 
-def generate_dense_cyclic(spec: DenseCyclicSpec, seed: int, variant: str = "fast") -> DenseMatrix:
+def generate_dense_cyclic(spec: DenseCyclicSpec, seed: int) -> DenseMatrix:
     """Gaussian base matrix with order-k cyclic correlations induced."""
     seed = normalize_seed(seed)
     base = generate_base_iid(spec.n, seed)
-    return induce_cyclic_correlations(base, spec, seed, variant=variant)
+    return induce_cyclic_correlations(base, spec, seed)

@@ -133,36 +133,6 @@ class MixedCyclicSpec:
 _MAX_SWAPS_PER_NODE = 100
 
 
-def _repair_tuples(tuples: list[list[int]], stream: Stream, budget: int) -> None:
-    """Swap entries between tuples until no tuple repeats a node."""
-    bad = [i for i, t in enumerate(tuples) if len(set(t)) != len(t)]
-    attempts = 0
-    while bad:
-        i = bad.pop()
-        t = tuples[i]
-        while len(set(t)) != len(t):
-            if attempts >= budget:
-                raise GenerationError(
-                    f"could not remove repeated nodes within {budget} swap attempts"
-                )
-            attempts += 1
-            seen: set[int] = set()
-            dup_pos = 0
-            for pos, node in enumerate(t):
-                if node in seen:
-                    dup_pos = pos
-                    break
-                seen.add(node)
-            j = stream.below(len(tuples))
-            pos_j = stream.below(len(tuples[j]))
-            other = tuples[j]
-            if i == j or other[pos_j] in t or t[dup_pos] in other:
-                continue
-            t[dup_pos], other[pos_j] = other[pos_j], t[dup_pos]
-            if len(set(other)) != len(other):
-                bad.append(j)
-
-
 def _stratification(n: int, lengths: list[int]) -> int:
     """Largest phase count g with g | n and g | every cycle length (1 = none)."""
     g = 0
@@ -191,12 +161,16 @@ def _chop_regular(
     pool = list(np.repeat(np.arange(n), d))
     stream.shuffle(pool)
     tuples = [pool[ci * k : (ci + 1) * k] for ci in range(c)]
-    _repair_tuples(tuples, stream, budget)
+    _repair_stratified(tuples, 1, stream, budget)
     return tuples
 
 
 def _repair_stratified(tuples: list[list[int]], g: int, stream: Stream, budget: int) -> None:
-    """Swap repair that only exchanges same-phase positions across tuples."""
+    """Swap entries between tuples until no tuple repeats a node.
+
+    Only positions of the same phase (equal mod g) are exchanged, so a
+    stratified chop stays stratified; g = 1 lets any two positions swap.
+    """
     bad = [i for i, t in enumerate(tuples) if len(set(t)) != len(t)]
     attempts = 0
     while bad:

@@ -1,21 +1,27 @@
 """End-to-end experiment orchestration: generate, verify, calibrate.
 
-Configs are plain dicts (JSON-compatible).  Seed-level work can run on a
-thread pool capped by the TROCHOID_THREADS environment variable; results are
-always assembled in seed order, so reports are reproducible byte-for-byte.
+Configs are plain dicts (JSON-compatible).  Each ensemble kind is one row of
+``_KINDS``, which says how to parse, draw and bound it and what to report.
+Seed-level work can run on a thread pool capped by the TROCHOID_THREADS
+environment variable; results are always assembled in seed order, so the cap
+never changes a report.  Reports are reproducible byte-for-byte for a fixed
+BLAS thread count.
 """
 
 from __future__ import annotations
 
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from contextlib import contextmanager
+from dataclasses import dataclass, replace
 from math import gcd
 from pathlib import Path
+from typing import Any, Callable
 
 import numpy as np
 
 from .boundaries import (
+    MIN_CURVE_SAMPLES,
     BoundaryCurve,
     HypotrochoidParams,
     MixedCycleParams,
@@ -25,6 +31,7 @@ from .boundaries import (
     dense_polytrochoid,
     mixed_cycle_asymptotic,
     mixed_cycle_boundary,
+    mixed_cycle_solve,
     sparse_hypotrochoid,
 )
 from .correlations import DenseCyclicSpec, generate_dense_cyclic
@@ -57,6 +64,7 @@ from .moments import (
     tree_walk_prediction,
 )
 from .spectra import (
+    SYMMETRY_MAX_N,
     Spectrum,
     compute_eigenvalues,
     containment,
@@ -65,8 +73,6 @@ from .spectra import (
     rotation_symmetry_residual,
 )
 from .svg import render_svg_data
-
-_SYMMETRY_MAX_N = 2000
 
 
 def max_workers() -> int:
@@ -79,134 +85,227 @@ def max_workers() -> int:
     return min(4, os.cpu_count() or 1)
 
 
-# --- config parsing -------------------------------------------------------
-
-
-@dataclass
-class EnsembleHandle:
-    """Parsed ensemble section: spec object plus its dispatch kind."""
-
-    kind: str
-    spec: object
-
-    @property
-    def n(self) -> int:
-        return self.spec.n
-
-
-def parse_ensemble(section: dict) -> EnsembleHandle:
-    if not isinstance(section, dict) or "kind" not in section:
-        raise ConfigError("ensemble section must be a mapping with a 'kind'")
-    kind = section["kind"]
+@contextmanager
+def _config_errors(section: str):
+    """Report a malformed config section as a ConfigError (exit code 2)."""
     try:
-        if kind == "dense-iid":
-            return EnsembleHandle(kind, _IidSpec(n=int(section["n"])))
-        if kind == "dense-cyclic":
-            flip_prob = section.get("flip_prob")
-            target = section.get("target_rho")
-            if flip_prob is None and target is None:
-                raise ConfigError("dense-cyclic needs flip_prob or target_rho")
-            spec = DenseCyclicSpec(
-                n=int(section["n"]),
-                k=int(section["k"]),
-                flip_prob=float(flip_prob if flip_prob is not None else 0.0),
-                sign=int(section.get("sign", 1)),
-            )
-            return EnsembleHandle(kind, _DenseCyclicConfig(spec, target))
-        if kind == "regular-cyclic":
-            return EnsembleHandle(
-                kind,
-                RegularCyclicSpec(
-                    n=int(section["n"]),
-                    d=int(section["d"]),
-                    k=int(section["k"]),
-                    weight=float(section.get("weight", 1.0)),
-                ),
-            )
-        if kind == "poisson-cyclic":
-            return EnsembleHandle(
-                kind,
-                PoissonCyclicSpec(
-                    n=int(section["n"]),
-                    mean_degree=float(section["mean_degree"]),
-                    k=int(section["k"]),
-                    weight=float(section.get("weight", 1.0)),
-                ),
-            )
-        if kind == "mixed-cyclic":
-            species = tuple(
-                CycleSpecies(d=int(s["d"]), k=int(s["k"]), weight=float(s.get("weight", 1.0)))
-                for s in section["species"]
-            )
-            return EnsembleHandle(kind, MixedCyclicSpec(n=int(section["n"]), species=species))
+        yield
     except KeyError as exc:
-        raise ConfigError(f"ensemble section missing field {exc}") from exc
+        raise ConfigError(f"{section} section missing field {exc}") from exc
     except InvalidSpecError as exc:
         raise ConfigError(str(exc)) from exc
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad ensemble field: {exc}") from exc
-    raise ConfigError(f"unknown ensemble kind {kind!r}")
+        raise ConfigError(f"bad {section} field: {exc}") from exc
+
+
+# --- ensemble kinds -------------------------------------------------------
 
 
 @dataclass(frozen=True)
-class _IidSpec:
-    n: int
+class Ensemble:
+    """A parsed ensemble section.
+
+    ``spec`` is the generator's spec (the dimension n for dense-iid).
+    ``target_rho`` is set when a dense-cyclic section asks for a correlation
+    strength instead of a flip probability; ``_calibrated`` resolves it.
+    """
+
+    kind: str
+    spec: Any
+    target_rho: float | None = None
 
 
-@dataclass
-class _DenseCyclicConfig:
-    spec: DenseCyclicSpec
-    target_rho: float | None
-
-    @property
-    def n(self) -> int:
-        return self.spec.n
+def _unknown_moment(spec, moment: str, order: int) -> float:
+    return float("nan")
 
 
-def generate_for_seed(handle: EnsembleHandle, seed: int):
-    """One draw of the configured ensemble."""
-    if handle.kind == "dense-iid":
-        return generate_base_iid(handle.spec.n, seed)
-    if handle.kind == "dense-cyclic":
-        return generate_dense_cyclic(handle.spec.spec, seed)
-    if handle.kind == "regular-cyclic":
-        return generate_regular_cyclic(handle.spec, seed)
-    if handle.kind == "poisson-cyclic":
-        return generate_poisson_cyclic(handle.spec, seed)
-    if handle.kind == "mixed-cyclic":
-        return generate_mixed_cyclic(handle.spec, seed)
-    raise ConfigError(f"unknown ensemble kind {handle.kind!r}")
+@dataclass(frozen=True)
+class _Kind:
+    """Everything the pipeline does differently for one ensemble kind.
+
+    Entries call generators and laws through this module's globals when they
+    run, never through references stored at import time, so swapping a
+    global (as a tracer does) reaches every call.
+    """
+
+    parse: Callable[[dict], tuple[Any, float | None]]  # section -> (spec, target_rho)
+    draw: Callable[[Any, int], DenseMatrix | SparseDigraph]
+    law: Callable[[Any, int, float | None], BoundaryCurve]  # (spec, samples, measured rho)
+    # lengths of the correlated cycles: the spectrum is rotation symmetric
+    # under their gcd, and each is a reported pure moment order
+    cycle_lengths: Callable[[Any], list[int]]
+    mixed_orders: tuple[int, ...]
+    predict: Callable[[Any, str, int], float] = _unknown_moment  # (spec, "pure"/"mixed", order)
+    # drawn by the sign-flip sweep: reports carry its flip probability and
+    # the strength Tr M^k / n measured on every seed
+    flip_sweep: bool = False
 
 
-def resolve_flip_prob(handle: EnsembleHandle, seeds: list[int]) -> float | None:
-    """Calibrate flip_prob in place when the config pinned a target strength."""
-    if handle.kind != "dense-cyclic":
-        return None
-    cfg = handle.spec
-    if cfg.target_rho is None:
-        return cfg.spec.flip_prob
-    p = calibrate_flip_prob(cfg.spec.n, cfg.spec.k, cfg.target_rho, seeds[:3] or [1])
-    cfg.spec = DenseCyclicSpec(cfg.spec.n, cfg.spec.k, p, cfg.spec.sign)
-    cfg.target_rho = None
-    return p
+def _parse_iid(s: dict) -> tuple[int, None]:
+    n = int(s["n"])
+    if n < 1:
+        raise ConfigError(f"dimension must be >= 1, got {n}")
+    return n, None
+
+
+def _parse_dense_cyclic(s: dict) -> tuple[DenseCyclicSpec, float | None]:
+    flip_prob, target = s.get("flip_prob"), s.get("target_rho")
+    if (flip_prob is None) == (target is None):
+        raise ConfigError("dense-cyclic needs exactly one of flip_prob and target_rho")
+    spec = DenseCyclicSpec(
+        n=int(s["n"]),
+        k=int(s["k"]),
+        flip_prob=float(flip_prob if target is None else 0.0),
+        sign=int(s.get("sign", 1)),
+    )
+    return spec, None if target is None else float(target)
+
+
+def _parse_mixed_cyclic(s: dict) -> tuple[MixedCyclicSpec, None]:
+    species = tuple(
+        CycleSpecies(d=int(sp["d"]), k=int(sp["k"]), weight=float(sp.get("weight", 1.0)))
+        for sp in s["species"]
+    )
+    return MixedCyclicSpec(n=int(s["n"]), species=species), None
+
+
+def _dense_cyclic_law(spec: DenseCyclicSpec, n_samples: int, measured_rho: float | None):
+    if measured_rho is None:
+        raise ConfigError(
+            "auto boundary for a dense ensemble needs the measured correlation strength"
+        )
+    return dense_hypotrochoid(HypotrochoidParams(k=spec.k, rho=measured_rho), n_samples)
+
+
+def _regular_law(spec: RegularCyclicSpec, n_samples: int, measured_rho: float | None):
+    if spec.d < 2:
+        raise ConfigError(
+            "auto boundary needs d >= 2: one cycle per node leaves the "
+            "biased cycle count at zero and no law to draw"
+        )
+    return sparse_hypotrochoid(
+        SparseCyclicParams(d_hat=spec.d - 1, k=spec.k, weight=spec.weight), n_samples
+    )
+
+
+def _mixed_law(spec: MixedCyclicSpec, n_samples: int, measured_rho: float | None):
+    s1, s2 = spec.species
+    return mixed_cycle_boundary(
+        MixedCycleParams(d1=s1.d, k1=s1.k, w1=s1.weight, d2=s2.d, k2=s2.k, w2=s2.weight),
+        n_samples,
+    )
+
+
+def _walk_prediction(d: float, weight: float, k: int, moment: str, order: int) -> float:
+    """Raw moment of a k-cycle digraph with d cycles per node (NaN if unknown)."""
+    if moment == "mixed":
+        return tree_walk_prediction(2, order, d, d) * weight ** (2 * order)
+    if k == 3 and order % 3 == 0 and order >= 3:
+        return tree_walk_prediction(3, order // 3, d, d) * weight**order
+    return 0.0 if order % k else float("nan")
+
+
+_KINDS: dict[str, _Kind] = {
+    "dense-iid": _Kind(
+        parse=_parse_iid,
+        draw=lambda n, seed: generate_base_iid(n, seed),
+        law=lambda n, samples, rho: dense_hypotrochoid(HypotrochoidParams(k=2, rho=0.0), samples),
+        cycle_lengths=lambda n: [],
+        mixed_orders=(1, 2),
+        predict=lambda n, moment, order: (
+            mixed_moment_candidates(order)["catalan"] if moment == "mixed" else 0.0
+        ),
+    ),
+    "dense-cyclic": _Kind(
+        parse=_parse_dense_cyclic,
+        draw=lambda s, seed: generate_dense_cyclic(s, seed),
+        law=_dense_cyclic_law,
+        cycle_lengths=lambda s: [s.k],
+        mixed_orders=(1,),
+        flip_sweep=True,
+    ),
+    "regular-cyclic": _Kind(
+        parse=lambda s: (
+            RegularCyclicSpec(
+                n=int(s["n"]), d=int(s["d"]), k=int(s["k"]), weight=float(s.get("weight", 1.0))
+            ),
+            None,
+        ),
+        draw=lambda s, seed: generate_regular_cyclic(s, seed),
+        law=_regular_law,
+        cycle_lengths=lambda s: [s.k],
+        mixed_orders=(1, 2),
+        predict=lambda s, moment, order: _walk_prediction(s.d, s.weight, s.k, moment, order),
+    ),
+    "poisson-cyclic": _Kind(
+        parse=lambda s: (
+            PoissonCyclicSpec(
+                n=int(s["n"]),
+                mean_degree=float(s["mean_degree"]),
+                k=int(s["k"]),
+                weight=float(s.get("weight", 1.0)),
+            ),
+            None,
+        ),
+        draw=lambda s, seed: generate_poisson_cyclic(s, seed),
+        law=lambda s, samples, rho: sparse_hypotrochoid(
+            SparseCyclicParams(d_hat=s.mean_degree, k=s.k, weight=s.weight), samples
+        ),
+        cycle_lengths=lambda s: [s.k],
+        mixed_orders=(1, 2),
+        predict=lambda s, moment, order: (
+            _walk_prediction(s.mean_degree, s.weight, s.k, moment, order)
+        ),
+    ),
+    "mixed-cyclic": _Kind(
+        parse=_parse_mixed_cyclic,
+        draw=lambda s, seed: generate_mixed_cyclic(s, seed),
+        law=_mixed_law,
+        cycle_lengths=lambda s: [sp.k for sp in s.species if sp.d > 0],
+        mixed_orders=(1,),
+    ),
+}
+
+
+def parse_ensemble(section: dict) -> Ensemble:
+    if not isinstance(section, dict) or "kind" not in section:
+        raise ConfigError("ensemble section must be a mapping with a 'kind'")
+    kind = section["kind"]
+    with _config_errors("ensemble"):
+        if kind not in _KINDS:
+            raise ConfigError(f"unknown ensemble kind {kind!r}")
+        spec, target_rho = _KINDS[kind].parse(section)
+    return Ensemble(kind, spec, target_rho)
+
+
+def _calibrated(ens: Ensemble, seeds: list[int]) -> Ensemble:
+    """The ensemble with its flip probability calibrated to ``target_rho``, if set."""
+    if ens.target_rho is None:
+        return ens
+    p = calibrate_flip_prob(ens.spec.n, ens.spec.k, ens.target_rho, seeds[:3] or [1])
+    return Ensemble(ens.kind, replace(ens.spec, flip_prob=p))
+
+
+def _flip_prob(ens: Ensemble) -> float | None:
+    return ens.spec.flip_prob if _KINDS[ens.kind].flip_sweep else None
 
 
 # --- boundary selection ---------------------------------------------------
 
 
 def boundary_for(
-    handle: EnsembleHandle,
+    ensemble: Ensemble | None,
     section,
     n_samples: int = 1024,
     measured_rho: float | None = None,
 ) -> BoundaryCurve:
     """Build the requested boundary; "auto" derives the law from the ensemble."""
     if section == "auto" or section is None:
-        return _auto_boundary(handle, n_samples, measured_rho)
+        return _KINDS[ensemble.kind].law(ensemble.spec, n_samples, measured_rho)
     if not isinstance(section, dict) or "law" not in section:
         raise ConfigError("boundary section must be 'auto' or a mapping with a 'law'")
     law = section["law"]
-    try:
+    with _config_errors("boundary"):
         if law == "dense":
             return dense_hypotrochoid(
                 HypotrochoidParams(k=int(section["k"]), rho=float(section["rho"])), n_samples
@@ -234,63 +333,7 @@ def boundary_for(
             )
             fn = mixed_cycle_boundary if law == "mixed" else mixed_cycle_asymptotic
             return fn(params, n_samples)
-    except KeyError as exc:
-        raise ConfigError(f"boundary section missing field {exc}") from exc
     raise ConfigError(f"unknown boundary law {law!r}")
-
-
-def _auto_boundary(
-    handle: EnsembleHandle, n_samples: int, measured_rho: float | None
-) -> BoundaryCurve:
-    if handle.kind == "dense-iid":
-        return dense_hypotrochoid(HypotrochoidParams(k=2, rho=0.0), n_samples)
-    if handle.kind == "dense-cyclic":
-        if measured_rho is None:
-            raise ConfigError(
-                "auto boundary for a dense ensemble needs the measured correlation strength"
-            )
-        return dense_hypotrochoid(
-            HypotrochoidParams(k=handle.spec.spec.k, rho=measured_rho), n_samples
-        )
-    if handle.kind == "regular-cyclic":
-        s = handle.spec
-        if s.d < 2:
-            raise ConfigError(
-                "auto boundary needs d >= 2: one cycle per node leaves the "
-                "biased cycle count at zero and no law to draw"
-            )
-        return sparse_hypotrochoid(
-            SparseCyclicParams(d_hat=s.d - 1, k=s.k, weight=s.weight), n_samples
-        )
-    if handle.kind == "poisson-cyclic":
-        s = handle.spec
-        return sparse_hypotrochoid(
-            SparseCyclicParams(d_hat=s.mean_degree, k=s.k, weight=s.weight), n_samples
-        )
-    if handle.kind == "mixed-cyclic":
-        s1, s2 = handle.spec.species
-        return mixed_cycle_boundary(
-            MixedCycleParams(d1=s1.d, k1=s1.k, w1=s1.weight, d2=s2.d, k2=s2.k, w2=s2.weight),
-            n_samples,
-        )
-    raise ConfigError(f"auto boundary unsupported for {handle.kind!r}")
-
-
-def _symmetry_order(handle: EnsembleHandle) -> int:
-    """gcd of cycle lengths; spectra are exactly symmetric under this rotation."""
-    if handle.kind == "dense-cyclic":
-        return handle.spec.spec.k
-    if handle.kind == "regular-cyclic":
-        return handle.spec.k
-    if handle.kind == "poisson-cyclic":
-        return handle.spec.k
-    if handle.kind == "mixed-cyclic":
-        g = 0
-        for s in handle.spec.species:
-            if s.d > 0:
-                g = gcd(g, s.k)
-        return g
-    return 0
 
 
 # --- experiment runners ---------------------------------------------------
@@ -298,17 +341,18 @@ def _symmetry_order(handle: EnsembleHandle) -> int:
 
 def run_generate(config: dict, out_dir: str | Path | None = None) -> dict:
     """Generate every seed's draw and persist it; returns a file manifest."""
-    handle = parse_ensemble(config.get("ensemble", {}))
+    ens = parse_ensemble(config.get("ensemble", {}))
     seeds = _seed_list(config)
     out = Path(out_dir if out_dir is not None else config.get("outputs", {}).get("dir", "."))
     out.mkdir(parents=True, exist_ok=True)
-    p = resolve_flip_prob(handle, seeds)
+    ens = _calibrated(ens, seeds)
     manifest: dict = {"files": [], "ensemble": config["ensemble"], "seeds": seeds}
+    p = _flip_prob(ens)
     if p is not None:
         manifest["flip_prob"] = p
     for seed in seeds:
-        draw = generate_for_seed(handle, seed)
-        stem = out / f"{handle.kind}-seed{seed}"
+        draw = _KINDS[ens.kind].draw(ens.spec, seed)
+        stem = out / f"{ens.kind}-seed{seed}"
         if isinstance(draw, DenseMatrix):
             write_dense_mtx(draw, stem.with_suffix(".mtx"))
             manifest["files"].append(str(stem.with_suffix(".mtx")))
@@ -324,53 +368,39 @@ def _seed_list(config: dict) -> list[int]:
     seeds = config.get("seeds")
     if not seeds:
         raise ConfigError("config must list at least one seed")
-    return [int(s) for s in seeds]
+    with _config_errors("seeds"):
+        return [int(s) for s in seeds]
 
 
-def _spectrum_for(
-    handle: EnsembleHandle, seed: int
-) -> tuple[Spectrum, SparseDigraph | None, DenseMatrix]:
-    draw = generate_for_seed(handle, seed)
-    source = {"kind": handle.kind, "seed": seed}
+def _spectrum_for(ens: Ensemble, seed: int) -> tuple[Spectrum, SparseDigraph | None, DenseMatrix]:
+    draw = _KINDS[ens.kind].draw(ens.spec, seed)
     if isinstance(draw, DenseMatrix):
-        return compute_eigenvalues(draw, source=source), None, draw
-    matrix = adjacency_matrix(draw, 1.0)
-    return digraph_spectrum(draw, 1.0, source=source), draw, matrix
+        return compute_eigenvalues(draw), None, draw
+    matrix = adjacency_matrix(draw)
+    return digraph_spectrum(draw), draw, matrix
 
 
-def _moment_orders(handle: EnsembleHandle) -> tuple[list[int], list[int]]:
-    """(pure orders, mixed orders) reported for this ensemble."""
-    if handle.kind == "dense-iid":
-        return [2], [1, 2]
-    if handle.kind == "dense-cyclic":
-        return [handle.spec.spec.k], [1]
-    if handle.kind in ("regular-cyclic", "poisson-cyclic"):
-        return [handle.spec.k], [1, 2]
-    if handle.kind == "mixed-cyclic":
-        return sorted(s.k for s in handle.spec.species if s.d > 0), [1]
-    return [], []
-
-
-def _seed_moments(handle: EnsembleHandle, spectrum: Spectrum, matrix: DenseMatrix) -> list[dict]:
-    pure, mixed = _moment_orders(handle)
-    rows = []
-    for k in pure:
-        rows.append(
-            MomentReport(
-                order=MomentOrder("pure", k),
-                empirical=empirical_pure_moment(spectrum, k),
-                predicted=_predicted_moment(handle, "pure", k),
-            ).to_dict()
+def _seed_moments(ens: Ensemble, spectrum: Spectrum, matrix: DenseMatrix) -> list[dict]:
+    row = _KINDS[ens.kind]
+    # an ensemble without correlated cycles reports Tr M^2 / n, its k = 2 strength
+    pure = sorted(row.cycle_lengths(ens.spec)) or [2]
+    rows = [
+        MomentReport(
+            order=MomentOrder("pure", k),
+            empirical=empirical_pure_moment(spectrum, k),
+            predicted=row.predict(ens.spec, "pure", k),
         )
-    for l in mixed:
-        rows.append(
-            MomentReport(
-                order=MomentOrder("mixed", l),
-                empirical=empirical_mixed_moment(matrix, l),
-                predicted=_predicted_moment(handle, "mixed", l),
-            ).to_dict()
+        for k in pure
+    ]
+    rows += [
+        MomentReport(
+            order=MomentOrder("mixed", l),
+            empirical=empirical_mixed_moment(matrix, l),
+            predicted=row.predict(ens.spec, "mixed", l),
         )
-    return rows
+        for l in row.mixed_orders
+    ]
+    return [r.to_dict() for r in rows]
 
 
 def _aggregate_moments(seed_reports: list[dict]) -> list[dict]:
@@ -402,36 +432,42 @@ def run_verify(config: dict, out_dir: str | Path | None = None) -> dict:
     Failures are isolated per seed; the report carries an "error" entry for
     a failed seed instead of aborting the batch.
     """
-    handle = parse_ensemble(config.get("ensemble", {}))
+    ens = parse_ensemble(config.get("ensemble", {}))
     seeds = _seed_list(config)
-    inflation = float(config.get("inflation", 0.03))
-    n_samples = int(config.get("samples", 1024))
+    with _config_errors("config"):
+        inflation = float(config.get("inflation", 0.03))
+        n_samples = int(config.get("samples", 1024))
+    if not inflation >= 0:
+        raise ConfigError(f"inflation must be >= 0, got {inflation}")
+    if n_samples < MIN_CURVE_SAMPLES:
+        raise ConfigError(f"samples must be >= {MIN_CURVE_SAMPLES}, got {n_samples}")
     exclude = bool(config.get("exclude_outliers", True))
-    p = resolve_flip_prob(handle, seeds)
-
-    def solve(seed: int):
-        return _spectrum_for(handle, seed)
+    row = _KINDS[ens.kind]
+    section = config.get("boundary", "auto")
+    # every law but the one fitted to the measured strength is built, and so
+    # validated, before calibration and the first draw
+    fitted = row.flip_sweep and section in ("auto", None)
+    curve = None if fitted else boundary_for(ens, section, n_samples)
+    ens = _calibrated(ens, seeds)
 
     with ThreadPoolExecutor(max_workers=max_workers()) as pool:
-        outcomes = list(pool.map(_isolate(solve), seeds))
+        outcomes = list(pool.map(_isolate(lambda seed: _spectrum_for(ens, seed)), seeds))
 
-    # measured correlation strength for auto dense boundaries
-    measured = []
-    sym_k = _symmetry_order(handle)
-    for outcome in outcomes:
-        if isinstance(outcome, Exception):
-            continue
-        spectrum, _, _ = outcome
-        if handle.kind == "dense-cyclic":
-            measured.append(empirical_pure_moment(spectrum, handle.spec.spec.k))
+    rhos = [
+        None if isinstance(o, Exception) or not row.flip_sweep
+        else empirical_pure_moment(o[0], ens.spec.k)
+        for o in outcomes
+    ]
+    measured = [r for r in rhos if r is not None]
     measured_rho = float(np.mean(measured)) if measured else None
+    if curve is None:
+        curve = boundary_for(ens, section, n_samples, measured_rho)
 
-    curve = boundary_for(handle, config.get("boundary", "auto"), n_samples, measured_rho)
-
+    sym_k = gcd(*row.cycle_lengths(ens.spec))
     seed_reports = []
     pooled_inside = pooled_counted = 0
     pooled_eigenvalues: list[np.ndarray] = []
-    for seed, outcome in zip(seeds, outcomes):
+    for seed, outcome, rho in zip(seeds, outcomes, rhos):
         if isinstance(outcome, Exception):
             seed_reports.append({"seed": seed, "error": str(outcome)})
             continue
@@ -442,11 +478,11 @@ def run_verify(config: dict, out_dir: str | Path | None = None) -> dict:
             "seed": seed,
             "containment": report.to_dict(),
             "inside_fraction": report.inside_fraction,
-            "moments": _seed_moments(handle, spectrum, matrix),
+            "moments": _seed_moments(ens, spectrum, matrix),
         }
-        if handle.kind == "dense-cyclic":
-            entry["measured_rho"] = empirical_pure_moment(spectrum, handle.spec.spec.k)
-        if sym_k >= 2 and spectrum.n <= _SYMMETRY_MAX_N:
+        if rho is not None:
+            entry["measured_rho"] = rho
+        if sym_k >= 2 and spectrum.n <= SYMMETRY_MAX_N:
             entry["symmetry_residual"] = rotation_symmetry_residual(spectrum, sym_k)
         seed_reports.append(entry)
         pooled_inside += report.inside
@@ -474,6 +510,7 @@ def run_verify(config: dict, out_dir: str | Path | None = None) -> dict:
         "seeds": seed_reports,
         "aggregate": aggregate,
     }
+    p = _flip_prob(ens)
     if p is not None:
         report["calibration"] = {"flip_prob": p}
 
@@ -512,8 +549,6 @@ def _describe_curve(curve: BoundaryCurve) -> dict:
                 fields[key] = value
     out = {"law": name, "params": fields, "samples": len(curve.z)}
     if isinstance(law, MixedCycleParams):
-        from .boundaries import mixed_cycle_solve
-
         t1, t2, phi2 = mixed_cycle_solve(law, 0.0)
         out["continuation"] = {
             "swept_angles": len(curve.z),
@@ -526,15 +561,16 @@ def _describe_curve(curve: BoundaryCurve) -> dict:
 
 def run_moments(config: dict, pure_orders: list[int], mixed_orders: list[int]) -> dict:
     """Empirical-vs-predicted moment table over the configured seeds."""
-    handle = parse_ensemble(config.get("ensemble", {}))
+    ens = parse_ensemble(config.get("ensemble", {}))
     seeds = _seed_list(config)
-    resolve_flip_prob(handle, seeds)
+    ens = _calibrated(ens, seeds)
+    row = _KINDS[ens.kind]
 
     rows = {("pure", k): [] for k in pure_orders}
     rows.update({("mixed", l): [] for l in mixed_orders})
     for seed in seeds:
-        draw = generate_for_seed(handle, seed)
-        matrix = draw if isinstance(draw, DenseMatrix) else adjacency_matrix(draw, 1.0)
+        draw = row.draw(ens.spec, seed)
+        matrix = draw if isinstance(draw, DenseMatrix) else adjacency_matrix(draw)
         for k in pure_orders:
             rows[("pure", k)].append(trace_power_moment(matrix, k))
         for l in mixed_orders:
@@ -548,7 +584,7 @@ def run_moments(config: dict, pure_orders: list[int], mixed_orders: list[int]) -
             MomentReport(
                 order=MomentOrder(kind, order),
                 empirical=float(arr.mean()),
-                predicted=_predicted_moment(handle, kind, order),
+                predicted=row.predict(ens.spec, kind, order),
                 stderr=stderr,
             )
         )
@@ -559,46 +595,25 @@ def run_moments(config: dict, pure_orders: list[int], mixed_orders: list[int]) -
     }
 
 
-def _predicted_moment(handle: EnsembleHandle, kind: str, order: int) -> float:
-    """Leading-order prediction for the raw (unrescaled) moment, NaN if unknown."""
-    if handle.kind == "dense-iid":
-        return mixed_moment_candidates(order)["catalan"] if kind == "mixed" else 0.0
-    if handle.kind in ("regular-cyclic", "poisson-cyclic"):
-        spec = handle.spec
-        d = spec.d if handle.kind == "regular-cyclic" else spec.mean_degree
-        w = spec.weight
-        if kind == "mixed":
-            return tree_walk_prediction(2, order, d, d) * w ** (2 * order)
-        if kind == "pure" and spec.k == 3 and order % 3 == 0 and order >= 3:
-            return tree_walk_prediction(3, order // 3, d, d) * w**order
-        if kind == "pure" and order % spec.k != 0:
-            return 0.0
-    return float("nan")
-
-
 # --- calibration ----------------------------------------------------------
 
 _SWEEP_GRID = (0.0, 0.25, 0.5, 0.75, 1.0)
+_CALIBRATION_TOLERANCE = 0.07  # relative gap to the target that counts as a match
+_CALIBRATION_MAX_PROBES = 16
 
 
-def calibrate_flip_prob(
-    n: int,
-    k: int,
-    target_rho: float,
-    seeds: list[int],
-    tolerance: float = 0.07,
-    max_probes: int = 16,
-) -> float:
+def calibrate_flip_prob(n: int, k: int, target_rho: float, seeds: list[int]) -> float:
     """Find the flip probability whose mean measured strength hits the target.
 
     Sweeps the probability grid to confirm the response is monotone and the
     target achievable, then bisects.  The match criterion is the mean over
-    ``seeds`` within ``tolerance`` (relative) of the target.
+    ``seeds`` within ``_CALIBRATION_TOLERANCE`` (relative) of the target.
     """
     if not seeds:
         raise ConfigError("calibration needs at least one seed")
     if target_rho == 0.0:
         return 0.0
+    tolerance = _CALIBRATION_TOLERANCE
 
     def measure(p: float) -> float:
         spec = DenseCyclicSpec(n=n, k=k, flip_prob=p, sign=1 if target_rho >= 0 else -1)
@@ -626,7 +641,7 @@ def calibrate_flip_prob(
     lo = _SWEEP_GRID[hi_idx - 1]
     hi = _SWEEP_GRID[hi_idx]
     best_p, best_gap = hi, abs(magnitudes[hi_idx] - target)
-    for _ in range(max_probes):
+    for _ in range(_CALIBRATION_MAX_PROBES):
         if best_gap <= tolerance * target:
             break
         mid = 0.5 * (lo + hi)

@@ -7,20 +7,23 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
+# adjacency_matrix is called through its module, so a wrapper swapped in
+# there at run time also sees the dense fallback build
+from . import ensembles
 from .boundaries import BoundaryCurve
 from .ensembles import DenseMatrix, SparseDigraph
 from .errors import EigensolverError, InvalidSpecError
 from .geometry import contains, distance_to_polygon, inflate
 
 _DEFAULT_EIG_CAP = 4000
+SYMMETRY_MAX_N = 2000  # assignment residuals cost O(n^3)
 
 
 @dataclass
 class Spectrum:
-    """Eigenvalues of one generated matrix plus provenance metadata."""
+    """Eigenvalues of one generated matrix."""
 
     eigenvalues: np.ndarray
-    source: dict | None = None
 
     @property
     def n(self) -> int:
@@ -52,9 +55,7 @@ class ContainmentReport:
         }
 
 
-def compute_eigenvalues(
-    m: DenseMatrix, source: dict | None = None, max_n: int = _DEFAULT_EIG_CAP
-) -> Spectrum:
+def compute_eigenvalues(m: DenseMatrix, max_n: int = _DEFAULT_EIG_CAP) -> Spectrum:
     """Full nonsymmetric eigendecomposition (LAPACK Hessenberg + shifted QR).
 
     Validates the trace identity sum(eigenvalues) == trace within 1e-6 * n.
@@ -70,7 +71,7 @@ def compute_eigenvalues(
         raise EigensolverError(
             f"trace identity violated: |sum(eig) - trace| = {trace_gap:.3e} for n={m.n}"
         )
-    return Spectrum(eigenvalues=ev, source=source)
+    return Spectrum(eigenvalues=ev)
 
 
 def phase_certificate(g: SparseDigraph) -> np.ndarray | None:
@@ -107,9 +108,7 @@ def phase_certificate(g: SparseDigraph) -> np.ndarray | None:
     return phase
 
 
-def digraph_spectrum(
-    g: SparseDigraph, scale: float = 1.0, source: dict | None = None
-) -> Spectrum:
+def digraph_spectrum(g: SparseDigraph) -> Spectrum:
     """Adjacency eigenvalues, exploiting exact phase structure when present.
 
     With a phase certificate of order p, the permuted adjacency is block
@@ -122,11 +121,11 @@ def digraph_spectrum(
     """
     phase = phase_certificate(g)
     if phase is None:
-        return compute_eigenvalues(adjacency_dense(g, scale), source=source)
+        return compute_eigenvalues(ensembles.adjacency_matrix(g))
     p = g.cycle_length_gcd()
     classes = [np.flatnonzero(phase == j) for j in range(p)]
     if any(len(c) == 0 for c in classes):
-        return compute_eigenvalues(adjacency_dense(g, scale), source=source)
+        return compute_eigenvalues(ensembles.adjacency_matrix(g))
     start = int(np.argmin([len(c) for c in classes]))
     index_of = {}
     for j, cls in enumerate(classes):
@@ -138,7 +137,7 @@ def digraph_spectrum(
     for u, v, w in g.edges:
         ju, iu = index_of[u]
         _, iv = index_of[v]
-        blocks[(ju - start) % p][iu, iv] += scale * w
+        blocks[(ju - start) % p][iu, iv] += w
     product = blocks[0]
     for b in blocks[1:]:
         product = product @ b
@@ -153,18 +152,10 @@ def digraph_spectrum(
     trace_gap = abs(ev.sum())  # phase structure forbids self-loops, so trace is 0
     if trace_gap > 1e-6 * g.n:
         raise EigensolverError(f"trace identity violated in block solve: {trace_gap:.3e}")
-    return Spectrum(eigenvalues=ev, source=source)
+    return Spectrum(eigenvalues=ev)
 
 
-def adjacency_dense(g: SparseDigraph, scale: float) -> DenseMatrix:
-    from .ensembles import adjacency_matrix
-
-    return adjacency_matrix(g, scale)
-
-
-def detect_deterministic_outliers(
-    s: Spectrum, g: SparseDigraph | None, scale: float = 1.0
-) -> list[complex]:
+def detect_deterministic_outliers(s: Spectrum, g: SparseDigraph | None) -> list[complex]:
     """Eigenvalues forced by constant row sums.
 
     A digraph whose rows all sum to r has the all-ones right eigenvector with
@@ -178,7 +169,7 @@ def detect_deterministic_outliers(
     sums = g.row_sums()
     if sums.size == 0 or np.ptp(sums) > 1e-9 * max(1.0, np.abs(sums).max()):
         return []
-    r = scale * sums[0]
+    r = sums[0]
     p = max(g.cycle_length_gcd(), 1)
     found: list[complex] = []
     taken: set[int] = set()
@@ -239,7 +230,7 @@ def containment(
     )
 
 
-def rotation_symmetry_residual(s: Spectrum, k: int, max_n: int = 2000) -> float:
+def rotation_symmetry_residual(s: Spectrum, k: int) -> float:
     """Assignment distance between the spectrum and its rotation by 2*pi/k.
 
     Minimal-cost bipartite matching between {lambda} and {exp(2*pi*i/k) *
@@ -248,8 +239,8 @@ def rotation_symmetry_residual(s: Spectrum, k: int, max_n: int = 2000) -> float:
     """
     if k < 2:
         raise InvalidSpecError(f"rotation order must be >= 2, got {k}")
-    if s.n > max_n:
-        raise InvalidSpecError(f"assignment cost grows as n^3; refusing n={s.n} > {max_n}")
+    if s.n > SYMMETRY_MAX_N:
+        raise InvalidSpecError(f"assignment cost grows as n^3; refusing n={s.n} > {SYMMETRY_MAX_N}")
     ev = s.eigenvalues
     rotated = ev * np.exp(2j * np.pi / k)
     cost = np.abs(ev[:, None] - rotated[None, :])
@@ -257,14 +248,14 @@ def rotation_symmetry_residual(s: Spectrum, k: int, max_n: int = 2000) -> float:
     return float(cost[rows, cols].sum() / s.n)
 
 
-def conjugation_pairing_residual(s: Spectrum, max_n: int = 2000) -> float:
+def conjugation_pairing_residual(s: Spectrum) -> float:
     """How far the spectrum is from being closed under complex conjugation.
 
     Assignment matching, like the rotation residual; a simple lexicographic
     sort would misalign eigenvalues whose real parts tie at rounding level.
     """
-    if s.n > max_n:
-        raise InvalidSpecError(f"assignment cost grows as n^3; refusing n={s.n} > {max_n}")
+    if s.n > SYMMETRY_MAX_N:
+        raise InvalidSpecError(f"assignment cost grows as n^3; refusing n={s.n} > {SYMMETRY_MAX_N}")
     cost = np.abs(s.eigenvalues[:, None] - np.conj(s.eigenvalues)[None, :])
     rows, cols = linear_sum_assignment(cost)
     return float(cost[rows, cols].max())

@@ -275,3 +275,39 @@ def test_report_is_independent_of_thread_count(tmp_path, monkeypatch):
     monkeypatch.setenv("TROCHOID_THREADS", "4")
     threaded = json.dumps(run_verify(config), sort_keys=True)
     assert serial == threaded
+
+
+_TINY_GRAPH = {"kind": "regular-cyclic", "n": 12, "d": 2, "k": 3}
+
+
+@pytest.mark.parametrize(
+    "argv, config",
+    [
+        (["boundary", "--law", "dense", "--k", "1", "--rho", "0.1"], None),
+        (["boundary", "--law", "dense", "--k", "5", "--rho", "0.075", "--samples", "100"], None),
+        (["boundary", "--law", "sparse", "--d-hat", "0", "--k", "3"], None),
+        (["boundary", "--law", "poly"], None),
+        (["verify"], {"ensemble": _TINY_GRAPH, "seeds": [1], "boundary": {"law": "dense", "k": "x", "rho": 0.1}}),
+        (["verify"], {"ensemble": _TINY_GRAPH, "seeds": [1], "samples": 10}),
+        (["verify"], {"ensemble": _TINY_GRAPH, "seeds": [1], "inflation": -1}),
+        (["verify"], {"ensemble": {"kind": "dense-cyclic", "n": 20, "k": 3, "flip_prob": 0.5, "target_rho": 0.1}, "seeds": [1]}),
+        (["verify"], {"ensemble": {"kind": "dense-iid", "n": 0}, "seeds": [1]}),
+    ],
+    ids=["dense-k1", "few-samples", "sparse-dhat0", "poly-no-terms",
+         "boundary-field-type", "verify-samples", "negative-inflation", "flip-and-target", "iid-n0"],
+)
+def test_config_errors_exit_2(tmp_path, capsys, monkeypatch, argv, config):
+    # a config error must surface before anything is drawn
+    import trochoid.pipeline
+
+    def no_draw(*args):
+        raise AssertionError("drew a matrix for an invalid config")
+
+    monkeypatch.setattr(trochoid.pipeline, "_spectrum_for", no_draw)
+    monkeypatch.setattr(trochoid.pipeline, "calibrate_flip_prob", no_draw)
+    if config is None:
+        argv = argv + ["--out", str(tmp_path / "curve.csv")]
+    else:
+        argv = argv + ["--config", _write_config(tmp_path, config)]
+    assert main(argv) == 2
+    assert json.loads(capsys.readouterr().err)["error"]["type"] == "config"

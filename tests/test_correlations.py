@@ -3,12 +3,19 @@ import pytest
 
 from trochoid.correlations import (
     DenseCyclicSpec,
+    _induce_reference,
     generate_dense_cyclic,
     induce_cyclic_correlations,
 )
 from trochoid.ensembles import DenseMatrix, generate_base_iid
 from trochoid.errors import InvalidSpecError
 from trochoid.moments import trace_power_moment
+from trochoid.rng import normalize_seed
+
+
+def _reference(base: DenseMatrix, spec: DenseCyclicSpec, seed: int) -> np.ndarray:
+    """The from-scratch sweep that rebuilds the path weights at every node."""
+    return _induce_reference(base.entries.copy(), spec, normalize_seed(seed))
 
 
 def test_spec_validation():
@@ -102,9 +109,9 @@ def test_matches_stepwise_oracle_at_tiny_n(k):
     n = 6 if k == 3 else 8
     base = generate_base_iid(n, seed=21)
     spec = DenseCyclicSpec(n=n, k=k, flip_prob=1.0, sign=1)
-    for variant in ("reference", "fast"):
-        out = induce_cyclic_correlations(base, spec, seed=4, variant=variant)
-        np.testing.assert_array_equal(out.entries, _oracle_sweep(base.entries, k))
+    oracle = _oracle_sweep(base.entries, k)
+    np.testing.assert_array_equal(_reference(base, spec, seed=4), oracle)
+    np.testing.assert_array_equal(induce_cyclic_correlations(base, spec, seed=4).entries, oracle)
 
 
 @pytest.mark.parametrize("k", [3, 4, 5, 6])
@@ -114,23 +121,14 @@ def test_fast_variant_matches_reference_bit_exactly(k):
     for seed in range(5):
         base = generate_base_iid(200, seed=100 + seed)
         spec = DenseCyclicSpec(n=200, k=k, flip_prob=0.6, sign=1)
-        ref = induce_cyclic_correlations(base, spec, seed=seed, variant="reference")
-        fast = induce_cyclic_correlations(base, spec, seed=seed, variant="fast")
-        np.testing.assert_array_equal(ref.entries, fast.entries)
+        fast = induce_cyclic_correlations(base, spec, seed=seed)
+        np.testing.assert_array_equal(_reference(base, spec, seed), fast.entries)
 
 
 def test_dimension_mismatch_rejected():
     m = generate_base_iid(10, seed=1)
     with pytest.raises(InvalidSpecError):
         induce_cyclic_correlations(m, DenseCyclicSpec(n=12, k=3, flip_prob=1.0), seed=1)
-
-
-def test_unknown_variant_rejected():
-    m = generate_base_iid(10, seed=1)
-    with pytest.raises(InvalidSpecError):
-        induce_cyclic_correlations(
-            m, DenseCyclicSpec(n=10, k=3, flip_prob=1.0), seed=1, variant="turbo"
-        )
 
 
 def test_non_square_rejected_at_construction():
