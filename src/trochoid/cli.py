@@ -14,6 +14,8 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from .boundaries import PolytrochoidParams
 from .errors import ConfigError, TrochoidError
 from .interior import GridSpec, interior_density
@@ -114,7 +116,13 @@ def _cmd_boundary(args) -> int:
             raise ConfigError("interior density is defined for the dense and poly laws")
         field = interior_density(params, GridSpec(resolution=args.density_resolution))
         write_density_csv(field, args.density_out)
-        print(f"wrote {args.density_out} (integral {field.integral():.4f})")
+        # past the cusp some inside points lose the continued branch; their
+        # density is written as 0, so say how many
+        no_branch = int((field.inside & np.isnan(field.h)).sum())
+        print(
+            f"wrote {args.density_out} (integral {field.integral():.4f}, "
+            f"no branch at {no_branch} of {int(field.inside.sum())} inside grid points)"
+        )
     return 0
 
 

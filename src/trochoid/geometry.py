@@ -9,7 +9,9 @@ from __future__ import annotations
 
 import numpy as np
 
-_CHUNK = 262144  # cap on points*edges per broadcast block
+# cap on (point, edge) pairs per block: winding numbers test O(points x
+# crossings) pairs, distances O(points x edges)
+_CHUNK = 262144
 
 
 def inflate(polygon: np.ndarray, inflation: float) -> np.ndarray:
@@ -21,21 +23,36 @@ def inflate(polygon: np.ndarray, inflation: float) -> np.ndarray:
 def winding_numbers(points: np.ndarray, polygon: np.ndarray) -> np.ndarray:
     """Winding number of a closed polygon around each query point.
 
-    ``polygon`` is complex vertices with the first repeated at the end.
+    ``polygon`` is complex vertices with the first repeated at the end.  An
+    edge can only count for points whose height lies in its half-open range
+    [min(y0, y1), max(y0, y1)), so each edge is tested against that slice of
+    the points sorted by height: the cost is O(points x crossings), where
+    crossings is the number of edges a horizontal line meets, not
+    O(points x edges).
     """
     points = np.asarray(points, dtype=complex).ravel()
     x0, y0 = polygon[:-1].real, polygon[:-1].imag
     x1, y1 = polygon[1:].real, polygon[1:].imag
+    order = np.argsort(points.imag)
+    px, py = points.real[order], points.imag[order]
+    first = np.searchsorted(py, np.minimum(y0, y1))
+    counts = np.searchsorted(py, np.maximum(y0, y1)) - first
+    ends = np.cumsum(counts)
+    total = int(counts.sum())
     wn = np.zeros(points.shape[0], dtype=int)
-    block = max(1, _CHUNK // max(1, len(x0)))
-    for lo in range(0, len(points), block):
-        px = points[lo : lo + block].real[:, None]
-        py = points[lo : lo + block].imag[:, None]
-        cross = (x1 - x0) * (py - y0) - (px - x0) * (y1 - y0)
-        up = (y0 <= py) & (y1 > py) & (cross > 0)
-        down = (y0 > py) & (y1 <= py) & (cross < 0)
-        wn[lo : lo + block] = up.sum(axis=1) - down.sum(axis=1)
-    return wn
+    for lo in range(0, total, _CHUNK):
+        # pairs are numbered edge by edge; pair -> edge e, sorted point j
+        pair = np.arange(lo, min(lo + _CHUNK, total))
+        e = np.searchsorted(ends, pair, side="right")
+        j = first[e] + pair - (ends[e] - counts[e])
+        ex0, ey0, ex1, ey1, qx, qy = x0[e], y0[e], x1[e], y1[e], px[j], py[j]
+        cross = (ex1 - ex0) * (qy - ey0) - (qx - ex0) * (ey1 - ey0)
+        up = (ey0 <= qy) & (ey1 > qy) & (cross > 0)
+        down = (ey0 > qy) & (ey1 <= qy) & (cross < 0)
+        wn += np.bincount(j[up], minlength=wn.size) - np.bincount(j[down], minlength=wn.size)
+    out = np.empty_like(wn)
+    out[order] = wn
+    return out
 
 
 def contains(points: np.ndarray, polygon: np.ndarray) -> np.ndarray:

@@ -5,9 +5,10 @@ Inside the support, the normalized resolvent trace h(z) solves
     z = conj(h) + sum_k rho_k * h^(k-1)
 
 on the branch reached by switching the correlations on gradually from the
-uncorrelated solution h = conj(z).  The density per unit area is then
-(1/pi) * d h / d z*, evaluated by finite differences, and the support edge is
-characterized by |h| = 1.
+uncorrelated solution h = conj(z); at each continuation step Newton runs
+only on the points that have not yet converged.  The density per unit area
+is then (1/pi) * d h / d z*, evaluated by finite differences, and the
+support edge is characterized by |h| = 1.
 """
 
 from __future__ import annotations
@@ -85,7 +86,10 @@ def _solve_branch(z: np.ndarray, params: PolytrochoidParams) -> tuple[np.ndarray
     """Continue h from the uncorrelated solution conj(z) on an array of points.
 
     Returns (h, ok).  Points whose Newton iteration diverges, stalls, or hits
-    a fold (singular linearization) are marked not-ok.
+    a fold (singular linearization) are marked not-ok.  Within a continuation
+    step Newton runs only on the points that have not yet converged: each
+    point gets the same arithmetic as if iterated alone, so its result does
+    not depend on the other points in ``z``.
     """
     terms = _terms(params)
     flat_z = np.asarray(z, dtype=complex).ravel()
@@ -93,24 +97,28 @@ def _solve_branch(z: np.ndarray, params: PolytrochoidParams) -> tuple[np.ndarray
     ok = np.ones(h.shape, dtype=bool)
     for step in range(1, _CONTINUATION_STEPS + 1):
         scale = step / _CONTINUATION_STEPS
+        idx = np.flatnonzero(ok)
         for _ in range(_NEWTON_MAX_ITER):
-            f = _residual(h, flat_z, terms, scale)
-            live = ok & (np.abs(f) >= _NEWTON_TOL)
-            if not live.any():
+            hl = h[idx]
+            f = _residual(hl, flat_z[idx], terms, scale)
+            live = np.abs(f) >= _NEWTON_TOL
+            idx, hl, f = idx[live], hl[live], f[live]
+            if idx.size == 0:
                 break
-            dfh = np.zeros_like(h)
+            dfh = np.zeros_like(hl)
             for k, rho in terms:
-                dfh += scale * rho * (k - 1) * h ** (k - 2)
+                dfh += scale * rho * (k - 1) * hl ** (k - 2)
             # Newton step for the non-holomorphic system: with A = dF/dh and
             # dF/dconj(h) = 1, the increment is (conj(F) - conj(A) F)/(|A|^2 - 1)
             denom = np.abs(dfh) ** 2 - 1.0
             singular = np.abs(denom) < 1e-12
             delta = (np.conj(f) - np.conj(dfh) * f) / np.where(singular, 1.0, denom)
-            h = np.where(live & ~singular, h + delta, h)
-            ok &= ~(live & singular)
-            bad = ok & (~np.isfinite(h) | (np.abs(h) > _DIVERGENCE_RADIUS))
-            h = np.where(bad, 0.0, h)
-            ok &= ~bad
+            ok[idx[singular]] = False
+            idx, hl = idx[~singular], (hl + delta)[~singular]
+            bad = ~np.isfinite(hl) | (np.abs(hl) > _DIVERGENCE_RADIUS)
+            h[idx] = np.where(bad, 0.0, hl)
+            ok[idx[bad]] = False
+            idx = idx[~bad]
         f = _residual(h, flat_z, terms, scale)
         ok &= np.abs(f) < 100 * _NEWTON_TOL
     return h.reshape(np.shape(z)), ok.reshape(np.shape(z))

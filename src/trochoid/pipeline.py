@@ -635,12 +635,18 @@ def calibrate_flip_prob(n: int, k: int, target_rho: float, seeds: list[int]) -> 
             achievable=(sweep[0], sweep[-1]),
         )
     hi_idx = next(
-        (i for i, v in enumerate(magnitudes) if i >= 1 and v + noise >= target),
+        (i for i, v in enumerate(magnitudes) if i >= 1 and v >= target),
         len(_SWEEP_GRID) - 1,
     )
     lo = _SWEEP_GRID[hi_idx - 1]
     hi = _SWEEP_GRID[hi_idx]
-    best_p, best_gap = hi, abs(magnitudes[hi_idx] - target)
+    # start from the closer bracket end, so a grid point that already meets
+    # the tolerance is kept; on a tie the upper end wins
+    best_p, best_gap = min(
+        (hi, abs(magnitudes[hi_idx] - target)),
+        (lo, abs(magnitudes[hi_idx - 1] - target)),
+        key=lambda end: end[1],
+    )
     for _ in range(_CALIBRATION_MAX_PROBES):
         if best_gap <= tolerance * target:
             break

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -148,16 +149,32 @@ def test_calibrate_unreachable_target_reports_range():
     assert hi < 10.0
 
 
-def test_calibrate_reaches_moderate_target():
-    p = calibrate_flip_prob(300, 3, 0.3, [1, 2, 3])
-    assert 0.0 < p <= 1.0
+def _mean_strength(n, k, p, seeds):
     from trochoid.correlations import DenseCyclicSpec, generate_dense_cyclic
     from trochoid.moments import trace_power_moment
 
-    measured = np.mean(
-        [trace_power_moment(generate_dense_cyclic(DenseCyclicSpec(300, 3, p), s), 3) for s in (1, 2, 3)]
-    )
-    assert abs(measured - 0.3) / 0.3 < 0.10
+    return np.mean([trace_power_moment(generate_dense_cyclic(DenseCyclicSpec(n, k, p), s), k) for s in seeds])
+
+
+def test_calibrate_reaches_moderate_target():
+    p = calibrate_flip_prob(300, 3, 0.3, [1, 2, 3])
+    assert 0.0 < p <= 1.0
+    assert abs(_mean_strength(300, 3, p, [1, 2, 3]) - 0.3) / 0.3 < 0.10
+
+
+def test_calibrate_brackets_target_despite_sweep_noise():
+    # at n = 120 the sweep noise (0.158) exceeds the gap between the mean at
+    # p = 0.25 (0.186) and the target: a bracket picked with that margin would
+    # have both ends below the target
+    p = calibrate_flip_prob(120, 3, 0.3, [1, 2, 3])
+    assert abs(_mean_strength(120, 3, p, [1, 2, 3]) - 0.3) / 0.3 < 0.10
+
+
+def test_calibrate_keeps_sweep_point_within_tolerance():
+    # the mean at p = 0.25 sits 3 % below the target, inside the 7 % tolerance,
+    # so the bracket is [0.25, 0.5] and its lower end is already the answer
+    target = 1.03 * _mean_strength(120, 3, 0.25, [1, 2, 3])
+    assert calibrate_flip_prob(120, 3, target, [1, 2, 3]) == 0.25
 
 
 def test_moments_subcommand(tmp_path, capsys):
@@ -249,7 +266,7 @@ def test_verify_report_carries_moment_tables(tmp_path):
     assert agg[("mixed", 1)]["stderr"] >= 0
 
 
-def test_boundary_density_output(tmp_path):
+def test_boundary_density_output(tmp_path, capsys):
     out = tmp_path / "c.csv"
     dens = tmp_path / "d.csv"
     rc = main([
@@ -258,6 +275,15 @@ def test_boundary_density_output(tmp_path):
     ])
     assert rc == 0
     assert dens.read_text().splitlines()[0] == "re,im,mu"
+    assert "no branch at 0 of " in capsys.readouterr().out
+    # past the cusp some inside points have no continued branch
+    rc = main([
+        "boundary", "--law", "poly", "--term", "3:0.55",
+        "--out", str(out), "--density-out", str(dens), "--density-resolution", "64",
+    ])
+    assert rc == 0
+    missing, inside = map(int, re.search(r"no branch at (\d+) of (\d+) inside", capsys.readouterr().out).groups())
+    assert 0 < missing < inside
     rc = main([
         "boundary", "--law", "sparse", "--d-hat", "1", "--k", "3",
         "--out", str(out), "--density-out", str(dens),

@@ -4,10 +4,72 @@ import pytest
 from trochoid.boundaries import PolytrochoidParams, dense_polytrochoid
 from trochoid.errors import OutsideSupportError
 from trochoid.interior import (
+    _CONTINUATION_STEPS,
+    _DIVERGENCE_RADIUS,
+    _NEWTON_MAX_ITER,
+    _NEWTON_TOL,
     GridSpec,
+    _residual,
+    _solve_branch,
+    _terms,
     interior_density,
     interior_fixed_point,
 )
+
+
+def _reference_solve_branch(z, params):
+    """Full-array Newton continuation: every point is recomputed each iteration."""
+    terms = _terms(params)
+    flat_z = np.asarray(z, dtype=complex).ravel()
+    h = np.conj(flat_z)
+    ok = np.ones(h.shape, dtype=bool)
+    for step in range(1, _CONTINUATION_STEPS + 1):
+        scale = step / _CONTINUATION_STEPS
+        for _ in range(_NEWTON_MAX_ITER):
+            f = _residual(h, flat_z, terms, scale)
+            live = ok & (np.abs(f) >= _NEWTON_TOL)
+            if not live.any():
+                break
+            dfh = np.zeros_like(h)
+            for k, rho in terms:
+                dfh += scale * rho * (k - 1) * h ** (k - 2)
+            denom = np.abs(dfh) ** 2 - 1.0
+            singular = np.abs(denom) < 1e-12
+            delta = (np.conj(f) - np.conj(dfh) * f) / np.where(singular, 1.0, denom)
+            h = np.where(live & ~singular, h + delta, h)
+            ok &= ~(live & singular)
+            bad = ok & (~np.isfinite(h) | (np.abs(h) > _DIVERGENCE_RADIUS))
+            h = np.where(bad, 0.0, h)
+            ok &= ~bad
+        f = _residual(h, flat_z, terms, scale)
+        ok &= np.abs(f) < 100 * _NEWTON_TOL
+    return h.reshape(np.shape(z)), ok.reshape(np.shape(z))
+
+
+_SQUARE = np.linspace(-4, 4, 65)[None, :] + 1j * np.linspace(-4, 4, 65)[:, None]
+
+
+@pytest.mark.parametrize(
+    "terms, z",
+    [
+        ({2: 0.5}, None),
+        ({3: 0.2}, None),
+        ({5: 0.075}, None),
+        ({3: 0.2, 4: 0.1}, None),
+        # past the cusp: the grid reaches the fold, where Newton stalls
+        ({3: 0.55}, None),
+        # far past it on a wide square: some steps are singular, some diverge
+        ({3: 2.0}, _SQUARE),
+    ],
+)
+def test_branch_solve_matches_full_array_reference(terms, z):
+    params = PolytrochoidParams(terms)
+    if z is None:
+        z = interior_density(params, GridSpec(resolution=64)).grid()
+    h, ok = _solve_branch(z, params)
+    h_ref, ok_ref = _reference_solve_branch(z, params)
+    np.testing.assert_array_equal(ok, ok_ref)
+    np.testing.assert_array_equal(h.view(np.uint64), h_ref.view(np.uint64))
 
 
 def test_uncorrelated_fixed_point_is_conjugate():

@@ -4,6 +4,9 @@ import importlib.util
 import sys
 from pathlib import Path
 
+import trochoid.interior
+from trochoid.boundaries import PolytrochoidParams
+from trochoid.interior import GridSpec
 from trochoid.pipeline import run_verify
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
@@ -20,9 +23,14 @@ def test_traced_layers_are_recorded(monkeypatch):
     with tracer.active(0):
         run_verify({"ensemble": {"kind": "regular-cyclic", "n": 30, "d": 2, "k": 3}, "seeds": [1]})
         run_verify({"ensemble": {"kind": "dense-cyclic", "n": 30, "k": 3, "flip_prob": 0.5}, "seeds": [1]})
-    names = {s.name for s in tracer.spans}
+        trochoid.interior.interior_density(PolytrochoidParams({3: 0.2}), GridSpec(resolution=16))
+    names = {s.id: s.name for s in tracer.spans}
     assert {
         "digraphs.generate_regular_cyclic",
         "correlations.generate_dense_cyclic",
         "spectra.digraph_spectrum",
-    } <= names
+        "interior.interior_density",
+    } <= set(names.values())
+    # both callers must still look ``contains`` up as a module global
+    contains_callers = {names.get(s.parent) for s in tracer.spans if s.name == "geometry.contains"}
+    assert {"interior.interior_density", "spectra.containment"} <= contains_callers
