@@ -137,9 +137,18 @@ def dense_polytrochoid(params: PolytrochoidParams, n_samples: int = 1024) -> Bou
     return BoundaryCurve(phi, z, params)
 
 
+def _sigma(t: float, k: int) -> float:
+    """sum_{l=1}^{k-1} t^(2l), the depth sum of one cycle species."""
+    return sum(t ** (2 * l) for l in range(1, k))
+
+
+def _dsigma(t: float, k: int) -> float:
+    return sum(2 * l * t ** (2 * l - 1) for l in range(1, k))
+
+
 def segment_depth_residual(t: float, d_hat: float, k: int) -> float:
     """Residual of the reduced depth condition d_hat * sum_{j=1}^{k-1} t^(2j) - 1."""
-    return d_hat * sum(t ** (2 * j) for j in range(1, k)) - 1.0
+    return d_hat * _sigma(t, k) - 1.0
 
 
 def solve_segment_depth(d_hat: float, k: int) -> float:
@@ -173,8 +182,7 @@ def solve_segment_depth(d_hat: float, k: int) -> float:
         f = segment_depth_residual(t, d_hat, k)
         if abs(f) < 1e-15:
             break
-        df = d_hat * sum(2 * j * t ** (2 * j - 1) for j in range(1, k))
-        t -= f / df
+        t -= f / (d_hat * _dsigma(t, k))
     return t
 
 
@@ -190,14 +198,6 @@ def sparse_hypotrochoid(params: SparseCyclicParams, n_samples: int = 1024) -> Bo
 
 
 # --- mixed two-species solver -------------------------------------------------
-
-
-def _sigma(t: float, k: int) -> float:
-    return sum(t ** (2 * l) for l in range(1, k))
-
-
-def _dsigma(t: float, k: int) -> float:
-    return sum(2 * l * t ** (2 * l - 1) for l in range(1, k))
 
 
 def _mixed_residual(params: MixedCycleParams, phi1: float, x: np.ndarray) -> np.ndarray:

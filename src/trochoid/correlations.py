@@ -144,12 +144,14 @@ def _induce_fast(m: np.ndarray, spec: DenseCyclicSpec, seed: int) -> np.ndarray:
             rd = sum((r[mm - 2 - i] @ c) * bl[i - 1] for i in range(1, mm - 1))
             bl_m = r[mm - 1] + (rd if mm > 2 else 0.0) + d * bl[mm - 2]
             br_m = row @ tr[mm - 2] + d * br[mm - 2]
-            tr_m = s @ tr[mm - 2] + br[mm - 2] * c
+            if mm < top:  # the last level's right column is never read
+                # tr[0] is c, so S @ tr[0] is sc[1], already computed
+                s_tr = sc[1] if mm == 2 else s @ tr[mm - 2]
+                tr.append(s_tr + br[mm - 2] * c)
             grow = sum(sc[mm - 1 - i] * bl[i - 1] for i in range(1, mm))
             q[mm - 2][:v] += grow
             q[mm - 2][v] = br_m
             bl.append(bl_m)
-            tr.append(tr_m)
             br.append(br_m)
     return m
 

@@ -6,7 +6,10 @@ two-species mixture of cycle lengths (mixed).
 
 Construction is a configuration-model slot shuffle: d copies of every node id
 are shuffled and chopped into k-tuples, each tuple becoming one directed
-cycle; tuples with repeated nodes are repaired by local swaps.
+cycle; tuples with repeated nodes are repaired by local swaps.  A generator
+returns only the cycles and their weights: ``SparseDigraph`` derives the
+edges, so two cycles stepping along the same ordered pair give one edge
+carrying the sum of their weights.
 
 When the gcd g of all cycle lengths divides n, slots are stratified by node
 phase class (node i belongs to class i mod g) and each cycle steps through
@@ -200,18 +203,6 @@ def _repair_stratified(tuples: list[list[int]], g: int, stream: Stream, budget: 
                 bad.append(j)
 
 
-def _accumulate_edges(
-    cycles: list[tuple[int, ...]], weights: list[float], n: int
-) -> list[tuple[int, int, float]]:
-    acc: dict[tuple[int, int], float] = {}
-    for cyc, w in zip(cycles, weights):
-        k = len(cyc)
-        for a in range(k):
-            key = (cyc[a], cyc[(a + 1) % k])
-            acc[key] = acc.get(key, 0.0) + w
-    return [(u, v, w) for (u, v), w in acc.items() if w != 0.0]
-
-
 def generate_regular_cyclic(spec: RegularCyclicSpec, seed: int) -> SparseDigraph:
     """Digraph in which every node belongs to exactly ``d`` k-cycles."""
     seed = normalize_seed(seed)
@@ -221,9 +212,7 @@ def generate_regular_cyclic(spec: RegularCyclicSpec, seed: int) -> SparseDigraph
         spec.n, spec.d, spec.k, g, stream, _MAX_SWAPS_PER_NODE * spec.n
     )
     cycles = [tuple(int(x) for x in t) for t in tuples]
-    weights = [spec.weight] * len(cycles)
-    edges = _accumulate_edges(cycles, weights, spec.n)
-    return SparseDigraph(spec.n, edges, cycles, weights)
+    return SparseDigraph(spec.n, cycles, [spec.weight] * len(cycles))
 
 
 def generate_poisson_cyclic(spec: PoissonCyclicSpec, seed: int) -> SparseDigraph:
@@ -243,9 +232,7 @@ def generate_poisson_cyclic(spec: PoissonCyclicSpec, seed: int) -> SparseDigraph
     else:
         for _ in range(c):
             cycles.append(tuple(stream.sample_distinct(spec.n, spec.k)))
-    weights = [spec.weight] * c
-    edges = _accumulate_edges(cycles, weights, spec.n)
-    return SparseDigraph(spec.n, edges, cycles, weights)
+    return SparseDigraph(spec.n, cycles, [spec.weight] * c)
 
 
 def generate_mixed_cyclic(spec: MixedCyclicSpec, seed: int) -> SparseDigraph:
@@ -262,5 +249,4 @@ def generate_mixed_cyclic(spec: MixedCyclicSpec, seed: int) -> SparseDigraph:
         tuples = _chop_regular(spec.n, s.d, s.k, g, stream, _MAX_SWAPS_PER_NODE * spec.n)
         cycles.extend(tuple(int(x) for x in t) for t in tuples)
         weights.extend([s.weight] * len(tuples))
-    edges = _accumulate_edges(cycles, weights, spec.n)
-    return SparseDigraph(spec.n, edges, cycles, weights)
+    return SparseDigraph(spec.n, cycles, weights)

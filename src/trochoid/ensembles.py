@@ -7,6 +7,7 @@ adjacency, entry (u, v) is the total weight of edges u -> v.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -38,38 +39,47 @@ class DenseMatrix:
 
 @dataclass
 class SparseDigraph:
-    """Weighted directed edge list plus the cycles that produced it.
+    """A weighted digraph given by its directed cycles.
 
-    ``edges`` holds (source, target, weight) with weights already accumulated
-    per ordered pair; ``cycles`` records each generated cycle as a tuple of
-    distinct node ids, in traversal order, with its edge weight in
-    ``cycle_weights``.
+    ``cycles`` records each cycle as a tuple of distinct node ids in
+    traversal order, and ``cycle_weights`` the weight of each of its steps.
+    ``edges`` (E x 2 ints: source, target) and ``edge_weights`` (E floats)
+    are derived from them: one row per ordered pair that some cycle steps
+    along, carrying the sum of those steps' weights added in cycle order,
+    sorted by (source, target).  Pairs whose weights cancel to 0 are dropped.
     """
 
     n: int
-    edges: list[tuple[int, int, float]]
-    cycles: list[tuple[int, ...]] = field(default_factory=list)
-    cycle_weights: list[float] = field(default_factory=list)
+    cycles: list[tuple[int, ...]]
+    cycle_weights: list[float]
+    edges: np.ndarray = field(init=False, compare=False)
+    edge_weights: np.ndarray = field(init=False, compare=False)
 
     def __post_init__(self):
-        for u, v, w in self.edges:
-            if not (0 <= u < self.n and 0 <= v < self.n):
-                raise InvalidSpecError(f"edge ({u}, {v}) out of node range [0, {self.n})")
-            if w == 0:
-                raise InvalidSpecError(f"edge ({u}, {v}) has zero weight")
+        if len(self.cycle_weights) != len(self.cycles):
+            raise InvalidSpecError("cycle_weights must match cycles one-to-one")
         for cyc in self.cycles:
             if len(set(cyc)) != len(cyc):
                 raise InvalidSpecError(f"cycle {cyc} repeats a node")
-        if not self.cycle_weights:
-            self.cycle_weights = [1.0] * len(self.cycles)
-        if len(self.cycle_weights) != len(self.cycles):
-            raise InvalidSpecError("cycle_weights must match cycles one-to-one")
+        lengths = np.fromiter(map(len, self.cycles), dtype=np.int64, count=len(self.cycles))
+        src = np.fromiter(chain.from_iterable(self.cycles), dtype=np.int64, count=int(lengths.sum()))
+        if src.size and not (0 <= src.min() and src.max() < self.n):
+            raise InvalidSpecError(f"cycle node out of node range [0, {self.n})")
+        # each step's target is the next node, except at a cycle's last
+        # position, where it is the cycle's first node
+        nonempty = lengths > 0
+        ends = np.cumsum(lengths)[nonempty]
+        dst = np.roll(src, -1)
+        dst[ends - 1] = src[ends - lengths[nonempty]]
+        steps = np.repeat(np.asarray(self.cycle_weights, dtype=float), lengths)
+        pairs, step_pair = np.unique(src * self.n + dst, return_inverse=True)
+        totals = np.bincount(step_pair, weights=steps, minlength=pairs.size)
+        kept = totals != 0.0
+        self.edges = np.column_stack(np.divmod(pairs[kept], self.n))
+        self.edge_weights = totals[kept]
 
     def row_sums(self) -> np.ndarray:
-        out = np.zeros(self.n)
-        for u, _, w in self.edges:
-            out[u] += w
-        return out
+        return np.bincount(self.edges[:, 0], weights=self.edge_weights, minlength=self.n)
 
     def cycle_length_gcd(self) -> int:
         """Greatest common divisor of all recorded cycle lengths (0 if none)."""
@@ -113,6 +123,5 @@ def adjacency_matrix(g: SparseDigraph, scale: float = 1.0) -> DenseMatrix:
     if scale == 0:
         raise InvalidSpecError("scale must be nonzero")
     m = np.zeros((g.n, g.n))
-    for u, v, w in g.edges:
-        m[u, v] += scale * w
+    m[g.edges[:, 0], g.edges[:, 1]] = scale * g.edge_weights
     return DenseMatrix(m)

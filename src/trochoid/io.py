@@ -25,12 +25,13 @@ def write_dense_mtx(m: DenseMatrix, path: str | Path) -> None:
 
 def write_digraph_mtx(g: SparseDigraph, path: str | Path) -> None:
     """Digraph adjacency in Matrix Market coordinate format (1-based indices)."""
-    edges = sorted(g.edges)
     lines = [
         "%%MatrixMarket matrix coordinate real general",
-        f"{g.n} {g.n} {len(edges)}",
+        f"{g.n} {g.n} {len(g.edges)}",
     ]
-    lines.extend(f"{u + 1} {v + 1} {repr(float(w))}" for u, v, w in edges)
+    lines.extend(
+        f"{u + 1} {v + 1} {w!r}" for (u, v), w in zip(g.edges.tolist(), g.edge_weights.tolist())
+    )
     Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -107,15 +108,9 @@ def read_spectrum_csv(path: str | Path) -> np.ndarray:
 
 
 def write_density_csv(field: DensityField, path: str | Path) -> None:
-    lines = ["re,im,mu"]
     grid = field.grid()
-    for i in range(grid.shape[0]):
-        for j in range(grid.shape[1]):
-            z = grid[i, j]
-            lines.append(
-                f"{repr(float(z.real))},{repr(float(z.imag))},{repr(float(field.mu[i, j]))}"
-            )
-    Path(path).write_text("\n".join(lines) + "\n")
+    rows = zip(grid.real.ravel().tolist(), grid.imag.ravel().tolist(), field.mu.ravel().tolist())
+    Path(path).write_text("re,im,mu\n" + "".join(f"{x!r},{y!r},{mu!r}\n" for x, y, mu in rows))
 
 
 def _read_csv(path: str | Path, expected_header: str) -> list[tuple[float, ...]]:

@@ -87,7 +87,7 @@ def phase_certificate(g: SparseDigraph) -> np.ndarray | None:
     if p < 2:
         return None
     neighbors: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]
-    for u, v, _ in g.edges:
+    for u, v in g.edges.tolist():
         neighbors[u].append((v, 1))
         neighbors[v].append((u, -1))
     phase = np.full(g.n, -1, dtype=int)
@@ -127,17 +127,18 @@ def digraph_spectrum(g: SparseDigraph) -> Spectrum:
     if any(len(c) == 0 for c in classes):
         return compute_eigenvalues(ensembles.adjacency_matrix(g))
     start = int(np.argmin([len(c) for c in classes]))
-    index_of = {}
-    for j, cls in enumerate(classes):
-        index_of.update({int(u): (j, i) for i, u in enumerate(cls)})
-    blocks = [
-        np.zeros((len(classes[(start + j) % p]), len(classes[(start + j + 1) % p])))
-        for j in range(p)
-    ]
-    for u, v, w in g.edges:
-        ju, iu = index_of[u]
-        _, iv = index_of[v]
-        blocks[(ju - start) % p][iu, iv] += w
+    position = np.empty(g.n, dtype=int)  # index of each node within its class
+    for cls in classes:
+        position[cls] = np.arange(len(cls))
+    src, dst = g.edges[:, 0], g.edges[:, 1]
+    blocks = []
+    for j in range(p):
+        a = (start + j) % p
+        block = np.zeros((len(classes[a]), len(classes[(a + 1) % p])))
+        from_a = phase[src] == a
+        # edges are unique, so assignment equals accumulation
+        block[position[src[from_a]], position[dst[from_a]]] = g.edge_weights[from_a]
+        blocks.append(block)
     product = blocks[0]
     for b in blocks[1:]:
         product = product @ b

@@ -5,7 +5,9 @@ import sys
 from pathlib import Path
 
 import trochoid.interior
+import trochoid.pipeline
 from trochoid.boundaries import PolytrochoidParams
+from trochoid.digraphs import RegularCyclicSpec
 from trochoid.interior import GridSpec
 from trochoid.pipeline import run_verify
 
@@ -24,6 +26,8 @@ def test_traced_layers_are_recorded(monkeypatch):
         run_verify({"ensemble": {"kind": "regular-cyclic", "n": 30, "d": 2, "k": 3}, "seeds": [1]})
         run_verify({"ensemble": {"kind": "dense-cyclic", "n": 30, "k": 3, "flip_prob": 0.5}, "seeds": [1]})
         trochoid.interior.interior_density(PolytrochoidParams({3: 0.2}), GridSpec(resolution=16))
+        # seed 8 draws two 2-cycles on the same node pair: 16 steps, 12 distinct pairs
+        g = trochoid.pipeline.generate_regular_cyclic(RegularCyclicSpec(n=8, d=2, k=2), seed=8)
     names = {s.id: s.name for s in tracer.spans}
     assert {
         "digraphs.generate_regular_cyclic",
@@ -34,3 +38,8 @@ def test_traced_layers_are_recorded(monkeypatch):
     # both callers must still look ``contains`` up as a module global
     contains_callers = {names.get(s.parent) for s in tracer.spans if s.name == "geometry.contains"}
     assert {"interior.interior_density", "spectra.containment"} <= contains_callers
+
+    pairs = {(c[i], c[(i + 1) % len(c)]) for c in g.cycles for i in range(len(c))}
+    assert len(pairs) < sum(map(len, g.cycles))
+    generated = [s for s in tracer.spans if s.name == "digraphs.generate_regular_cyclic"]
+    assert generated[-1].counts == {"edges": len(pairs)}
