@@ -34,7 +34,6 @@ from .ensembles import (
     DenseMatrix,
     SparseDigraph,
     adjacency_matrix,
-    combine_correlated,
     generate_base_iid,
 )
 from .errors import (
@@ -44,10 +43,9 @@ from .errors import (
     EigensolverError,
     GenerationError,
     InvalidSpecError,
-    OutsideSupportError,
     TrochoidError,
 )
-from .interior import DensityField, GreensFixedPoint, GridSpec, interior_density, interior_fixed_point
+from .interior import DensityField, GridSpec, interior_density
 from .moments import (
     MomentOrder,
     MomentReport,
@@ -63,7 +61,6 @@ from .spectra import (
     ContainmentReport,
     Spectrum,
     compute_eigenvalues,
-    conjugation_pairing_residual,
     containment,
     detect_deterministic_outliers,
     digraph_spectrum,

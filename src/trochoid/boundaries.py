@@ -272,30 +272,21 @@ def _symmetric_seed(params: MixedCycleParams) -> np.ndarray:
     return x
 
 
-def mixed_cycle_solve(
-    params: MixedCycleParams, phi1: float, x0: np.ndarray | None = None
-) -> tuple[float, float, float]:
+def mixed_cycle_solve(params: MixedCycleParams, phi1: float) -> tuple[float, float, float]:
     """Solve (t1, t2, phi2) for a given sweep angle phi1.
 
-    Without a warm start the solution is continued from the symmetric real
-    solve at phi1 = 0 in small angle steps.
+    The solution is continued from the symmetric real solve at phi1 = 0 in
+    angle steps of at most 0.05.
     """
-    if x0 is None:
-        x = _symmetric_seed(params)
-        steps = max(1, int(np.ceil(abs(phi1) / 0.05)))
-        for s in range(1, steps + 1):
-            target = phi1 * s / steps
-            x, ok = _newton_mixed(params, target, x)
-            if not ok:
-                raise ContinuationError(
-                    f"continuation stalled at phi1 = {target:.6f}",
-                    last_good_phi=phi1 * (s - 1) / steps,
-                )
-    else:
-        x, ok = _newton_mixed(params, phi1, np.asarray(x0, dtype=float))
+    x = _symmetric_seed(params)
+    steps = max(1, int(np.ceil(abs(phi1) / 0.05)))
+    for s in range(1, steps + 1):
+        target = phi1 * s / steps
+        x, ok = _newton_mixed(params, target, x)
         if not ok:
             raise ContinuationError(
-                f"solve failed at phi1 = {phi1:.6f}", last_good_phi=float("nan")
+                f"continuation stalled at phi1 = {target:.6f}",
+                last_good_phi=phi1 * (s - 1) / steps,
             )
     return float(x[0]), float(x[1]), float(x[2])
 

@@ -20,6 +20,7 @@ from .boundaries import PolytrochoidParams
 from .errors import ConfigError, TrochoidError
 from .interior import GridSpec, interior_density
 from .io import write_curve_csv, write_density_csv, write_json
+from .pipeline import _config_errors
 from .pipeline import boundary_for, calibrate_flip_prob, run_generate, run_moments, run_verify
 from .presets import PRESETS, get_preset
 from .svg import render_svg
@@ -28,6 +29,12 @@ from .svg import render_svg
 def _emit_error(kind: str, exc: Exception) -> None:
     payload = {"error": {"type": kind, "message": str(exc)}}
     print(json.dumps(payload, sort_keys=True), file=sys.stderr)
+
+
+def _int_list(text: str, flag: str) -> list[int]:
+    """Comma-separated integers from a flag; empty entries are skipped."""
+    with _config_errors(flag):
+        return [int(s) for s in text.split(",") if s]
 
 
 def _load_config(args: argparse.Namespace) -> dict:
@@ -44,7 +51,7 @@ def _load_config(args: argparse.Namespace) -> dict:
             raise ConfigError(f"config file is not valid JSON: {exc}") from exc
         config.update(loaded)
     if getattr(args, "seeds", None):
-        config["seeds"] = [int(s) for s in args.seeds.split(",") if s]
+        config["seeds"] = _int_list(args.seeds, "--seeds")
     if getattr(args, "seed", None) is not None:
         config["seeds"] = [args.seed]
     if getattr(args, "inflation", None) is not None:
@@ -104,17 +111,20 @@ def _cmd_boundary(args) -> int:
             except ValueError as exc:
                 raise ConfigError(f"bad --term {item!r}; expected k:rho") from exc
         section["terms"] = terms
+    if args.density_out:
+        if args.law not in ("dense", "poly"):
+            raise ConfigError("interior density is defined for the dense and poly laws")
+        with _config_errors("--density-resolution"):
+            grid = GridSpec(resolution=args.density_resolution)
     curve = boundary_for(None, section, n_samples=args.samples)
     write_curve_csv(curve, args.out)
     print(f"wrote {args.out} ({len(curve.z)} samples)")
     if args.density_out:
         if args.law == "dense":
             params = PolytrochoidParams({int(section["k"]): float(section["rho"])})
-        elif args.law == "poly":
-            params = PolytrochoidParams(section["terms"])
         else:
-            raise ConfigError("interior density is defined for the dense and poly laws")
-        field = interior_density(params, GridSpec(resolution=args.density_resolution))
+            params = PolytrochoidParams(section["terms"])
+        field = interior_density(params, grid)
         write_density_csv(field, args.density_out)
         # past the cusp some inside points lose the continued branch; their
         # density is written as 0, so say how many
@@ -128,8 +138,8 @@ def _cmd_boundary(args) -> int:
 
 def _cmd_moments(args) -> int:
     config = _load_config(args)
-    pure = [int(x) for x in args.pure.split(",") if x] if args.pure else []
-    mixed = [int(x) for x in args.mixed.split(",") if x] if args.mixed else []
+    pure = _int_list(args.pure, "--pure") if args.pure else []
+    mixed = _int_list(args.mixed, "--mixed") if args.mixed else []
     if not pure and not mixed:
         raise ConfigError("nothing to do: give --pure and/or --mixed orders")
     table = run_moments(config, pure, mixed)
@@ -146,7 +156,7 @@ def _cmd_render(args) -> int:
 
 
 def _cmd_calibrate(args) -> int:
-    seeds = [int(s) for s in args.seeds.split(",")] if args.seeds else [1, 2, 3]
+    seeds = _int_list(args.seeds, "--seeds") if args.seeds else [1, 2, 3]
     p = calibrate_flip_prob(args.n, args.k, args.target_rho, seeds)
     print(json.dumps({"flip_prob": p, "n": args.n, "k": args.k, "target_rho": args.target_rho}))
     return 0

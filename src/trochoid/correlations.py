@@ -58,8 +58,6 @@ class DenseCyclicSpec:
 
 
 def _apply_flips(m: np.ndarray, v: int, w: np.ndarray, spec: DenseCyclicSpec, seed: int) -> None:
-    if spec.flip_prob <= 0.0:
-        return
     flips = spec.sign * w < 0
     if spec.flip_prob < 1.0:
         flips &= edge_flip_uniforms(seed, v, v) < spec.flip_prob
@@ -157,10 +155,16 @@ def _induce_fast(m: np.ndarray, spec: DenseCyclicSpec, seed: int) -> np.ndarray:
 
 
 def induce_cyclic_correlations(m: DenseMatrix, spec: DenseCyclicSpec, seed: int) -> DenseMatrix:
-    """Return a copy of ``m`` with order-k cyclic correlations induced."""
+    """Return a copy of ``m`` with order-k cyclic correlations induced.
+
+    At flip probability 0 no sign can change, so the copy is returned unswept.
+    """
     if m.n != spec.n:
         raise InvalidSpecError(f"matrix dimension {m.n} does not match spec n={spec.n}")
-    return DenseMatrix(_induce_fast(m.entries.copy(), spec, normalize_seed(seed)))
+    seed = normalize_seed(seed)
+    if spec.flip_prob == 0.0:
+        return m.copy()
+    return DenseMatrix(_induce_fast(m.entries.copy(), spec, seed))
 
 
 def generate_dense_cyclic(spec: DenseCyclicSpec, seed: int) -> DenseMatrix:

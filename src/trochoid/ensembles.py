@@ -111,17 +111,8 @@ def generate_base_iid(n: int, seed: int) -> DenseMatrix:
     return DenseMatrix(m)
 
 
-def combine_correlated(a: DenseMatrix, b: DenseMatrix) -> DenseMatrix:
-    """Superpose two unit-scaled ensembles, restoring total variance to 1/n."""
-    if a.n != b.n:
-        raise InvalidSpecError(f"dimension mismatch: {a.n} vs {b.n}")
-    return DenseMatrix((a.entries + b.entries) / np.sqrt(2.0))
-
-
-def adjacency_matrix(g: SparseDigraph, scale: float = 1.0) -> DenseMatrix:
-    """Dense adjacency of a digraph: M[u, v] = scale * total weight of u -> v."""
-    if scale == 0:
-        raise InvalidSpecError("scale must be nonzero")
+def adjacency_matrix(g: SparseDigraph) -> DenseMatrix:
+    """Dense adjacency of a digraph: M[u, v] = total weight of u -> v."""
     m = np.zeros((g.n, g.n))
-    m[g.edges[:, 0], g.edges[:, 1]] = scale * g.edge_weights
+    m[g.edges[:, 0], g.edges[:, 1]] = g.edge_weights
     return DenseMatrix(m)

@@ -35,9 +35,5 @@ class CalibrationError(TrochoidError):
         self.achievable = achievable
 
 
-class OutsideSupportError(TrochoidError):
-    """Signal that a query point has no interior fixed-point branch."""
-
-
 class ConfigError(TrochoidError):
     """A CLI/config input failed validation (exit code 2)."""

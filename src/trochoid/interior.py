@@ -17,35 +17,25 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boundaries import BoundaryCurve, PolytrochoidParams, dense_polytrochoid
-from .errors import OutsideSupportError
+from .boundaries import PolytrochoidParams, dense_polytrochoid
 from .geometry import contains
 
 _CONTINUATION_STEPS = 32
 _NEWTON_TOL = 1e-12
 _NEWTON_MAX_ITER = 50
 _DIVERGENCE_RADIUS = 1e6
-
-
-@dataclass(frozen=True)
-class GreensFixedPoint:
-    """Solution h at one query point plus the local density there."""
-
-    z: complex
-    h: complex
-    mu: float
+_PADDING = 0.02
 
 
 @dataclass(frozen=True)
 class GridSpec:
     """Rectangular evaluation grid over the boundary's bounding box.
 
-    ``resolution`` counts steps across the bounding-box diagonal; ``padding``
-    widens the box by that fraction on every side.
+    ``resolution`` counts steps across the bounding-box diagonal; the box is
+    widened by ``_PADDING`` (2 %) of its larger side on every side.
     """
 
     resolution: int = 256
-    padding: float = 0.02
 
     def __post_init__(self):
         if self.resolution < 8:
@@ -124,38 +114,17 @@ def _solve_branch(z: np.ndarray, params: PolytrochoidParams) -> tuple[np.ndarray
     return h.reshape(np.shape(z)), ok.reshape(np.shape(z))
 
 
-def interior_fixed_point(z: complex, params: PolytrochoidParams) -> GreensFixedPoint:
-    """Fixed point h and local density at a single query point."""
-    delta = 1e-5 * (1.0 + abs(z))
-    probes = np.array([z, z + delta, z - delta, z + 1j * delta, z - 1j * delta])
-    h, ok = _solve_branch(probes, params)
-    if not ok[0]:
-        raise OutsideSupportError(f"no interior branch at z = {z}")
-    if ok[1:].all():
-        hx = (h[1] - h[2]) / (2 * delta)
-        hy = (h[3] - h[4]) / (2 * delta)
-        mu = (hx.real - hy.imag) / (2.0 * np.pi)
-    else:
-        mu = float("nan")
-    return GreensFixedPoint(z=complex(z), h=complex(h[0]), mu=float(mu))
+def interior_density(params: PolytrochoidParams, grid_spec: GridSpec = GridSpec()) -> DensityField:
+    """Density field on a grid covering the support predicted by ``params``.
 
-
-def interior_density(
-    params: PolytrochoidParams,
-    grid_spec: GridSpec = GridSpec(),
-    curve: BoundaryCurve | None = None,
-) -> DensityField:
-    """Density field on a grid covering the predicted support.
-
-    mu is set to 0 outside the boundary curve; inside, it comes from central
-    finite differences of the continued branch h.
+    The support is bounded by ``dense_polytrochoid(params)``.  mu is set to 0
+    outside that curve; inside, it comes from central finite differences of
+    the continued branch h.
     """
-    if curve is None:
-        curve = dense_polytrochoid(params)
-    poly = curve.polygon()
+    poly = dense_polytrochoid(params).polygon()
     xlo, xhi = poly.real.min(), poly.real.max()
     ylo, yhi = poly.imag.min(), poly.imag.max()
-    pad = grid_spec.padding * max(xhi - xlo, yhi - ylo)
+    pad = _PADDING * max(xhi - xlo, yhi - ylo)
     xlo, xhi, ylo, yhi = xlo - pad, xhi + pad, ylo - pad, yhi + pad
     diag = np.hypot(xhi - xlo, yhi - ylo)
     step = diag / grid_spec.resolution

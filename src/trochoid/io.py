@@ -35,35 +35,6 @@ def write_digraph_mtx(g: SparseDigraph, path: str | Path) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def read_matrix_market(path: str | Path) -> DenseMatrix:
-    """Read either array or coordinate Matrix Market files into a dense matrix."""
-    text = Path(path).read_text().splitlines()
-    header = text[0].lower().split()
-    if header[:2] != ["%%matrixmarket", "matrix"]:
-        raise ValueError(f"{path}: not a Matrix Market matrix file")
-    kind = header[2]
-    body = [ln for ln in text[1:] if ln.strip() and not ln.startswith("%")]
-    dims = body[0].split()
-    rows, cols = int(dims[0]), int(dims[1])
-    if rows != cols:
-        raise ValueError(f"{path}: matrix must be square, got {rows}x{cols}")
-    if kind == "array":
-        values = np.array([float(x) for x in body[1:]])
-        if values.size != rows * cols:
-            raise ValueError(f"{path}: expected {rows * cols} values, got {values.size}")
-        return DenseMatrix(values.reshape((rows, cols), order="F"))
-    if kind == "coordinate":
-        nnz = int(dims[2])
-        m = np.zeros((rows, cols))
-        if len(body) - 1 != nnz:
-            raise ValueError(f"{path}: expected {nnz} entries, got {len(body) - 1}")
-        for ln in body[1:]:
-            u, v, w = ln.split()
-            m[int(u) - 1, int(v) - 1] += float(w)
-        return DenseMatrix(m)
-    raise ValueError(f"{path}: unsupported Matrix Market kind {kind!r}")
-
-
 def write_cycle_sidecar(g: SparseDigraph, path: str | Path) -> None:
     """JSON sidecar recording the generated cycles and their edge weights."""
     payload = {
@@ -72,10 +43,6 @@ def write_cycle_sidecar(g: SparseDigraph, path: str | Path) -> None:
         "weights": g.cycle_weights,
     }
     Path(path).write_text(json.dumps(payload, separators=(",", ":")) + "\n")
-
-
-def read_cycle_sidecar(path: str | Path) -> dict:
-    return json.loads(Path(path).read_text())
 
 
 def write_curve_csv(curve: BoundaryCurve, path: str | Path) -> None:

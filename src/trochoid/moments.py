@@ -21,6 +21,7 @@ import numpy as np
 
 from .ensembles import DenseMatrix
 from .errors import InvalidSpecError
+from .spectra import Spectrum
 
 
 @dataclass(frozen=True)
@@ -62,21 +63,15 @@ class MomentReport:
         }
 
 
-def empirical_pure_moment(spectrum_or_matrix, k: int) -> float:
-    """Tr M^k / n from the eigenvalues.
+def empirical_pure_moment(spectrum: Spectrum, k: int) -> float:
+    """Tr M^k / n from the eigenvalues of a Spectrum.
 
-    Accepts a Spectrum or a DenseMatrix (eigendecomposed on the fly).  For
-    real matrices the imaginary part cancels to rounding noise; it is checked
-    and discarded.
+    For real matrices the imaginary part cancels to rounding noise; it is
+    checked and discarded.
     """
     if k < 1:
         raise InvalidSpecError(f"moment order must be >= 1, got {k}")
-    if isinstance(spectrum_or_matrix, DenseMatrix):
-        from .spectra import compute_eigenvalues
-
-        ev = compute_eigenvalues(spectrum_or_matrix).eigenvalues
-    else:
-        ev = spectrum_or_matrix.eigenvalues
+    ev = spectrum.eigenvalues
     total = np.sum(ev**k) / len(ev)
     if abs(total.imag) > 1e-8 * max(1.0, abs(total.real)):
         raise InvalidSpecError(
@@ -150,11 +145,6 @@ def tree_walk_prediction(m_kind: int, l: int, d: float, d_hat: float) -> float:
     for j in range(l):
         acc += comb(m_kind * l, j) * (l - j) * (dh - 1) ** j
     return float(Fraction(d) / l * acc)
-
-
-def tree_walk_asymptotic(m_kind: int, l: int, d_hat: float) -> float:
-    """Large-d_hat limit of the walk count: d_hat^l * C(ml, l) / (ml - l + 1)."""
-    return d_hat**l * comb(m_kind * l, l) / (m_kind * l - l + 1)
 
 
 _BRUTE_FORCE_MAX_L = 4

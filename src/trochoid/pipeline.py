@@ -403,6 +403,12 @@ def _seed_moments(ens: Ensemble, spectrum: Spectrum, matrix: DenseMatrix) -> lis
     return [r.to_dict() for r in rows]
 
 
+def _mean_stderr(values: list[float]) -> tuple[float, float]:
+    """Mean across seeds and its standard error (0 for a single seed)."""
+    v = np.asarray(values)
+    return float(v.mean()), (float(v.std(ddof=1) / np.sqrt(len(v))) if len(v) > 1 else 0.0)
+
+
 def _aggregate_moments(seed_reports: list[dict]) -> list[dict]:
     """Mean and standard error across seeds for every reported order."""
     pools: dict[tuple, dict] = {}
@@ -413,12 +419,11 @@ def _aggregate_moments(seed_reports: list[dict]) -> list[dict]:
             slot["values"].append(row["empirical"])
     out = []
     for slot in pools.values():
-        values = np.asarray(slot["values"])
-        stderr = float(values.std(ddof=1) / np.sqrt(len(values))) if len(values) > 1 else 0.0
+        mean, stderr = _mean_stderr(slot["values"])
         out.append(
             {
                 "order": slot["order"],
-                "empirical": float(values.mean()),
+                "empirical": mean,
                 "predicted": slot["predicted"],
                 "stderr": stderr,
             }
@@ -563,6 +568,8 @@ def run_moments(config: dict, pure_orders: list[int], mixed_orders: list[int]) -
     """Empirical-vs-predicted moment table over the configured seeds."""
     ens = parse_ensemble(config.get("ensemble", {}))
     seeds = _seed_list(config)
+    if any(order < 1 for order in [*pure_orders, *mixed_orders]):
+        raise ConfigError(f"moment orders must be >= 1, got pure {pure_orders}, mixed {mixed_orders}")
     ens = _calibrated(ens, seeds)
     row = _KINDS[ens.kind]
 
@@ -578,12 +585,11 @@ def run_moments(config: dict, pure_orders: list[int], mixed_orders: list[int]) -
 
     reports = []
     for (kind, order), values in rows.items():
-        arr = np.asarray(values)
-        stderr = float(arr.std(ddof=1) / np.sqrt(len(arr))) if len(arr) > 1 else 0.0
+        mean, stderr = _mean_stderr(values)
         reports.append(
             MomentReport(
                 order=MomentOrder(kind, order),
-                empirical=float(arr.mean()),
+                empirical=mean,
                 predicted=row.predict(ens.spec, kind, order),
                 stderr=stderr,
             )
@@ -611,12 +617,14 @@ def calibrate_flip_prob(n: int, k: int, target_rho: float, seeds: list[int]) -> 
     """
     if not seeds:
         raise ConfigError("calibration needs at least one seed")
+    with _config_errors("calibration"):
+        unswept = DenseCyclicSpec(n=n, k=k, flip_prob=0.0, sign=1 if target_rho >= 0 else -1)
     if target_rho == 0.0:
         return 0.0
     tolerance = _CALIBRATION_TOLERANCE
 
     def measure(p: float) -> float:
-        spec = DenseCyclicSpec(n=n, k=k, flip_prob=p, sign=1 if target_rho >= 0 else -1)
+        spec = replace(unswept, flip_prob=p)
         vals = [trace_power_moment(generate_dense_cyclic(spec, s), k) for s in seeds]
         return float(np.mean(vals))
 

@@ -27,7 +27,6 @@ _MIX2 = 0x94D049BB133111EB
 TAG_IID = 0x01
 TAG_FLIP = 0x02
 TAG_GRAPH = 0x03
-TAG_UNIFORM = 0x04
 
 
 def normalize_seed(seed: int) -> int:
@@ -151,9 +150,6 @@ class Stream:
         s[2] ^= t
         s[3] = ((s[3] << 45) | (s[3] >> 19)) & _MASK
         return out
-
-    def uniform(self) -> float:
-        return (self.next_raw() >> 11) * 2.0**-53
 
     def below(self, bound: int) -> int:
         """Integer in [0, bound) by the multiply-shift reduction.

@@ -5,7 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 # adjacency_matrix is called through its module, so a wrapper swapped in
 # there at run time also sees the dense fallback build
@@ -16,7 +15,7 @@ from .errors import EigensolverError, InvalidSpecError
 from .geometry import contains, distance_to_polygon, inflate
 
 _DEFAULT_EIG_CAP = 4000
-SYMMETRY_MAX_N = 2000  # assignment residuals cost O(n^3)
+SYMMETRY_MAX_N = 2000  # the assignment residual costs O(n^3)
 
 
 @dataclass
@@ -242,21 +241,11 @@ def rotation_symmetry_residual(s: Spectrum, k: int) -> float:
         raise InvalidSpecError(f"rotation order must be >= 2, got {k}")
     if s.n > SYMMETRY_MAX_N:
         raise InvalidSpecError(f"assignment cost grows as n^3; refusing n={s.n} > {SYMMETRY_MAX_N}")
+    # imported here: scipy.optimize is slow to load and nothing else needs it
+    from scipy.optimize import linear_sum_assignment
+
     ev = s.eigenvalues
     rotated = ev * np.exp(2j * np.pi / k)
     cost = np.abs(ev[:, None] - rotated[None, :])
     rows, cols = linear_sum_assignment(cost)
     return float(cost[rows, cols].sum() / s.n)
-
-
-def conjugation_pairing_residual(s: Spectrum) -> float:
-    """How far the spectrum is from being closed under complex conjugation.
-
-    Assignment matching, like the rotation residual; a simple lexicographic
-    sort would misalign eigenvalues whose real parts tie at rounding level.
-    """
-    if s.n > SYMMETRY_MAX_N:
-        raise InvalidSpecError(f"assignment cost grows as n^3; refusing n={s.n} > {SYMMETRY_MAX_N}")
-    cost = np.abs(s.eigenvalues[:, None] - np.conj(s.eigenvalues)[None, :])
-    rows, cols = linear_sum_assignment(cost)
-    return float(cost[rows, cols].max())

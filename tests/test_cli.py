@@ -1,9 +1,14 @@
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import trochoid
 from trochoid.cli import main
 from trochoid.errors import CalibrationError, ConfigError
 from trochoid.pipeline import calibrate_flip_prob, run_verify
@@ -318,22 +323,49 @@ _TINY_GRAPH = {"kind": "regular-cyclic", "n": 12, "d": 2, "k": 3}
         (["verify"], {"ensemble": _TINY_GRAPH, "seeds": [1], "inflation": -1}),
         (["verify"], {"ensemble": {"kind": "dense-cyclic", "n": 20, "k": 3, "flip_prob": 0.5, "target_rho": 0.1}, "seeds": [1]}),
         (["verify"], {"ensemble": {"kind": "dense-iid", "n": 0}, "seeds": [1]}),
+        (["verify", "--seeds", "1,x"], {"ensemble": _TINY_GRAPH, "seeds": [1]}),
+        (["boundary", "--law", "dense", "--k", "2", "--rho", "0.5",
+          "--density-out", "d.csv", "--density-resolution", "4"], None),
+        (["calibrate", "--n", "20", "--k", "2", "--target-rho", "0.1"], None),
+        (["calibrate", "--n", "20", "--k", "3", "--target-rho", "0.1", "--seeds", "1,x"], None),
+        (["moments", "--pure", "0"], {"ensemble": _TINY_GRAPH, "seeds": [1]}),
+        (["moments", "--pure", "x"], {"ensemble": _TINY_GRAPH, "seeds": [1]}),
     ],
     ids=["dense-k1", "few-samples", "sparse-dhat0", "poly-no-terms",
-         "boundary-field-type", "verify-samples", "negative-inflation", "flip-and-target", "iid-n0"],
+         "boundary-field-type", "verify-samples", "negative-inflation", "flip-and-target", "iid-n0",
+         "verify-seeds", "density-resolution", "calibrate-k2", "calibrate-seeds", "moments-order0",
+         "moments-order-x"],
 )
 def test_config_errors_exit_2(tmp_path, capsys, monkeypatch, argv, config):
-    # a config error must surface before anything is drawn
+    # a config error must surface before anything is drawn or written
     import trochoid.pipeline
 
     def no_draw(*args):
         raise AssertionError("drew a matrix for an invalid config")
 
-    monkeypatch.setattr(trochoid.pipeline, "_spectrum_for", no_draw)
-    monkeypatch.setattr(trochoid.pipeline, "calibrate_flip_prob", no_draw)
-    if config is None:
-        argv = argv + ["--out", str(tmp_path / "curve.csv")]
-    else:
+    for name in ("_spectrum_for", "calibrate_flip_prob", "generate_base_iid", "generate_dense_cyclic",
+                 "generate_regular_cyclic", "generate_poisson_cyclic", "generate_mixed_cyclic"):
+        monkeypatch.setattr(trochoid.pipeline, name, no_draw)
+    monkeypatch.chdir(tmp_path)
+    if argv[0] == "boundary":
+        argv = argv + ["--out", "curve.csv"]
+    elif config is not None:
         argv = argv + ["--config", _write_config(tmp_path, config)]
     assert main(argv) == 2
     assert json.loads(capsys.readouterr().err)["error"]["type"] == "config"
+    assert not (tmp_path / "curve.csv").exists()
+
+
+def test_calibrate_seed_list_skips_empty_entries(capsys):
+    # --seeds is parsed as in every other subcommand, so a trailing comma is dropped
+    assert main(["calibrate", "--n", "20", "--k", "3", "--target-rho", "0", "--seeds", "1,2,"]) == 0
+    assert json.loads(capsys.readouterr().out)["flip_prob"] == 0.0
+
+
+def test_import_leaves_scipy_optimize_unloaded():
+    # scipy.optimize is slow to load and only the rotation-symmetry residual
+    # needs it, so the package and the CLI must start without it
+    code = "import sys, trochoid, trochoid.cli; print('scipy.optimize' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(Path(trochoid.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
