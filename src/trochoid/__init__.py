@@ -47,8 +47,6 @@ from .errors import (
 )
 from .interior import DensityField, GridSpec, interior_density
 from .moments import (
-    MomentOrder,
-    MomentReport,
     brute_force_tree_walks,
     empirical_mixed_moment,
     empirical_pure_moment,

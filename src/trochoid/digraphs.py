@@ -17,8 +17,8 @@ the classes in order.  Every edge then advances the phase by exactly one, so
 the adjacency spectrum is invariant under rotation by exp(2*pi*i/g) as an
 exact matrix identity, not just statistically.  Phase classes are equally
 sized, so per-node membership counts and degree distributions are unchanged.
-When g does not divide n the plain unstratified shuffle is used and the
-rotation symmetry holds only statistically.
+Otherwise the slots are stratified by gcd(n, g) classes; when that is 1 the
+chop is the plain shuffle and the rotation symmetry holds only statistically.
 """
 
 from __future__ import annotations
@@ -138,33 +138,27 @@ _MAX_SWAPS_PER_NODE = 100
 
 def _stratification(n: int, lengths: list[int]) -> int:
     """Largest phase count g with g | n and g | every cycle length (1 = none)."""
-    g = 0
-    for k in lengths:
-        g = gcd(g, k)
-    return gcd(g, n)
+    return gcd(n, *lengths)
 
 
 def _chop_regular(
     n: int, d: int, k: int, g: int, stream: Stream, budget: int
 ) -> list[list[int]]:
-    """Slot-shuffle d*n node slots into d*n/k cycle tuples, phase-stratified when g > 1."""
+    """Slot-shuffle d*n node slots into d*n/k cycle tuples, phase-stratified by g.
+
+    Class j supplies the positions p with p % g == j: one pool per class,
+    holding d slots per class member (d * n/g slots = c * k/g needed).  With
+    g = 1 this is the plain shuffle of all d*n slots.
+    """
     c = d * n // k
-    if g > 1:
-        # class j supplies positions p with p % g == j; one pool per class,
-        # holding d slots per class member (d * n/g slots = c * k/g needed)
-        pools = []
-        for j in range(g):
-            pool = [int(x) for x in np.repeat(np.arange(j, n, g), d)]
-            stream.shuffle(pool)
-            pools.append(pool)
-        tuples = [[pools[p % g][ci * (k // g) + p // g] for p in range(k)] for ci in range(c)]
-        if k > g:
-            _repair_stratified(tuples, g, stream, budget)
-        return tuples
-    pool = list(np.repeat(np.arange(n), d))
-    stream.shuffle(pool)
-    tuples = [pool[ci * k : (ci + 1) * k] for ci in range(c)]
-    _repair_stratified(tuples, 1, stream, budget)
+    pools = []
+    for j in range(g):
+        pool = [int(x) for x in np.repeat(np.arange(j, n, g), d)]
+        stream.shuffle(pool)
+        pools.append(pool)
+    tuples = [[pools[p % g][ci * (k // g) + p // g] for p in range(k)] for ci in range(c)]
+    if k > g:
+        _repair_stratified(tuples, g, stream, budget)
     return tuples
 
 

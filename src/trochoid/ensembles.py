@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import chain
+from math import gcd
 
 import numpy as np
 
@@ -83,10 +84,7 @@ class SparseDigraph:
 
     def cycle_length_gcd(self) -> int:
         """Greatest common divisor of all recorded cycle lengths (0 if none)."""
-        g = 0
-        for cyc in self.cycles:
-            g = int(np.gcd(g, len(cyc)))
-        return g
+        return gcd(*map(len, self.cycles))
 
 
 def generate_base_iid(n: int, seed: int) -> DenseMatrix:

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .boundaries import PolytrochoidParams, dense_polytrochoid
+from .errors import InvalidSpecError
 from .geometry import contains
 
 _CONTINUATION_STEPS = 32
@@ -39,7 +40,7 @@ class GridSpec:
 
     def __post_init__(self):
         if self.resolution < 8:
-            raise ValueError("resolution must be at least 8")
+            raise InvalidSpecError(f"resolution must be at least 8, got {self.resolution}")
 
 
 @dataclass

@@ -12,7 +12,6 @@ m = 2 that degenerates to the ordinary infinite tree).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
@@ -22,45 +21,6 @@ import numpy as np
 from .ensembles import DenseMatrix
 from .errors import InvalidSpecError
 from .spectra import Spectrum
-
-
-@dataclass(frozen=True)
-class MomentOrder:
-    """Which moment: kind "pure" (Tr M^k / n) or "mixed" (Tr (M M^T)^l / n)."""
-
-    kind: str
-    index: int
-
-    def __post_init__(self):
-        if self.kind not in ("pure", "mixed"):
-            raise InvalidSpecError(f"kind must be 'pure' or 'mixed', got {self.kind!r}")
-
-    def to_dict(self) -> dict:
-        return {"kind": self.kind, ("k" if self.kind == "pure" else "l"): self.index}
-
-
-@dataclass
-class MomentReport:
-    """One empirical-vs-predicted moment comparison."""
-
-    order: MomentOrder
-    empirical: float
-    predicted: float
-    stderr: float = 0.0
-
-    def __post_init__(self):
-        if self.stderr < 0:
-            raise InvalidSpecError("stderr must be nonnegative")
-
-    def to_dict(self) -> dict:
-        # strict JSON has no NaN token; an unknown prediction becomes null
-        predicted = self.predicted if np.isfinite(self.predicted) else None
-        return {
-            "order": self.order.to_dict(),
-            "empirical": self.empirical,
-            "predicted": predicted,
-            "stderr": self.stderr,
-        }
 
 
 def empirical_pure_moment(spectrum: Spectrum, k: int) -> float:

@@ -14,7 +14,7 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
-from math import gcd
+from math import gcd, isfinite
 from pathlib import Path
 from typing import Any, Callable
 
@@ -55,8 +55,6 @@ from .io import (
     write_spectrum_csv,
 )
 from .moments import (
-    MomentOrder,
-    MomentReport,
     empirical_mixed_moment,
     empirical_pure_moment,
     mixed_moment_candidates,
@@ -158,7 +156,13 @@ def _parse_dense_cyclic(s: dict) -> tuple[DenseCyclicSpec, float | None]:
         flip_prob=float(flip_prob if target is None else 0.0),
         sign=int(s.get("sign", 1)),
     )
-    return spec, None if target is None else float(target)
+    return spec, None if target is None else _finite_target(float(target))
+
+
+def _finite_target(target_rho: float) -> float:
+    if not isfinite(target_rho):
+        raise ConfigError(f"target_rho must be finite, got {target_rho}")
+    return target_rho
 
 
 def _parse_mixed_cyclic(s: dict) -> tuple[MixedCyclicSpec, None]:
@@ -380,62 +384,62 @@ def _spectrum_for(ens: Ensemble, seed: int) -> tuple[Spectrum, SparseDigraph | N
     return digraph_spectrum(draw), draw, matrix
 
 
-def _seed_moments(ens: Ensemble, spectrum: Spectrum, matrix: DenseMatrix) -> list[dict]:
+def _moment_row(kind: str, order: int, values: list[float], predicted: float) -> dict:
+    """One moment table row: the mean of ``values`` against the prediction.
+
+    ``stderr`` is the standard error of that mean, 0 for a single value.
+    """
+    v = np.asarray(values)
+    return {
+        "order": {"kind": kind, ("k" if kind == "pure" else "l"): order},
+        "empirical": float(v.mean()),
+        # strict JSON has no NaN token; an unknown prediction becomes null
+        "predicted": predicted if np.isfinite(predicted) else None,
+        "stderr": float(v.std(ddof=1) / np.sqrt(len(v))) if len(v) > 1 else 0.0,
+    }
+
+
+def _measure_seed(
+    ens: Ensemble, seed: int, exclude: bool
+) -> tuple[Spectrum, list[complex], dict[tuple[str, int], float], dict]:
+    """Everything one seed reports that does not need the boundary curve.
+
+    Returns the spectrum, the outliers to exclude from containment, the
+    moment values by (kind, order) and the seed's report entry; the matrix
+    and the digraph go out of scope here.
+    """
     row = _KINDS[ens.kind]
+    spectrum, graph, matrix = _spectrum_for(ens, seed)
     # an ensemble without correlated cycles reports Tr M^2 / n, its k = 2 strength
     pure = sorted(row.cycle_lengths(ens.spec)) or [2]
-    rows = [
-        MomentReport(
-            order=MomentOrder("pure", k),
-            empirical=empirical_pure_moment(spectrum, k),
-            predicted=row.predict(ens.spec, "pure", k),
-        )
-        for k in pure
-    ]
-    rows += [
-        MomentReport(
-            order=MomentOrder("mixed", l),
-            empirical=empirical_mixed_moment(matrix, l),
-            predicted=row.predict(ens.spec, "mixed", l),
-        )
-        for l in row.mixed_orders
-    ]
-    return [r.to_dict() for r in rows]
-
-
-def _mean_stderr(values: list[float]) -> tuple[float, float]:
-    """Mean across seeds and its standard error (0 for a single seed)."""
-    v = np.asarray(values)
-    return float(v.mean()), (float(v.std(ddof=1) / np.sqrt(len(v))) if len(v) > 1 else 0.0)
-
-
-def _aggregate_moments(seed_reports: list[dict]) -> list[dict]:
-    """Mean and standard error across seeds for every reported order."""
-    pools: dict[tuple, dict] = {}
-    for entry in seed_reports:
-        for row in entry.get("moments", []):
-            key = tuple(sorted(row["order"].items()))
-            slot = pools.setdefault(key, {"order": row["order"], "values": [], "predicted": row["predicted"]})
-            slot["values"].append(row["empirical"])
-    out = []
-    for slot in pools.values():
-        mean, stderr = _mean_stderr(slot["values"])
-        out.append(
-            {
-                "order": slot["order"],
-                "empirical": mean,
-                "predicted": slot["predicted"],
-                "stderr": stderr,
-            }
-        )
-    return sorted(out, key=lambda r: (r["order"]["kind"], r["order"].get("k", r["order"].get("l"))))
+    values = {("pure", k): empirical_pure_moment(spectrum, k) for k in pure}
+    values.update({("mixed", l): empirical_mixed_moment(matrix, l) for l in row.mixed_orders})
+    entry: dict = {
+        "seed": seed,
+        "moments": [
+            _moment_row(kind, order, [v], row.predict(ens.spec, kind, order))
+            for (kind, order), v in values.items()
+        ],
+    }
+    if row.flip_sweep:
+        entry["measured_rho"] = values[("pure", ens.spec.k)]
+    sym_k = gcd(*row.cycle_lengths(ens.spec))
+    if sym_k >= 2 and spectrum.n <= SYMMETRY_MAX_N:
+        entry["symmetry_residual"] = rotation_symmetry_residual(spectrum, sym_k)
+    exclusions = detect_deterministic_outliers(spectrum, graph) if exclude else []
+    return spectrum, exclusions, values, entry
 
 
 def run_verify(config: dict, out_dir: str | Path | None = None) -> dict:
     """Full verification: spectra, containment, symmetry, moment table.
 
-    Failures are isolated per seed; the report carries an "error" entry for
-    a failed seed instead of aborting the batch.
+    Each seed is measured in one task on the seed pool (``_measure_seed``):
+    draw, spectrum, moments, symmetry residual and outliers.  A seed whose
+    task raises a TrochoidError gets an "error" entry in the report and is
+    left out of the aggregate instead of aborting the batch.  After the
+    pool come only the steps that need every seed: the law fitted to the
+    mean measured strength (dense-cyclic auto boundary), containment, and
+    the aggregate.
     """
     ens = parse_ensemble(config.get("ensemble", {}))
     seeds = _seed_list(config)
@@ -456,40 +460,29 @@ def run_verify(config: dict, out_dir: str | Path | None = None) -> dict:
     ens = _calibrated(ens, seeds)
 
     with ThreadPoolExecutor(max_workers=max_workers()) as pool:
-        outcomes = list(pool.map(_isolate(lambda seed: _spectrum_for(ens, seed)), seeds))
+        outcomes = list(pool.map(_isolate(lambda seed: _measure_seed(ens, seed, exclude)), seeds))
 
-    rhos = [
-        None if isinstance(o, Exception) or not row.flip_sweep
-        else empirical_pure_moment(o[0], ens.spec.k)
-        for o in outcomes
-    ]
-    measured = [r for r in rhos if r is not None]
+    entries = [o[3] for o in outcomes if not isinstance(o, Exception)]
+    measured = [entry["measured_rho"] for entry in entries if "measured_rho" in entry]
     measured_rho = float(np.mean(measured)) if measured else None
     if curve is None:
         curve = boundary_for(ens, section, n_samples, measured_rho)
 
-    sym_k = gcd(*row.cycle_lengths(ens.spec))
     seed_reports = []
+    pooled_moments: dict[tuple[str, int], list[float]] = {}
     pooled_inside = pooled_counted = 0
     pooled_eigenvalues: list[np.ndarray] = []
-    for seed, outcome, rho in zip(seeds, outcomes, rhos):
+    for seed, outcome in zip(seeds, outcomes):
         if isinstance(outcome, Exception):
             seed_reports.append({"seed": seed, "error": str(outcome)})
             continue
-        spectrum, graph, matrix = outcome
-        exclusions = detect_deterministic_outliers(spectrum, graph) if exclude else []
+        spectrum, exclusions, values, entry = outcome
         report = containment(spectrum, curve, inflation, exclusions)
-        entry = {
-            "seed": seed,
-            "containment": report.to_dict(),
-            "inside_fraction": report.inside_fraction,
-            "moments": _seed_moments(ens, spectrum, matrix),
-        }
-        if rho is not None:
-            entry["measured_rho"] = rho
-        if sym_k >= 2 and spectrum.n <= SYMMETRY_MAX_N:
-            entry["symmetry_residual"] = rotation_symmetry_residual(spectrum, sym_k)
+        entry["containment"] = report.to_dict()
+        entry["inside_fraction"] = report.inside_fraction
         seed_reports.append(entry)
+        for order, value in values.items():
+            pooled_moments.setdefault(order, []).append(value)
         pooled_inside += report.inside
         pooled_counted += report.total - len(report.excluded_outliers)
         pooled_eigenvalues.append(spectrum.eigenvalues)
@@ -500,7 +493,10 @@ def run_verify(config: dict, out_dir: str | Path | None = None) -> dict:
     aggregate = {
         "inside_fraction": pooled_inside / pooled_counted,
         "seeds_failed": sum(1 for r in seed_reports if "error" in r),
-        "moments": _aggregate_moments(seed_reports),
+        "moments": [
+            _moment_row(kind, order, values, row.predict(ens.spec, kind, order))
+            for (kind, order), values in sorted(pooled_moments.items())
+        ],
     }
     if measured_rho is not None:
         aggregate["measured_rho"] = measured_rho
@@ -582,22 +578,13 @@ def run_moments(config: dict, pure_orders: list[int], mixed_orders: list[int]) -
             rows[("pure", k)].append(trace_power_moment(matrix, k))
         for l in mixed_orders:
             rows[("mixed", l)].append(empirical_mixed_moment(matrix, l))
-
-    reports = []
-    for (kind, order), values in rows.items():
-        mean, stderr = _mean_stderr(values)
-        reports.append(
-            MomentReport(
-                order=MomentOrder(kind, order),
-                empirical=mean,
-                predicted=row.predict(ens.spec, kind, order),
-                stderr=stderr,
-            )
-        )
     return {
         "ensemble": config["ensemble"],
         "seeds": seeds,
-        "moments": [r.to_dict() for r in reports],
+        "moments": [
+            _moment_row(kind, order, v, row.predict(ens.spec, kind, order))
+            for (kind, order), v in rows.items()
+        ],
     }
 
 
@@ -617,6 +604,7 @@ def calibrate_flip_prob(n: int, k: int, target_rho: float, seeds: list[int]) -> 
     """
     if not seeds:
         raise ConfigError("calibration needs at least one seed")
+    _finite_target(target_rho)
     with _config_errors("calibration"):
         unswept = DenseCyclicSpec(n=n, k=k, flip_prob=0.0, sign=1 if target_rho >= 0 else -1)
     if target_rho == 0.0:

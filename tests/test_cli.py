@@ -328,13 +328,15 @@ _TINY_GRAPH = {"kind": "regular-cyclic", "n": 12, "d": 2, "k": 3}
           "--density-out", "d.csv", "--density-resolution", "4"], None),
         (["calibrate", "--n", "20", "--k", "2", "--target-rho", "0.1"], None),
         (["calibrate", "--n", "20", "--k", "3", "--target-rho", "0.1", "--seeds", "1,x"], None),
+        (["calibrate", "--n", "20", "--k", "3", "--target-rho", "nan"], None),
+        (["verify"], {"ensemble": {"kind": "dense-cyclic", "n": 20, "k": 3, "target_rho": float("nan")}, "seeds": [1]}),
         (["moments", "--pure", "0"], {"ensemble": _TINY_GRAPH, "seeds": [1]}),
         (["moments", "--pure", "x"], {"ensemble": _TINY_GRAPH, "seeds": [1]}),
     ],
     ids=["dense-k1", "few-samples", "sparse-dhat0", "poly-no-terms",
          "boundary-field-type", "verify-samples", "negative-inflation", "flip-and-target", "iid-n0",
-         "verify-seeds", "density-resolution", "calibrate-k2", "calibrate-seeds", "moments-order0",
-         "moments-order-x"],
+         "verify-seeds", "density-resolution", "calibrate-k2", "calibrate-seeds", "calibrate-target-nan",
+         "verify-target-nan", "moments-order0", "moments-order-x"],
 )
 def test_config_errors_exit_2(tmp_path, capsys, monkeypatch, argv, config):
     # a config error must surface before anything is drawn or written

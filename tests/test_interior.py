@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from trochoid.boundaries import PolytrochoidParams, dense_polytrochoid
+from trochoid.errors import InvalidSpecError
 from trochoid.interior import (
     _CONTINUATION_STEPS,
     _DIVERGENCE_RADIUS,
@@ -161,6 +162,12 @@ def test_density_zero_outside_support():
     params = PolytrochoidParams({3: 0.2})
     field = interior_density(params, GridSpec(resolution=128))
     assert np.all(field.mu[~field.inside] == 0.0)
+
+
+def test_grid_spec_rejects_coarse_resolution():
+    # a TrochoidError, so a caller catching the package's base error sees it
+    with pytest.raises(InvalidSpecError, match="at least 8"):
+        GridSpec(resolution=4)
 
 
 def test_grid_spec_covers_curve_bounding_box():

@@ -1,57 +1,85 @@
 import json
 
+import numpy as np
 import pytest
 
+import trochoid.pipeline
+from trochoid.errors import GenerationError, InvalidSpecError
 from trochoid.pipeline import run_generate, run_verify
 
-# ensemble, per-seed moment orders, drawn by the flip sweep, symmetry checked,
-# auto law and the part of its params the report must carry verbatim
+# ensemble, per-seed moment orders, whether the kind predicts them, drawn by
+# the flip sweep, symmetry checked, auto law and the part of its params the
+# report must carry verbatim
 KINDS = {
     "iid": (
         {"kind": "dense-iid", "n": 30},
-        [("pure", 2), ("mixed", 1), ("mixed", 2)], False, False,
+        [("pure", 2), ("mixed", 1), ("mixed", 2)], True, False, False,
         "HypotrochoidParams", {"k": 2, "rho": 0.0},
     ),
     "dense-pinned": (
         {"kind": "dense-cyclic", "n": 30, "k": 4, "flip_prob": 0.3},
-        [("pure", 4), ("mixed", 1)], True, True,
+        [("pure", 4), ("mixed", 1)], False, True, True,
         "HypotrochoidParams", {"k": 4},
     ),
     "regular": (
         {"kind": "regular-cyclic", "n": 30, "d": 2, "k": 3},
-        [("pure", 3), ("mixed", 1), ("mixed", 2)], False, True,
+        [("pure", 3), ("mixed", 1), ("mixed", 2)], True, False, True,
         "SparseCyclicParams", {"d_hat": 1, "k": 3, "weight": 1.0},
     ),
     "poisson": (
         {"kind": "poisson-cyclic", "n": 30, "mean_degree": 3, "k": 3},
-        [("pure", 3), ("mixed", 1), ("mixed", 2)], False, True,
+        [("pure", 3), ("mixed", 1), ("mixed", 2)], True, False, True,
         "SparseCyclicParams", {"d_hat": 3.0, "k": 3, "weight": 1.0},
     ),
     "mixed-gcd1": (
         {"kind": "mixed-cyclic", "n": 24, "species": [{"d": 2, "k": 3}, {"d": 1, "k": 4}]},
-        [("pure", 3), ("pure", 4), ("mixed", 1)], False, False,
+        [("pure", 3), ("pure", 4), ("mixed", 1)], False, False, False,
         "MixedCycleParams", {"d1": 2, "k1": 3, "w1": 1.0, "d2": 1, "k2": 4, "w2": 1.0},
     ),
     "mixed-d0": (
         {"kind": "mixed-cyclic", "n": 24, "species": [{"d": 2, "k": 3}, {"d": 0, "k": 4}]},
-        [("pure", 3), ("mixed", 1)], False, True,
+        [("pure", 3), ("mixed", 1)], False, False, True,
         "MixedCycleParams", {"d1": 2, "k1": 3, "d2": 0, "k2": 4},
     ),
 }
 
 
+def _order(row):
+    return row["order"]["kind"], row["order"].get("k", row["order"].get("l"))
+
+
+def _assert_aggregates(report, entries):
+    """Each aggregate moment row is the mean and ddof-1 standard error of ``entries``."""
+    rows = report["aggregate"]["moments"]
+    assert [_order(r) for r in rows] == sorted(_order(r) for r in entries[0]["moments"])
+    for row in rows:
+        values = [r["empirical"] for e in entries for r in e["moments"] if _order(r) == _order(row)]
+        assert len(values) == len(entries)
+        assert row["empirical"] == pytest.approx(np.mean(values), rel=1e-12, abs=1e-15)
+        stderr = np.std(values, ddof=1) / np.sqrt(len(values))
+        assert row["stderr"] == pytest.approx(stderr, rel=1e-12, abs=1e-15)
+        per_seed = {r["predicted"] for e in entries for r in e["moments"] if _order(r) == _order(row)}
+        assert per_seed == {row["predicted"]}
+
+
 @pytest.mark.parametrize(
-    "ensemble, orders, flip_sweep, symmetric, law, params", KINDS.values(), ids=KINDS.keys()
+    "ensemble, orders, predicts, flip_sweep, symmetric, law, params",
+    KINDS.values(),
+    ids=KINDS.keys(),
 )
-def test_report_shape_per_kind(tmp_path, ensemble, orders, flip_sweep, symmetric, law, params):
+def test_report_shape_per_kind(
+    tmp_path, ensemble, orders, predicts, flip_sweep, symmetric, law, params
+):
     config = {"ensemble": ensemble, "seeds": [1, 2]}
     report = run_verify(config)
     assert report["aggregate"]["seeds_failed"] == 0
     for entry in report["seeds"]:
-        got = [(r["order"]["kind"], r["order"].get("k", r["order"].get("l"))) for r in entry["moments"]]
-        assert got == orders
+        assert [_order(r) for r in entry["moments"]] == orders
+        assert all(r["stderr"] == 0.0 for r in entry["moments"])
+        assert all((r["predicted"] is not None) == predicts for r in entry["moments"])
         assert ("measured_rho" in entry) == flip_sweep
         assert ("symmetry_residual" in entry) == symmetric
+    _assert_aggregates(report, report["seeds"])
     assert ("measured_rho" in report["aggregate"]) == flip_sweep
     assert report["boundary"]["law"] == law
     # auto laws keep the spec's native types: an int d_hat is written as 1, not 1.0
@@ -65,3 +93,55 @@ def test_report_shape_per_kind(tmp_path, ensemble, orders, flip_sweep, symmetric
     else:
         assert "calibration" not in report
         assert "flip_prob" not in manifest
+
+
+def _fail_seed_2(monkeypatch):
+    spectrum_for = trochoid.pipeline._spectrum_for
+
+    def failing(ens, seed):
+        if seed == 2:
+            raise GenerationError("no draw for seed 2")
+        return spectrum_for(ens, seed)
+
+    monkeypatch.setattr(trochoid.pipeline, "_spectrum_for", failing)
+    return 2
+
+
+def _fail_first_residual(monkeypatch):
+    residual = trochoid.pipeline.rotation_symmetry_residual
+    calls = []
+
+    def failing(spectrum, k):
+        calls.append(k)
+        if len(calls) == 1:
+            raise InvalidSpecError("no residual for the first seed")
+        return residual(spectrum, k)
+
+    monkeypatch.setattr(trochoid.pipeline, "rotation_symmetry_residual", failing)
+    return 1  # one worker takes the seeds in order
+
+
+@pytest.mark.parametrize("fail", [_fail_seed_2, _fail_first_residual], ids=["spectrum", "residual"])
+def test_seed_failure_is_isolated(monkeypatch, fail):
+    # every per-seed step runs in the seed task: a failure there costs that
+    # seed alone, and the aggregate is built from the others
+    config = {"ensemble": {"kind": "regular-cyclic", "n": 30, "d": 2, "k": 3}, "seeds": [1, 2, 3]}
+    monkeypatch.setenv("TROCHOID_THREADS", "1")
+    failed = fail(monkeypatch)
+    report = run_verify(config)
+
+    assert [e["seed"] for e in report["seeds"]] == [1, 2, 3]
+    errors = [e for e in report["seeds"] if "error" in e]
+    assert [e["seed"] for e in errors] == [failed]
+    assert set(errors[0]) == {"seed", "error"}
+    aggregate = report["aggregate"]
+    assert aggregate["seeds_failed"] == 1
+    kept = [e for e in report["seeds"] if "error" not in e]
+    assert len(kept) == 2
+    _assert_aggregates(report, kept)
+    inside = sum(e["containment"]["inside"] for e in kept)
+    counted = sum(e["containment"]["total"] - len(e["containment"]["excluded_outliers"]) for e in kept)
+    assert aggregate["inside_fraction"] == inside / counted
+    assert aggregate["mean_symmetry_residual"] == pytest.approx(
+        np.mean([e["symmetry_residual"] for e in kept]), rel=1e-12
+    )
