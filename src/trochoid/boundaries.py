@@ -272,22 +272,41 @@ def _symmetric_seed(params: MixedCycleParams) -> np.ndarray:
     return x
 
 
+def _continue(params: MixedCycleParams, x: np.ndarray, start: float, stop: float) -> np.ndarray:
+    """Continue the solution ``x`` at phi1 = ``start`` to phi1 = ``stop``.
+
+    Tries the whole step first; each failed Newton solve halves the step
+    for the rest of the way, up to 8 times.  Works in either direction.
+    """
+    span, current, halvings = stop - start, start, 0
+    while abs(stop - current) > 1e-12:
+        rest, step = stop - current, span / 2**halvings
+        step = rest if abs(rest) <= abs(step) else step
+        trial, ok = _newton_mixed(params, current + step, x)
+        if ok:
+            x, current = trial, current + step
+        else:
+            halvings += 1
+            if halvings > 8:
+                raise ContinuationError(
+                    f"continuation stalled at phi1 = {current + step:.6f}",
+                    last_good_phi=float(current),
+                )
+    return x
+
+
 def mixed_cycle_solve(params: MixedCycleParams, phi1: float) -> tuple[float, float, float]:
     """Solve (t1, t2, phi2) for a given sweep angle phi1.
 
     The solution is continued from the symmetric real solve at phi1 = 0 in
-    angle steps of at most 0.05.
+    chunks of at most 0.05 in angle, each advanced like one sample of
+    ``mixed_cycle_boundary`` (step halvings on a failed solve).  At phi1 = 0
+    it is the symmetric solve itself.
     """
     x = _symmetric_seed(params)
     steps = max(1, int(np.ceil(abs(phi1) / 0.05)))
     for s in range(1, steps + 1):
-        target = phi1 * s / steps
-        x, ok = _newton_mixed(params, target, x)
-        if not ok:
-            raise ContinuationError(
-                f"continuation stalled at phi1 = {target:.6f}",
-                last_good_phi=phi1 * (s - 1) / steps,
-            )
+        x = _continue(params, x, phi1 * (s - 1) / steps, phi1 * s / steps)
     return float(x[0]), float(x[1]), float(x[2])
 
 
@@ -305,33 +324,16 @@ def _mixed_point(params: MixedCycleParams, phi1: float, x: np.ndarray) -> comple
 def mixed_cycle_boundary(params: MixedCycleParams, n_samples: int = 1024) -> BoundaryCurve:
     """Boundary for two competing cycle species, swept by continuation.
 
-    The sweep advances phi1 in uniform steps, warm-starting each solve from
-    the previous angle and halving the step up to 8 times on failure.
+    The sweep advances phi1 in uniform steps, continuing each solve from the
+    previous angle and halving the step up to 8 times on failure.
     """
     phi = _sweep(n_samples)
     x = _symmetric_seed(params)
     z = np.empty(n_samples, dtype=complex)
     z[0] = _mixed_point(params, 0.0, x)
     for i in range(1, n_samples):
-        prev_phi, target = phi[i - 1], phi[i]
-        current = prev_phi
-        xi = x
-        halvings = 0
-        while target - current > 1e-12:
-            step = min(target - current, (target - prev_phi) / 2**halvings)
-            trial, ok = _newton_mixed(params, current + step, xi)
-            if ok:
-                xi = trial
-                current += step
-            else:
-                halvings += 1
-                if halvings > 8:
-                    raise ContinuationError(
-                        f"continuation stalled at phi1 = {current + step:.6f}",
-                        last_good_phi=float(current),
-                    )
-        x = xi
-        z[i] = _mixed_point(params, target, x)
+        x = _continue(params, x, phi[i - 1], phi[i])
+        z[i] = _mixed_point(params, phi[i], x)
     return BoundaryCurve(phi, z, params)
 
 

@@ -45,13 +45,15 @@ def write_cycle_sidecar(g: SparseDigraph, path: str | Path) -> None:
     Path(path).write_text(json.dumps(payload, separators=(",", ":")) + "\n")
 
 
+def _write_csv(path: str | Path, header: str, *columns: np.ndarray) -> None:
+    """One row per element of the (flattened) columns, every value as repr(float)."""
+    row = ",".join(["{!r}"] * len(columns)) + "\n"
+    values = [np.asarray(c, dtype=float).ravel().tolist() for c in columns]
+    Path(path).write_text(header + "\n" + "".join(map(row.format, *values)))
+
+
 def write_curve_csv(curve: BoundaryCurve, path: str | Path) -> None:
-    lines = ["phi,re,im"]
-    lines.extend(
-        f"{repr(float(p))},{repr(float(z.real))},{repr(float(z.imag))}"
-        for p, z in zip(curve.phis, curve.z)
-    )
-    Path(path).write_text("\n".join(lines) + "\n")
+    _write_csv(path, "phi,re,im", curve.phis, curve.z.real, curve.z.imag)
 
 
 def read_curve_csv(path: str | Path) -> BoundaryCurve:
@@ -62,11 +64,8 @@ def read_curve_csv(path: str | Path) -> BoundaryCurve:
 
 
 def write_spectrum_csv(eigenvalues: np.ndarray, path: str | Path) -> None:
-    lines = ["re,im"]
-    lines.extend(
-        f"{repr(float(z.real))},{repr(float(z.imag))}" for z in eigenvalues
-    )
-    Path(path).write_text("\n".join(lines) + "\n")
+    eigenvalues = np.asarray(eigenvalues)
+    _write_csv(path, "re,im", eigenvalues.real, eigenvalues.imag)
 
 
 def read_spectrum_csv(path: str | Path) -> np.ndarray:
@@ -76,8 +75,7 @@ def read_spectrum_csv(path: str | Path) -> np.ndarray:
 
 def write_density_csv(field: DensityField, path: str | Path) -> None:
     grid = field.grid()
-    rows = zip(grid.real.ravel().tolist(), grid.imag.ravel().tolist(), field.mu.ravel().tolist())
-    Path(path).write_text("re,im,mu\n" + "".join(f"{x!r},{y!r},{mu!r}\n" for x, y, mu in rows))
+    _write_csv(path, "re,im,mu", grid.real, grid.imag, field.mu)
 
 
 def _read_csv(path: str | Path, expected_header: str) -> list[tuple[float, ...]]:

@@ -129,7 +129,7 @@ class _Kind:
     parse: Callable[[dict], tuple[Any, float | None]]  # section -> (spec, target_rho)
     draw: Callable[[Any, int], DenseMatrix | SparseDigraph]
     law: Callable[[Any, int, float | None], BoundaryCurve]  # (spec, samples, measured rho)
-    # lengths of the correlated cycles: the spectrum is rotation symmetric
+    # lengths of the correlated cycles: the symmetry residual is measured
     # under their gcd, and each is a reported pure moment order
     cycle_lengths: Callable[[Any], list[int]]
     mixed_orders: tuple[int, ...]
@@ -150,13 +150,19 @@ def _parse_dense_cyclic(s: dict) -> tuple[DenseCyclicSpec, float | None]:
     flip_prob, target = s.get("flip_prob"), s.get("target_rho")
     if (flip_prob is None) == (target is None):
         raise ConfigError("dense-cyclic needs exactly one of flip_prob and target_rho")
+    if target is not None:
+        target = _finite_target(float(target))
+    # a target's sign is the sweep's: calibration draws toward it
+    sign = int(s.get("sign", -1 if target is not None and target < 0 else 1))
+    if target is not None and target * sign < 0:
+        raise ConfigError(f"sign {sign} contradicts target_rho {target}")
     spec = DenseCyclicSpec(
         n=int(s["n"]),
         k=int(s["k"]),
         flip_prob=float(flip_prob if target is None else 0.0),
-        sign=int(s.get("sign", 1)),
+        sign=sign,
     )
-    return spec, None if target is None else _finite_target(float(target))
+    return spec, target
 
 
 def _finite_target(target_rho: float) -> float:
@@ -423,6 +429,9 @@ def _measure_seed(
     }
     if row.flip_sweep:
         entry["measured_rho"] = values[("pure", ens.spec.k)]
+    # exact (to solver noise) only for a graph stratified by sym_k phases:
+    # Poisson by default, regular and mixed when sym_k divides n; dense
+    # ensembles and other digraphs are rotation symmetric only statistically
     sym_k = gcd(*row.cycle_lengths(ens.spec))
     if sym_k >= 2 and spectrum.n <= SYMMETRY_MAX_N:
         entry["symmetry_residual"] = rotation_symmetry_residual(spectrum, sym_k)
@@ -590,17 +599,21 @@ def run_moments(config: dict, pure_orders: list[int], mixed_orders: list[int]) -
 
 # --- calibration ----------------------------------------------------------
 
-_SWEEP_GRID = (0.0, 0.25, 0.5, 0.75, 1.0)
 _CALIBRATION_TOLERANCE = 0.07  # relative gap to the target that counts as a match
-_CALIBRATION_MAX_PROBES = 16
+_CALIBRATION_MAX_PROBES = 18
 
 
 def calibrate_flip_prob(n: int, k: int, target_rho: float, seeds: list[int]) -> float:
     """Find the flip probability whose mean measured strength hits the target.
 
-    Sweeps the probability grid to confirm the response is monotone and the
-    target achievable, then bisects.  The match criterion is the mean over
-    ``seeds`` within ``_CALIBRATION_TOLERANCE`` (relative) of the target.
+    The ensemble is swept toward the sign of ``target_rho``.  Measures the
+    strength at p = 0 (no sweep) and p = 1, checks the target is
+    achievable, then bisects [0, 1] for at most ``_CALIBRATION_MAX_PROBES``
+    probes, each of which must lie between its bracket ends (within the
+    sampling noise).  Returns the first probability, of the ends and the
+    probes, whose mean over ``seeds`` is within ``_CALIBRATION_TOLERANCE``
+    (relative) of the target; an end that already is one is kept, the
+    upper end on a tie.
     """
     if not seeds:
         raise ConfigError("calibration needs at least one seed")
@@ -609,54 +622,45 @@ def calibrate_flip_prob(n: int, k: int, target_rho: float, seeds: list[int]) -> 
         unswept = DenseCyclicSpec(n=n, k=k, flip_prob=0.0, sign=1 if target_rho >= 0 else -1)
     if target_rho == 0.0:
         return 0.0
-    tolerance = _CALIBRATION_TOLERANCE
+    target = abs(target_rho)
+    tolerance = _CALIBRATION_TOLERANCE * target
 
     def measure(p: float) -> float:
         spec = replace(unswept, flip_prob=p)
         vals = [trace_power_moment(generate_dense_cyclic(spec, s), k) for s in seeds]
         return float(np.mean(vals))
 
-    sweep = [measure(p) for p in _SWEEP_GRID]
-    magnitudes = [abs(v) for v in sweep]
+    ends = (measure(0.0), measure(1.0))
     noise = 3.0 / np.sqrt(len(seeds) * n)
-    if any(b < a - noise for a, b in zip(magnitudes, magnitudes[1:])):
-        raise CalibrationError(
-            f"response is not monotone over the probability sweep: {sweep}",
-            achievable=(min(sweep), max(sweep)),
-        )
-    target = abs(target_rho)
-    if target > magnitudes[-1] * (1 + tolerance) + noise:
-        raise CalibrationError(
-            f"target {target_rho} outside achievable range",
-            achievable=(sweep[0], sweep[-1]),
-        )
-    hi_idx = next(
-        (i for i, v in enumerate(magnitudes) if i >= 1 and v >= target),
-        len(_SWEEP_GRID) - 1,
-    )
-    lo = _SWEEP_GRID[hi_idx - 1]
-    hi = _SWEEP_GRID[hi_idx]
-    # start from the closer bracket end, so a grid point that already meets
-    # the tolerance is kept; on a tie the upper end wins
-    best_p, best_gap = min(
-        (hi, abs(magnitudes[hi_idx] - target)),
-        (lo, abs(magnitudes[hi_idx - 1] - target)),
-        key=lambda end: end[1],
-    )
+    if target > abs(ends[1]) * (1 + _CALIBRATION_TOLERANCE) + noise:
+        raise CalibrationError(f"target {target_rho} outside achievable range", achievable=ends)
+    # (p, |strength|) at each bracket end and probe
+    lo, hi = (0.0, abs(ends[0])), (1.0, abs(ends[1]))
+
+    def gap(point: tuple[float, float]) -> float:
+        return abs(point[1] - target)
+
+    best = min(hi, lo, key=gap)
     for _ in range(_CALIBRATION_MAX_PROBES):
-        if best_gap <= tolerance * target:
+        if gap(best) <= tolerance:
             break
-        mid = 0.5 * (lo + hi)
-        value = abs(measure(mid))
-        if abs(value - target) < best_gap:
-            best_p, best_gap = mid, abs(value - target)
-        if value < target:
-            lo = mid
+        mid = 0.5 * (lo[0] + hi[0])
+        probe = (mid, abs(measure(mid)))
+        if not lo[1] - noise <= probe[1] <= hi[1] + noise:
+            raise CalibrationError(
+                f"response is not monotone: |rho| = {probe[1]:.4f} at p={mid} is outside "
+                f"[{lo[1]:.4f}, {hi[1]:.4f}], its bracket's values at p={lo[0]} and p={hi[0]}",
+                achievable=ends,
+            )
+        if gap(probe) < gap(best):
+            best = probe
+        if probe[1] < target:
+            lo = probe
         else:
-            hi = mid
-    if best_gap > tolerance * target:
+            hi = probe
+    if gap(best) > tolerance:
         raise CalibrationError(
-            f"calibration did not converge: best gap {best_gap:.4f} at p={best_p:.4f}",
-            achievable=(sweep[0], sweep[-1]),
+            f"calibration did not converge: best gap {gap(best):.4f} at p={best[0]:.4f}",
+            achievable=ends,
         )
-    return best_p
+    return best[0]

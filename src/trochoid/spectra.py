@@ -61,14 +61,22 @@ def compute_eigenvalues(m: DenseMatrix, max_n: int = _DEFAULT_EIG_CAP) -> Spectr
     """
     if m.n > max_n:
         raise InvalidSpecError(f"matrix dimension {m.n} exceeds eigensolver cap {max_n}")
+    return _checked(_eigvals(m.entries), np.trace(m.entries))
+
+
+def _eigvals(a: np.ndarray) -> np.ndarray:
     try:
-        ev = np.linalg.eigvals(m.entries)
+        return np.linalg.eigvals(a)
     except np.linalg.LinAlgError as exc:
-        raise EigensolverError(f"eigensolver did not converge for n={m.n}: {exc}") from exc
-    trace_gap = abs(ev.sum() - np.trace(m.entries))
-    if trace_gap > 1e-6 * m.n:
+        raise EigensolverError(f"eigensolver did not converge for n={len(a)}: {exc}") from exc
+
+
+def _checked(ev: np.ndarray, trace: float) -> Spectrum:
+    """The spectrum ``ev``, once its sum matches ``trace`` within 1e-6 * n."""
+    trace_gap = abs(ev.sum() - trace)
+    if trace_gap > 1e-6 * len(ev):
         raise EigensolverError(
-            f"trace identity violated: |sum(eig) - trace| = {trace_gap:.3e} for n={m.n}"
+            f"trace identity violated: |sum(eig) - trace| = {trace_gap:.3e} for n={len(ev)}"
         )
     return Spectrum(eigenvalues=ev)
 
@@ -119,13 +127,12 @@ def digraph_spectrum(g: SparseDigraph) -> Spectrum:
     Graphs without a certificate fall back to the dense solver.
     """
     phase = phase_certificate(g)
-    if phase is None:
-        return compute_eigenvalues(ensembles.adjacency_matrix(g))
     p = g.cycle_length_gcd()
-    classes = [np.flatnonzero(phase == j) for j in range(p)]
-    if any(len(c) == 0 for c in classes):
+    sizes = None if phase is None else np.bincount(phase, minlength=p)
+    if sizes is None or sizes.min() == 0:
         return compute_eigenvalues(ensembles.adjacency_matrix(g))
-    start = int(np.argmin([len(c) for c in classes]))
+    classes = [np.flatnonzero(phase == j) for j in range(p)]
+    start = int(np.argmin(sizes))
     position = np.empty(g.n, dtype=int)  # index of each node within its class
     for cls in classes:
         position[cls] = np.arange(len(cls))
@@ -141,18 +148,11 @@ def digraph_spectrum(g: SparseDigraph) -> Spectrum:
     product = blocks[0]
     for b in blocks[1:]:
         product = product @ b
-    try:
-        mu = np.linalg.eigvals(product)
-    except np.linalg.LinAlgError as exc:
-        raise EigensolverError(f"block eigensolver did not converge: {exc}") from exc
-    roots = mu.astype(complex) ** (1.0 / p)
+    roots = _eigvals(product).astype(complex) ** (1.0 / p)
     rotations = np.exp(2j * np.pi * np.arange(p) / p)
     ev = (roots[:, None] * rotations[None, :]).ravel()
     ev = np.concatenate([ev, np.zeros(g.n - ev.size, dtype=complex)])
-    trace_gap = abs(ev.sum())  # phase structure forbids self-loops, so trace is 0
-    if trace_gap > 1e-6 * g.n:
-        raise EigensolverError(f"trace identity violated in block solve: {trace_gap:.3e}")
-    return Spectrum(eigenvalues=ev)
+    return _checked(ev, 0.0)  # phase structure forbids self-loops, so the trace is 0
 
 
 def detect_deterministic_outliers(s: Spectrum, g: SparseDigraph | None) -> list[complex]:

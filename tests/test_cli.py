@@ -163,7 +163,7 @@ def _mean_strength(n, k, p, seeds):
 
 def test_calibrate_reaches_moderate_target():
     p = calibrate_flip_prob(300, 3, 0.3, [1, 2, 3])
-    assert 0.0 < p <= 1.0
+    assert p == 0.375
     assert abs(_mean_strength(300, 3, p, [1, 2, 3]) - 0.3) / 0.3 < 0.10
 
 
@@ -172,12 +172,13 @@ def test_calibrate_brackets_target_despite_sweep_noise():
     # p = 0.25 (0.186) and the target: a bracket picked with that margin would
     # have both ends below the target
     p = calibrate_flip_prob(120, 3, 0.3, [1, 2, 3])
+    assert p == 0.40625
     assert abs(_mean_strength(120, 3, p, [1, 2, 3]) - 0.3) / 0.3 < 0.10
 
 
 def test_calibrate_keeps_sweep_point_within_tolerance():
     # the mean at p = 0.25 sits 3 % below the target, inside the 7 % tolerance,
-    # so the bracket is [0.25, 0.5] and its lower end is already the answer
+    # so the second bisection probe (after p = 0.5) is already the answer
     target = 1.03 * _mean_strength(120, 3, 0.25, [1, 2, 3])
     assert calibrate_flip_prob(120, 3, target, [1, 2, 3]) == 0.25
 
@@ -330,13 +331,14 @@ _TINY_GRAPH = {"kind": "regular-cyclic", "n": 12, "d": 2, "k": 3}
         (["calibrate", "--n", "20", "--k", "3", "--target-rho", "0.1", "--seeds", "1,x"], None),
         (["calibrate", "--n", "20", "--k", "3", "--target-rho", "nan"], None),
         (["verify"], {"ensemble": {"kind": "dense-cyclic", "n": 20, "k": 3, "target_rho": float("nan")}, "seeds": [1]}),
+        (["verify"], {"ensemble": {"kind": "dense-cyclic", "n": 20, "k": 3, "target_rho": 0.2, "sign": -1}, "seeds": [1]}),
         (["moments", "--pure", "0"], {"ensemble": _TINY_GRAPH, "seeds": [1]}),
         (["moments", "--pure", "x"], {"ensemble": _TINY_GRAPH, "seeds": [1]}),
     ],
     ids=["dense-k1", "few-samples", "sparse-dhat0", "poly-no-terms",
          "boundary-field-type", "verify-samples", "negative-inflation", "flip-and-target", "iid-n0",
          "verify-seeds", "density-resolution", "calibrate-k2", "calibrate-seeds", "calibrate-target-nan",
-         "verify-target-nan", "moments-order0", "moments-order-x"],
+         "verify-target-nan", "verify-target-sign", "moments-order0", "moments-order-x"],
 )
 def test_config_errors_exit_2(tmp_path, capsys, monkeypatch, argv, config):
     # a config error must surface before anything is drawn or written

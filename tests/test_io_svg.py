@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.io import mmread
 
-from trochoid.boundaries import HypotrochoidParams, dense_hypotrochoid
+from trochoid.boundaries import BoundaryCurve, HypotrochoidParams, dense_hypotrochoid
 from trochoid.digraphs import RegularCyclicSpec, generate_regular_cyclic
 from trochoid.ensembles import adjacency_matrix, generate_base_iid
 from trochoid.interior import GridSpec, interior_density
@@ -73,6 +73,16 @@ def test_spectrum_csv_round_trip(tmp_path):
     write_spectrum_csv(ev, path)
     assert path.read_text().splitlines()[0] == "re,im"
     np.testing.assert_array_equal(read_spectrum_csv(path), ev)
+
+
+def test_csv_bytes_are_pinned(tmp_path):
+    # every value is written as repr(float): the sign of zero and subnormals survive
+    write_spectrum_csv(np.array([complex(0.25, -1e-310), complex(-0.0, 3.0)]), tmp_path / "s.csv")
+    assert (tmp_path / "s.csv").read_text() == "re,im\n0.25,-1e-310\n-0.0,3.0\n"
+    phis = np.full(512, 0.5)
+    phis[0] = -0.0
+    write_curve_csv(BoundaryCurve(phis, np.full(512, complex(1.5, -0.0))), tmp_path / "c.csv")
+    assert (tmp_path / "c.csv").read_text() == "phi,re,im\n-0.0,1.5,-0.0\n" + "0.5,1.5,-0.0\n" * 511
 
 
 def test_density_csv_header(tmp_path):

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 import trochoid.pipeline
-from trochoid.errors import GenerationError, InvalidSpecError
-from trochoid.pipeline import run_generate, run_verify
+from trochoid.errors import CalibrationError, GenerationError, InvalidSpecError
+from trochoid.pipeline import calibrate_flip_prob, run_generate, run_verify
 
 # ensemble, per-seed moment orders, whether the kind predicts them, drawn by
 # the flip sweep, symmetry checked, auto law and the part of its params the
@@ -145,3 +145,82 @@ def test_seed_failure_is_isolated(monkeypatch, fail):
     assert aggregate["mean_symmetry_residual"] == pytest.approx(
         np.mean([e["symmetry_residual"] for e in kept]), rel=1e-12
     )
+
+
+@pytest.mark.parametrize("n, exact", [(32, True), (30, False)])
+def test_symmetry_residual_is_exact_only_when_the_gcd_divides_n(n, exact):
+    # 4-cycles stratify by gcd(n, 4) phase classes: 4 at n = 32, so the
+    # spectrum is exactly 4-fold symmetric, but only 2 at n = 30
+    config = {"ensemble": {"kind": "regular-cyclic", "n": n, "d": 2, "k": 4}, "seeds": [1]}
+    residual = run_verify(config)["seeds"][0]["symmetry_residual"]
+    assert residual < 1e-8 if exact else residual > 1e-6
+
+
+def test_negative_target_calibrates_a_negative_ensemble():
+    # the sign defaults to the target's, so the verify draws what calibration measured
+    config = {"ensemble": {"kind": "dense-cyclic", "n": 200, "k": 3, "target_rho": -0.2}, "seeds": [1, 2, 3]}
+    rho = run_verify(config)["aggregate"]["measured_rho"]
+    assert rho < 0
+    assert abs(rho + 0.2) < 0.10 * 0.2
+
+
+def _stub_response(monkeypatch, response):
+    """Make every calibration draw free: its strength is ``response(p, sign)``.
+
+    Returns the list the probed flip probabilities are appended to, one per draw.
+    """
+    probes = []
+
+    def draw(spec, seed):
+        probes.append(spec.flip_prob)
+        return spec
+
+    monkeypatch.setattr(trochoid.pipeline, "generate_dense_cyclic", draw)
+    monkeypatch.setattr(
+        trochoid.pipeline, "trace_power_moment", lambda spec, k: response(spec.flip_prob, spec.sign)
+    )
+    return probes
+
+
+# n only sets the noise term 3 / sqrt(seeds * n): 0.003 here
+_N = 10**6
+
+
+@pytest.mark.parametrize("seeds", [[1], [1, 2]])
+def test_calibration_bisects_from_both_ends(monkeypatch, seeds):
+    probes = _stub_response(monkeypatch, lambda p, sign: 0.4 * p)
+    # tolerance 0.07 * 0.13 = 0.0091: 0.4 * 0.3125 = 0.125 is the first match
+    assert calibrate_flip_prob(_N, 3, 0.13, seeds) == 0.3125
+    # each probe draws every seed
+    assert probes == [p for p in [0.0, 1.0, 0.5, 0.25, 0.375, 0.3125] for _ in seeds]
+
+
+@pytest.mark.parametrize(
+    "offset, slope, target, expected",
+    # the tie: both ends sit 0.03125 from the target, inside its tolerance 0.0372
+    [(0.05, 0.4, 0.052, 0.0), (0.05, 0.4, 0.44, 1.0), (0.5, 0.0625, 0.53125, 1.0)],
+    ids=["lower-end", "upper-end", "tie-goes-up"],
+)
+def test_calibration_stops_at_an_end_within_tolerance(monkeypatch, offset, slope, target, expected):
+    probes = _stub_response(monkeypatch, lambda p, sign: offset + slope * p)
+    assert calibrate_flip_prob(_N, 3, target, [1]) == expected
+    assert probes == [0.0, 1.0]
+
+
+def test_calibration_rejects_a_probe_below_its_bracket(monkeypatch):
+    # the strength at p = 0.5 dips under the value at p = 0 by more than the noise
+    probes = _stub_response(monkeypatch, lambda p, sign: 0.02 if p == 0.5 else 0.1 + 0.3 * p)
+    with pytest.raises(CalibrationError, match="not monotone") as err:
+        calibrate_flip_prob(_N, 3, 0.3, [1])
+    assert probes == [0.0, 1.0, 0.5]
+    assert err.value.achievable == (0.1, 0.1 + 0.3)
+
+
+def test_calibration_reports_the_signed_achievable_range(monkeypatch):
+    # the unswept strength is 0.02 whatever the sign; sweeping toward -1 reaches -0.28
+    response = lambda p, sign: 0.02 + sign * 0.3 * p
+    probes = _stub_response(monkeypatch, response)
+    with pytest.raises(CalibrationError, match="outside achievable range") as err:
+        calibrate_flip_prob(_N, 3, -0.5, [1])
+    assert probes == [0.0, 1.0]
+    assert err.value.achievable == (response(0.0, -1), response(1.0, -1))

@@ -25,6 +25,7 @@ def test_traced_layers_are_recorded(monkeypatch):
     with tracer.active(0):
         run_verify({"ensemble": {"kind": "regular-cyclic", "n": 30, "d": 2, "k": 3}, "seeds": [1]})
         run_verify({"ensemble": {"kind": "dense-cyclic", "n": 30, "k": 3, "flip_prob": 0.5}, "seeds": [1]})
+        run_verify({"ensemble": {"kind": "dense-cyclic", "n": 40, "k": 3, "target_rho": 0.3}, "seeds": [1]})
         trochoid.interior.interior_density(PolytrochoidParams({3: 0.2}), GridSpec(resolution=16))
         # seed 8 draws two 2-cycles on the same node pair: 16 steps, 12 distinct pairs
         g = trochoid.pipeline.generate_regular_cyclic(RegularCyclicSpec(n=8, d=2, k=2), seed=8)
@@ -40,6 +41,20 @@ def test_traced_layers_are_recorded(monkeypatch):
         "moments.empirical_mixed_moment",
         "spectra.rotation_symmetry_residual",
     } <= set(names.values())
+    # calibration probes are draws: perfbench counts them by this ancestor
+    by_id = {s.id: s for s in tracer.spans}
+
+    def ancestors(span):
+        while span.parent is not None:
+            span = by_id[span.parent]
+            yield span.name
+
+    assert any(
+        "pipeline.calibrate_flip_prob" in ancestors(s)
+        for s in tracer.spans
+        if s.name == "correlations.generate_dense_cyclic"
+    )
+    assert "rng.edge_flip_uniforms" in names.values()
     # both callers must still look ``contains`` up as a module global
     contains_callers = {names.get(s.parent) for s in tracer.spans if s.name == "geometry.contains"}
     assert {"interior.interior_density", "spectra.containment"} <= contains_callers
