@@ -114,3 +114,11 @@ def adjacency_matrix(g: SparseDigraph) -> DenseMatrix:
     m = np.zeros((g.n, g.n))
     m[g.edges[:, 0], g.edges[:, 1]] = g.edge_weights
     return DenseMatrix(m)
+
+
+def sparse_adjacency(g: SparseDigraph):
+    """The adjacency of ``adjacency_matrix`` as a scipy CSR array."""
+    # imported here: scipy.sparse is slow to load and only digraphs need it
+    from scipy.sparse import csr_array
+
+    return csr_array((g.edge_weights, (g.edges[:, 0], g.edges[:, 1])), shape=(g.n, g.n))

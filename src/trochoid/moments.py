@@ -18,7 +18,7 @@ from math import comb
 
 import numpy as np
 
-from .ensembles import DenseMatrix
+from .ensembles import DenseMatrix, SparseDigraph, sparse_adjacency
 from .errors import InvalidSpecError
 from .spectra import Spectrum
 
@@ -40,25 +40,37 @@ def empirical_pure_moment(spectrum: Spectrum, k: int) -> float:
     return float(total.real)
 
 
-def empirical_mixed_moment(m: DenseMatrix, l: int) -> float:
-    """Tr (M M^T)^l / n by repeated symmetric multiplication."""
+def empirical_mixed_moment(m: DenseMatrix | SparseDigraph, l: int) -> float:
+    """Tr (M M^T)^l / n by repeated symmetric multiplication.
+
+    A digraph is multiplied as its sparse adjacency.
+    """
     if l < 1:
         raise InvalidSpecError(f"moment order must be >= 1, got {l}")
-    mmt = m.entries @ m.entries.T
-    power = mmt
-    for _ in range(l - 1):
-        power = power @ mmt
-    return float(np.trace(power) / m.n)
+    a = _operand(m)
+    return _power_trace(a @ a.T, l, m.n)
 
 
-def trace_power_moment(m: DenseMatrix, k: int) -> float:
-    """Tr M^k / n by direct matrix powers; cheaper than an eigensolve."""
+def trace_power_moment(m: DenseMatrix | SparseDigraph, k: int) -> float:
+    """Tr M^k / n by direct matrix powers; cheaper than an eigensolve.
+
+    A digraph is multiplied as its sparse adjacency.
+    """
     if k < 1:
         raise InvalidSpecError(f"moment order must be >= 1, got {k}")
-    power = m.entries
+    return _power_trace(_operand(m), k, m.n)
+
+
+def _operand(m: DenseMatrix | SparseDigraph):
+    return sparse_adjacency(m) if isinstance(m, SparseDigraph) else m.entries
+
+
+def _power_trace(base, k: int, n: int) -> float:
+    """Tr base^k / n for a dense or a sparse square array."""
+    power = base
     for _ in range(k - 1):
-        power = power @ m.entries
-    return float(np.trace(power) / m.n)
+        power = power @ base
+    return float(power.diagonal().sum() / n)
 
 
 def fuss_catalan_prediction(l: int, rho3: float) -> float:

@@ -292,7 +292,7 @@ def _calibrated(ens: Ensemble, seeds: list[int]) -> Ensemble:
     """The ensemble with its flip probability calibrated to ``target_rho``, if set."""
     if ens.target_rho is None:
         return ens
-    p = calibrate_flip_prob(ens.spec.n, ens.spec.k, ens.target_rho, seeds[:3] or [1])
+    p = calibrate_flip_prob(ens.spec.n, ens.spec.k, ens.target_rho, seeds[:3])
     return Ensemble(ens.kind, replace(ens.spec, flip_prob=p))
 
 
@@ -382,12 +382,11 @@ def _seed_list(config: dict) -> list[int]:
         return [int(s) for s in seeds]
 
 
-def _spectrum_for(ens: Ensemble, seed: int) -> tuple[Spectrum, SparseDigraph | None, DenseMatrix]:
+def _spectrum_for(ens: Ensemble, seed: int) -> tuple[Spectrum, DenseMatrix | SparseDigraph]:
     draw = _KINDS[ens.kind].draw(ens.spec, seed)
     if isinstance(draw, DenseMatrix):
-        return compute_eigenvalues(draw), None, draw
-    matrix = adjacency_matrix(draw)
-    return digraph_spectrum(draw), draw, matrix
+        return compute_eigenvalues(draw), draw
+    return digraph_spectrum(draw), draw
 
 
 def _moment_row(kind: str, order: int, values: list[float], predicted: float) -> dict:
@@ -411,15 +410,15 @@ def _measure_seed(
     """Everything one seed reports that does not need the boundary curve.
 
     Returns the spectrum, the outliers to exclude from containment, the
-    moment values by (kind, order) and the seed's report entry; the matrix
-    and the digraph go out of scope here.
+    moment values by (kind, order) and the seed's report entry; the draw
+    goes out of scope here.
     """
     row = _KINDS[ens.kind]
-    spectrum, graph, matrix = _spectrum_for(ens, seed)
+    spectrum, draw = _spectrum_for(ens, seed)
     # an ensemble without correlated cycles reports Tr M^2 / n, its k = 2 strength
     pure = sorted(row.cycle_lengths(ens.spec)) or [2]
     values = {("pure", k): empirical_pure_moment(spectrum, k) for k in pure}
-    values.update({("mixed", l): empirical_mixed_moment(matrix, l) for l in row.mixed_orders})
+    values.update({("mixed", l): empirical_mixed_moment(draw, l) for l in row.mixed_orders})
     entry: dict = {
         "seed": seed,
         "moments": [
@@ -435,7 +434,7 @@ def _measure_seed(
     sym_k = gcd(*row.cycle_lengths(ens.spec))
     if sym_k >= 2 and spectrum.n <= SYMMETRY_MAX_N:
         entry["symmetry_residual"] = rotation_symmetry_residual(spectrum, sym_k)
-    exclusions = detect_deterministic_outliers(spectrum, graph) if exclude else []
+    exclusions = detect_deterministic_outliers(spectrum, draw) if exclude else []
     return spectrum, exclusions, values, entry
 
 

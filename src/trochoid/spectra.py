@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
 
 import numpy as np
 
@@ -14,7 +15,7 @@ from .ensembles import DenseMatrix, SparseDigraph
 from .errors import EigensolverError, InvalidSpecError
 from .geometry import contains, distance_to_polygon, inflate
 
-_DEFAULT_EIG_CAP = 4000
+EIG_MAX_N = 4000
 SYMMETRY_MAX_N = 2000  # the assignment residual costs O(n^3)
 
 
@@ -54,13 +55,14 @@ class ContainmentReport:
         }
 
 
-def compute_eigenvalues(m: DenseMatrix, max_n: int = _DEFAULT_EIG_CAP) -> Spectrum:
+def compute_eigenvalues(m: DenseMatrix) -> Spectrum:
     """Full nonsymmetric eigendecomposition (LAPACK Hessenberg + shifted QR).
 
     Validates the trace identity sum(eigenvalues) == trace within 1e-6 * n.
+    Refuses matrices larger than ``EIG_MAX_N``.
     """
-    if m.n > max_n:
-        raise InvalidSpecError(f"matrix dimension {m.n} exceeds eigensolver cap {max_n}")
+    if m.n > EIG_MAX_N:
+        raise InvalidSpecError(f"matrix dimension {m.n} exceeds eigensolver cap {EIG_MAX_N}")
     return _checked(_eigvals(m.entries), np.trace(m.entries))
 
 
@@ -89,30 +91,30 @@ def phase_certificate(g: SparseDigraph) -> np.ndarray | None:
     rotations, so the adjacency spectrum is exactly p-fold rotation
     symmetric.  Returns the phase array, or None when p < 2 or no
     consistent assignment exists.
+
+    Each weakly connected component gets phase 0 at its lowest node.  A step
+    along an edge adds 1 and a step against one adds p - 1 (that is, -1 mod
+    p), so a node's phase is its shortest-path distance from that node mod
+    p.  If a potential exists, every path sums to the potential difference
+    mod p, so the shortest one gives the same phase as any other; a final
+    check over all edges rejects the graphs that have none.
     """
     p = g.cycle_length_gcd()
     if p < 2:
         return None
-    neighbors: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]
-    for u, v in g.edges.tolist():
-        neighbors[u].append((v, 1))
-        neighbors[v].append((u, -1))
-    phase = np.full(g.n, -1, dtype=int)
-    for start in range(g.n):
-        if phase[start] >= 0:
-            continue
-        phase[start] = 0
-        queue = [start]
-        while queue:
-            u = queue.pop()
-            for v, step in neighbors[u]:
-                want = (phase[u] + step) % p
-                if phase[v] < 0:
-                    phase[v] = want
-                    queue.append(v)
-                elif phase[v] != want:
-                    return None
-    return phase
+    # imported here: scipy.sparse is slow to load and only digraphs need it
+    from scipy.sparse.csgraph import connected_components, dijkstra
+
+    forward = ensembles.sparse_adjacency(g)
+    forward.data[:] = 1.0
+    _, labels = connected_components(forward, connection="weak")
+    _, roots = np.unique(labels, return_index=True)  # first node of each component
+    # a reciprocal pair keeps the larger step; at p = 2 both directions weigh 1
+    steps = forward.maximum(forward.T * (p - 1))
+    distance = dijkstra(steps, indices=roots, min_only=True)
+    phase = distance.astype(int) % p
+    src, dst = g.edges[:, 0], g.edges[:, 1]
+    return phase if np.array_equal(phase[dst], (phase[src] + 1) % p) else None
 
 
 def digraph_spectrum(g: SparseDigraph) -> Spectrum:
@@ -124,30 +126,20 @@ def digraph_spectrum(g: SparseDigraph) -> Spectrum:
     Computing it that way keeps the multiset exactly rotation symmetric,
     which a direct dense solve cannot guarantee: defective zero clusters
     scatter into m-gons at the u^(1/m) scale and drown the symmetry signal.
-    Graphs without a certificate fall back to the dense solver.
+    The blocks are sliced from the sparse adjacency; only graphs without a
+    certificate build the dense matrix, for the dense solver.
     """
     phase = phase_certificate(g)
     p = g.cycle_length_gcd()
     sizes = None if phase is None else np.bincount(phase, minlength=p)
     if sizes is None or sizes.min() == 0:
         return compute_eigenvalues(ensembles.adjacency_matrix(g))
-    classes = [np.flatnonzero(phase == j) for j in range(p)]
     start = int(np.argmin(sizes))
-    position = np.empty(g.n, dtype=int)  # index of each node within its class
-    for cls in classes:
-        position[cls] = np.arange(len(cls))
-    src, dst = g.edges[:, 0], g.edges[:, 1]
-    blocks = []
-    for j in range(p):
-        a = (start + j) % p
-        block = np.zeros((len(classes[a]), len(classes[(a + 1) % p])))
-        from_a = phase[src] == a
-        # edges are unique, so assignment equals accumulation
-        block[position[src[from_a]], position[dst[from_a]]] = g.edge_weights[from_a]
-        blocks.append(block)
-    product = blocks[0]
-    for b in blocks[1:]:
-        product = product @ b
+    classes = [np.flatnonzero(phase == (start + j) % p) for j in range(p)]
+    adjacency = ensembles.sparse_adjacency(g)
+    # block j maps class start + j to the next class; multiplied left to right
+    blocks = [adjacency[a][:, b].toarray() for a, b in zip(classes, classes[1:] + classes[:1])]
+    product = reduce(np.matmul, blocks)
     roots = _eigvals(product).astype(complex) ** (1.0 / p)
     rotations = np.exp(2j * np.pi * np.arange(p) / p)
     ev = (roots[:, None] * rotations[None, :]).ravel()
@@ -155,22 +147,25 @@ def digraph_spectrum(g: SparseDigraph) -> Spectrum:
     return _checked(ev, 0.0)  # phase structure forbids self-loops, so the trace is 0
 
 
-def detect_deterministic_outliers(s: Spectrum, g: SparseDigraph | None) -> list[complex]:
-    """Eigenvalues forced by constant row sums.
+def detect_deterministic_outliers(
+    s: Spectrum, draw: DenseMatrix | SparseDigraph | None
+) -> list[complex]:
+    """Eigenvalues forced by constant row sums of the digraph ``draw``.
 
     A digraph whose rows all sum to r has the all-ones right eigenvector with
     eigenvalue r; when every recorded cycle length shares a divisor p, the
     spectrum is p-fold rotation symmetric, replicating that eigenvalue at
     r * exp(2*pi*i*j/p).  Returns the matched eigenvalues (within 1e-6), or
-    an empty list when row sums are not constant or there is no digraph.
+    an empty list when row sums are not constant or ``draw`` is not a
+    digraph.
     """
-    if g is None:
+    if not isinstance(draw, SparseDigraph):
         return []
-    sums = g.row_sums()
+    sums = draw.row_sums()
     if sums.size == 0 or np.ptp(sums) > 1e-9 * max(1.0, np.abs(sums).max()):
         return []
     r = sums[0]
-    p = max(g.cycle_length_gcd(), 1)
+    p = max(draw.cycle_length_gcd(), 1)
     found: list[complex] = []
     taken: set[int] = set()
     for j in range(p):

@@ -367,9 +367,13 @@ def test_calibrate_seed_list_skips_empty_entries(capsys):
 
 
 def test_import_leaves_scipy_optimize_unloaded():
-    # scipy.optimize is slow to load and only the rotation-symmetry residual
-    # needs it, so the package and the CLI must start without it
-    code = "import sys, trochoid, trochoid.cli; print('scipy.optimize' in sys.modules)"
+    # scipy.optimize and scipy.sparse are slow to load and only the
+    # rotation-symmetry residual and the digraph path need them, so the
+    # package, the CLI and the pipeline must start without them
+    code = (
+        "import sys, trochoid, trochoid.cli, trochoid.pipeline; "
+        "print([m for m in ('scipy.optimize', 'scipy.sparse', 'scipy.sparse.csgraph') if m in sys.modules])"
+    )
     env = {**os.environ, "PYTHONPATH": str(Path(trochoid.__file__).parents[1])}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "[]"

@@ -3,7 +3,15 @@ from math import comb
 import numpy as np
 import pytest
 
-from trochoid.digraphs import RegularCyclicSpec, generate_regular_cyclic
+from trochoid.digraphs import (
+    CycleSpecies,
+    MixedCyclicSpec,
+    PoissonCyclicSpec,
+    RegularCyclicSpec,
+    generate_mixed_cyclic,
+    generate_poisson_cyclic,
+    generate_regular_cyclic,
+)
 from trochoid.ensembles import DenseMatrix, adjacency_matrix, generate_base_iid
 from trochoid.errors import InvalidSpecError
 from trochoid.moments import (
@@ -136,3 +144,31 @@ def test_graph_pure_moment_matches_tree_walks():
         g = generate_regular_cyclic(RegularCyclicSpec(n=600, d=2, k=3), seed=seed)
         values.append(trace_power_moment(adjacency_matrix(g), 6))
     assert np.mean(values) == pytest.approx(tree_walk_prediction(3, 2, 2, 2), rel=0.1)
+
+
+def _generated_digraphs(w1: float, w2: float):
+    yield generate_regular_cyclic(RegularCyclicSpec(n=60, d=2, k=3, weight=w1), seed=1)
+    # seed 8 draws two 2-cycles on one node pair, which merge into one edge
+    yield generate_regular_cyclic(RegularCyclicSpec(n=8, d=2, k=2, weight=w1), seed=8)
+    yield generate_poisson_cyclic(PoissonCyclicSpec(n=80, mean_degree=4.0, k=3, weight=w1), seed=2)
+    yield generate_mixed_cyclic(
+        MixedCyclicSpec(n=48, species=(CycleSpecies(2, 3, w1), CycleSpecies(1, 4, w2))), seed=3
+    )
+
+
+@pytest.mark.parametrize(
+    "weights, exact", [((1.0, 2.0), True), ((0.7, -1.3), False), ((0.1, -1.3), False)]
+)
+def test_digraph_moments_match_dense_adjacency(weights, exact):
+    # a digraph is multiplied as a sparse array: integer weights make every
+    # sum exact, other weights may only move the last bits
+    for g in _generated_digraphs(*weights):
+        dense = adjacency_matrix(g)
+        got = [empirical_mixed_moment(g, l) for l in (1, 2, 3)]
+        got += [trace_power_moment(g, k) for k in (2, 3, 4)]
+        want = [empirical_mixed_moment(dense, l) for l in (1, 2, 3)]
+        want += [trace_power_moment(dense, k) for k in (2, 3, 4)]
+        if exact:
+            np.testing.assert_array_equal(got, want)
+        else:
+            np.testing.assert_allclose(got, want, rtol=1e-12)

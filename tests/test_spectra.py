@@ -1,22 +1,29 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
+import trochoid.spectra
 from trochoid.boundaries import HypotrochoidParams, dense_hypotrochoid
 from trochoid.correlations import DenseCyclicSpec, generate_dense_cyclic
 from trochoid.digraphs import (
+    CycleSpecies,
+    MixedCyclicSpec,
     PoissonCyclicSpec,
     RegularCyclicSpec,
+    generate_mixed_cyclic,
     generate_poisson_cyclic,
     generate_regular_cyclic,
 )
-from trochoid.ensembles import DenseMatrix, adjacency_matrix, generate_base_iid
+from trochoid.ensembles import DenseMatrix, SparseDigraph, adjacency_matrix, generate_base_iid
 from trochoid.errors import InvalidSpecError
 from trochoid.spectra import (
     Spectrum,
     compute_eigenvalues,
     containment,
     detect_deterministic_outliers,
+    phase_certificate,
     rotation_symmetry_residual,
 )
 
@@ -56,9 +63,10 @@ def test_trace_identity_and_conjugation_closure():
     assert cost[rows, cols].max() < 1e-8
 
 
-def test_dimension_cap():
+def test_dimension_cap(monkeypatch):
+    monkeypatch.setattr(trochoid.spectra, "EIG_MAX_N", 5)
     with pytest.raises(InvalidSpecError):
-        compute_eigenvalues(DenseMatrix(np.eye(10)), max_n=5)
+        compute_eigenvalues(DenseMatrix(np.eye(10)))
 
 
 def test_outliers_on_regular_graph():
@@ -72,8 +80,10 @@ def test_outliers_on_regular_graph():
 
 
 def test_outliers_empty_for_dense_source():
-    s = compute_eigenvalues(generate_base_iid(50, seed=2))
+    m = generate_base_iid(50, seed=2)
+    s = compute_eigenvalues(m)
     assert detect_deterministic_outliers(s, None) == []
+    assert detect_deterministic_outliers(s, m) == []
 
 
 def test_outliers_empty_for_nonconstant_row_sums():
@@ -188,3 +198,102 @@ def test_phase_certificate_on_stratified_graph():
     phase = phase_certificate(g)
     assert phase is not None
     np.testing.assert_array_equal(phase[g.edges[:, 1]], (phase[g.edges[:, 0]] + 1) % 3)
+
+
+def _reference_phase_certificate(g: SparseDigraph) -> np.ndarray | None:
+    """The certificate by a depth-first search over neighbour lists (test oracle)."""
+    p = g.cycle_length_gcd()
+    if p < 2:
+        return None
+    neighbors: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]
+    for u, v in g.edges.tolist():
+        neighbors[u].append((v, 1))
+        neighbors[v].append((u, -1))
+    phase = np.full(g.n, -1, dtype=int)
+    for start in range(g.n):
+        if phase[start] >= 0:
+            continue
+        phase[start] = 0
+        queue = [start]
+        while queue:
+            u = queue.pop()
+            for v, step in neighbors[u]:
+                want = (phase[u] + step) % p
+                if phase[v] < 0:
+                    phase[v] = want
+                    queue.append(v)
+                elif phase[v] != want:
+                    return None
+    return phase
+
+
+def _assert_same_certificate(g: SparseDigraph) -> None:
+    want = _reference_phase_certificate(g)
+    got = phase_certificate(g)
+    if want is None:
+        assert got is None
+    else:
+        assert got is not None and got.dtype.kind == "i"
+        np.testing.assert_array_equal(got, want)
+
+
+@st.composite
+def _cycle_digraphs(draw):
+    """Small cycle digraphs, often with several components and cancelled pairs."""
+    n = draw(st.integers(2, 10))
+    base = draw(st.sampled_from([2, 3, 4, 6]))
+    multiples = list(range(base, n + 1, base)) or [2]
+    length = st.sampled_from(multiples) | st.integers(2, n)
+    # cycles on one half of the nodes keep the halves apart
+    node_sets = [range(n), range(n // 2), range(n // 2, n)]
+    cycles = []
+    for _ in range(draw(st.integers(0, 6))):
+        nodes = draw(st.permutations(draw(st.sampled_from(node_sets))))
+        k = min(draw(length), len(nodes))
+        if k >= 2:
+            cycles.append(tuple(nodes[:k]))
+    weights = draw(
+        st.lists(st.sampled_from([1.0, -1.0, 0.5]), min_size=len(cycles), max_size=len(cycles))
+    )
+    return SparseDigraph(n, cycles, weights)
+
+
+@settings(max_examples=400, deadline=None)
+@given(g=_cycle_digraphs())
+# a reciprocal pair at p = 2: the step along and the step against both weigh 1
+@example(g=SparseDigraph(2, [(0, 1)], [1.0]))
+# node 3 is isolated and gets phase 0 as its own component
+@example(g=SparseDigraph(4, [(0, 1, 2)], [1.0]))
+# 0 -> 2 contradicts 0 -> 1 -> 2
+@example(g=SparseDigraph(4, [(0, 1, 2), (0, 2, 1)], [1.0, 1.0]))
+# 0 -> 1 cancels and no edge leaves 0: one weak component, four strong ones
+@example(g=SparseDigraph(4, [(0, 1, 2), (0, 1, 3)], [1.0, -1.0]))
+def test_phase_certificate_matches_reference_search(g):
+    _assert_same_certificate(g)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        # regular graphs stratified by gcd(n, k) = 1, 2 and 3 phase classes
+        lambda seed: generate_regular_cyclic(RegularCyclicSpec(n=31, d=3, k=3), seed),
+        lambda seed: generate_regular_cyclic(RegularCyclicSpec(n=30, d=2, k=4), seed),
+        lambda seed: generate_regular_cyclic(RegularCyclicSpec(n=60, d=2, k=3, weight=-0.5), seed),
+        lambda seed: generate_poisson_cyclic(PoissonCyclicSpec(n=90, mean_degree=3.0, k=3), seed),
+        lambda seed: generate_poisson_cyclic(
+            PoissonCyclicSpec(n=90, mean_degree=3.0, k=3, stratified=False), seed
+        ),
+        # two species whose cycle lengths have gcd 1 and gcd 2
+        lambda seed: generate_mixed_cyclic(
+            MixedCyclicSpec(n=48, species=(CycleSpecies(2, 3), CycleSpecies(1, 4))), seed
+        ),
+        lambda seed: generate_mixed_cyclic(
+            MixedCyclicSpec(n=48, species=(CycleSpecies(2, 4, 0.5), CycleSpecies(1, 6, -1.0))), seed
+        ),
+    ],
+    ids=["regular-g1", "regular-g2", "regular-g3", "poisson", "poisson-unstratified",
+         "mixed-gcd1", "mixed-gcd2"],
+)
+def test_phase_certificate_matches_reference_on_generated_graphs(make):
+    for seed in range(1, 6):
+        _assert_same_certificate(make(seed))

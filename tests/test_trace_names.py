@@ -4,6 +4,8 @@ import importlib.util
 import sys
 from pathlib import Path
 
+import pytest
+
 import trochoid.interior
 import trochoid.pipeline
 from trochoid.boundaries import PolytrochoidParams
@@ -14,13 +16,17 @@ from trochoid.pipeline import run_verify
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
 
-def test_traced_layers_are_recorded(monkeypatch):
+@pytest.fixture
+def spans(monkeypatch):
     spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
-    spans = importlib.util.module_from_spec(spec)
+    module = importlib.util.module_from_spec(spec)
     # dataclasses look their defining module up in sys.modules
-    monkeypatch.setitem(sys.modules, spec.name, spans)
-    spec.loader.exec_module(spans)
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    return module
 
+
+def test_traced_layers_are_recorded(spans):
     tracer = spans.Tracer()  # raises LayerMissing when a traced name is gone
     with tracer.active(0):
         run_verify({"ensemble": {"kind": "regular-cyclic", "n": 30, "d": 2, "k": 3}, "seeds": [1]})
@@ -63,3 +69,25 @@ def test_traced_layers_are_recorded(monkeypatch):
     assert len(pairs) < sum(map(len, g.cycles))
     generated = [s for s in tracer.spans if s.name == "digraphs.generate_regular_cyclic"]
     assert generated[-1].counts == {"edges": len(pairs)}
+
+
+def _traced_verify(spans, ensemble: dict) -> list:
+    tracer = spans.Tracer()
+    with tracer.active(0):
+        run_verify({"ensemble": ensemble, "seeds": [1, 2]})
+    return tracer.spans
+
+
+def test_certified_digraph_builds_no_dense_adjacency(spans):
+    names = [s.name for s in _traced_verify(spans, {"kind": "regular-cyclic", "n": 30, "d": 2, "k": 3})]
+    assert "spectra.phase_certificate" in names
+    assert "ensembles.adjacency_matrix" not in names
+
+
+def test_fallback_solve_builds_one_dense_adjacency_per_seed(spans):
+    # k = 4 on 30 nodes stratifies into 2 phase classes: no certificate of order 4
+    traced = _traced_verify(spans, {"kind": "regular-cyclic", "n": 30, "d": 2, "k": 4})
+    by_id = {s.id: s for s in traced}
+    dense = [s for s in traced if s.name == "ensembles.adjacency_matrix"]
+    assert len(dense) == 2
+    assert all(by_id[s.parent].name == "spectra.digraph_spectrum" for s in dense)
