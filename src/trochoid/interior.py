@@ -5,10 +5,11 @@ Inside the support, the normalized resolvent trace h(z) solves
     z = conj(h) + sum_k rho_k * h^(k-1)
 
 on the branch reached by switching the correlations on gradually from the
-uncorrelated solution h = conj(z); at each continuation step Newton runs
-only on the points that have not yet converged.  The density per unit area
-is then (1/pi) * d h / d z*, evaluated by finite differences, and the
-support edge is characterized by |h| = 1.
+uncorrelated solution h = conj(z).  Differentiating that equation with
+respect to z* gives d h / d z* = 1 / (1 - |g'(h)|^2), where
+g(h) = sum_k rho_k * h^(k-1), so the density per unit area,
+(1/pi) * d h / d z*, needs h at the point itself only.  The support edge is
+characterized by |h| = 1.
 """
 
 from __future__ import annotations
@@ -45,7 +46,12 @@ class GridSpec:
 
 @dataclass
 class DensityField:
-    """Density samples on a rectangular grid; mu is 0 outside the support."""
+    """Density samples on a rectangular grid.
+
+    Inside the support mu = 1 / (pi * (1 - |g'(h)|^2)).  mu is 0 and h is NaN
+    outside the support and at inside points with no branch: Newton failed,
+    or it converged past the fold (|g'(h)| >= 1).
+    """
 
     xs: np.ndarray
     ys: np.ndarray
@@ -73,14 +79,21 @@ def _residual(h: np.ndarray, z: np.ndarray, terms, scale: float) -> np.ndarray:
     return f
 
 
+def _slope(h: np.ndarray, terms, scale: float) -> np.ndarray:
+    """g'(h) at correlation scale ``scale``: sum_k scale * rho_k * (k-1) * h^(k-2)."""
+    dfh = np.zeros_like(h)
+    for k, rho in terms:
+        dfh += scale * rho * (k - 1) * h ** (k - 2)
+    return dfh
+
+
 def _solve_branch(z: np.ndarray, params: PolytrochoidParams) -> tuple[np.ndarray, np.ndarray]:
     """Continue h from the uncorrelated solution conj(z) on an array of points.
 
     Returns (h, ok).  Points whose Newton iteration diverges, stalls, or hits
-    a fold (singular linearization) are marked not-ok.  Within a continuation
-    step Newton runs only on the points that have not yet converged: each
-    point gets the same arithmetic as if iterated alone, so its result does
-    not depend on the other points in ``z``.
+    a fold (singular linearization) are marked not-ok.  Each point's
+    arithmetic is elementwise, so its result does not depend on the other
+    points in ``z``.
     """
     terms = _terms(params)
     flat_z = np.asarray(z, dtype=complex).ravel()
@@ -88,28 +101,22 @@ def _solve_branch(z: np.ndarray, params: PolytrochoidParams) -> tuple[np.ndarray
     ok = np.ones(h.shape, dtype=bool)
     for step in range(1, _CONTINUATION_STEPS + 1):
         scale = step / _CONTINUATION_STEPS
-        idx = np.flatnonzero(ok)
         for _ in range(_NEWTON_MAX_ITER):
-            hl = h[idx]
-            f = _residual(hl, flat_z[idx], terms, scale)
-            live = np.abs(f) >= _NEWTON_TOL
-            idx, hl, f = idx[live], hl[live], f[live]
-            if idx.size == 0:
+            f = _residual(h, flat_z, terms, scale)
+            live = ok & (np.abs(f) >= _NEWTON_TOL)
+            if not live.any():
                 break
-            dfh = np.zeros_like(hl)
-            for k, rho in terms:
-                dfh += scale * rho * (k - 1) * hl ** (k - 2)
+            dfh = _slope(h, terms, scale)
             # Newton step for the non-holomorphic system: with A = dF/dh and
             # dF/dconj(h) = 1, the increment is (conj(F) - conj(A) F)/(|A|^2 - 1)
             denom = np.abs(dfh) ** 2 - 1.0
             singular = np.abs(denom) < 1e-12
             delta = (np.conj(f) - np.conj(dfh) * f) / np.where(singular, 1.0, denom)
-            ok[idx[singular]] = False
-            idx, hl = idx[~singular], (hl + delta)[~singular]
-            bad = ~np.isfinite(hl) | (np.abs(hl) > _DIVERGENCE_RADIUS)
-            h[idx] = np.where(bad, 0.0, hl)
-            ok[idx[bad]] = False
-            idx = idx[~bad]
+            h = np.where(live & ~singular, h + delta, h)
+            ok &= ~(live & singular)
+            bad = ok & (~np.isfinite(h) | (np.abs(h) > _DIVERGENCE_RADIUS))
+            h = np.where(bad, 0.0, h)
+            ok &= ~bad
         f = _residual(h, flat_z, terms, scale)
         ok &= np.abs(f) < 100 * _NEWTON_TOL
     return h.reshape(np.shape(z)), ok.reshape(np.shape(z))
@@ -118,9 +125,9 @@ def _solve_branch(z: np.ndarray, params: PolytrochoidParams) -> tuple[np.ndarray
 def interior_density(params: PolytrochoidParams, grid_spec: GridSpec = GridSpec()) -> DensityField:
     """Density field on a grid covering the support predicted by ``params``.
 
-    The support is bounded by ``dense_polytrochoid(params)``.  mu is set to 0
-    outside that curve; inside, it comes from central finite differences of
-    the continued branch h.
+    The support is bounded by ``dense_polytrochoid(params)``.  The branch is
+    solved only at grid points inside that curve, and mu there is the exact
+    1 / (pi * (1 - |g'(h)|^2)); see ``DensityField``.
     """
     poly = dense_polytrochoid(params).polygon()
     xlo, xhi = poly.real.min(), poly.real.max()
@@ -132,23 +139,13 @@ def interior_density(params: PolytrochoidParams, grid_spec: GridSpec = GridSpec(
     xs = np.arange(xlo, xhi + step, step)
     ys = np.arange(ylo, yhi + step, step)
     zgrid = xs[None, :] + 1j * ys[:, None]
-
-    h, ok = _solve_branch(zgrid, params)
     inside = contains(zgrid.ravel(), poly).reshape(zgrid.shape)
 
-    h = np.where(ok, h, np.nan + 0j)
-    hx = np.full_like(h, np.nan)
-    hy = np.full_like(h, np.nan)
-    hx[:, 1:-1] = (h[:, 2:] - h[:, :-2]) / (2 * step)
-    hy[1:-1, :] = (h[2:, :] - h[:-2, :]) / (2 * step)
-    # one-sided fallback where a neighbor failed
-    fwd = (np.roll(h, -1, axis=1) - h) / step
-    bwd = (h - np.roll(h, 1, axis=1)) / step
-    hx = np.where(np.isfinite(hx), hx, np.where(np.isfinite(fwd), fwd, bwd))
-    fwd = (np.roll(h, -1, axis=0) - h) / step
-    bwd = (h - np.roll(h, 1, axis=0)) / step
-    hy = np.where(np.isfinite(hy), hy, np.where(np.isfinite(fwd), fwd, bwd))
-
-    mu = (hx.real - hy.imag) / (2.0 * np.pi)
-    mu = np.where(inside & np.isfinite(mu), mu, 0.0)
+    h_in, ok = _solve_branch(zgrid[inside], params)
+    slope = np.abs(_slope(h_in, _terms(params), 1.0))
+    ok &= slope < 1.0  # past the fold there is no branch
+    h = np.full(zgrid.shape, np.nan + 0j)
+    h[inside] = np.where(ok, h_in, np.nan)
+    mu = np.zeros(zgrid.shape)
+    mu[inside] = np.divide(1.0, np.pi * (1.0 - slope**2), out=np.zeros(slope.shape), where=ok)
     return DensityField(xs=xs, ys=ys, mu=mu, inside=inside, h=h)

@@ -353,7 +353,7 @@ def run_generate(config: dict, out_dir: str | Path | None = None) -> dict:
     """Generate every seed's draw and persist it; returns a file manifest."""
     ens = parse_ensemble(config.get("ensemble", {}))
     seeds = _seed_list(config)
-    out = Path(out_dir if out_dir is not None else config.get("outputs", {}).get("dir", "."))
+    out = _parse_outputs(config, out_dir)[0] or Path(".")
     out.mkdir(parents=True, exist_ok=True)
     ens = _calibrated(ens, seeds)
     manifest: dict = {"files": [], "ensemble": config["ensemble"], "seeds": seeds}
@@ -372,6 +372,20 @@ def run_generate(config: dict, out_dir: str | Path | None = None) -> dict:
             write_cycle_sidecar(draw, sidecar)
             manifest["files"].extend([str(stem.with_suffix(".mtx")), str(sidecar)])
     return manifest
+
+
+def _parse_outputs(config: dict, out_dir: str | Path | None) -> tuple[Path | None, bool]:
+    """(directory, svg) from ``out_dir`` and the ``outputs`` section.
+
+    The directory is ``out_dir`` if given, else the section's ``dir``
+    (default "."); it is None when neither is set and the section is empty.
+    """
+    section = config.get("outputs", {})
+    if not (isinstance(section, dict) and isinstance(section.get("dir", "."), str)
+            and isinstance(section.get("svg", True), bool)):
+        raise ConfigError(f"outputs must map 'dir' to a string and 'svg' to true or false, got {section!r}")
+    folder = out_dir if out_dir is not None else section.get("dir", "." if section else None)
+    return (None if folder is None else Path(folder)), section.get("svg", True)
 
 
 def _seed_list(config: dict) -> list[int]:
@@ -459,6 +473,7 @@ def run_verify(config: dict, out_dir: str | Path | None = None) -> dict:
     if n_samples < MIN_CURVE_SAMPLES:
         raise ConfigError(f"samples must be >= {MIN_CURVE_SAMPLES}, got {n_samples}")
     exclude = bool(config.get("exclude_outliers", True))
+    out, svg = _parse_outputs(config, out_dir)
     row = _KINDS[ens.kind]
     section = config.get("boundary", "auto")
     # every law but the one fitted to the measured strength is built, and so
@@ -523,15 +538,14 @@ def run_verify(config: dict, out_dir: str | Path | None = None) -> dict:
     if p is not None:
         report["calibration"] = {"flip_prob": p}
 
-    if out_dir is not None or config.get("outputs"):
-        out = Path(out_dir if out_dir is not None else config["outputs"].get("dir", "."))
+    if out is not None:
         out.mkdir(parents=True, exist_ok=True)
         write_json(report, out / "report.json")
         write_curve_csv(curve, out / "boundary.csv")
         if pooled_eigenvalues:
             allev = np.concatenate(pooled_eigenvalues)
             write_spectrum_csv(allev, out / "spectrum.csv")
-            if config.get("outputs", {}).get("svg", True):
+            if svg:
                 render_svg_data(allev, curve.z, out / "figure.svg")
     return report
 

@@ -334,11 +334,15 @@ _TINY_GRAPH = {"kind": "regular-cyclic", "n": 12, "d": 2, "k": 3}
         (["verify"], {"ensemble": {"kind": "dense-cyclic", "n": 20, "k": 3, "target_rho": 0.2, "sign": -1}, "seeds": [1]}),
         (["moments", "--pure", "0"], {"ensemble": _TINY_GRAPH, "seeds": [1]}),
         (["moments", "--pure", "x"], {"ensemble": _TINY_GRAPH, "seeds": [1]}),
+        (["verify"], {"ensemble": _TINY_GRAPH, "seeds": [1], "outputs": "out"}),
+        (["verify"], {"ensemble": _TINY_GRAPH, "seeds": [1], "outputs": {"dir": 5}}),
+        (["generate"], {"ensemble": _TINY_GRAPH, "seeds": [1], "outputs": "out"}),
     ],
     ids=["dense-k1", "few-samples", "sparse-dhat0", "poly-no-terms",
          "boundary-field-type", "verify-samples", "negative-inflation", "flip-and-target", "iid-n0",
          "verify-seeds", "density-resolution", "calibrate-k2", "calibrate-seeds", "calibrate-target-nan",
-         "verify-target-nan", "verify-target-sign", "moments-order0", "moments-order-x"],
+         "verify-target-nan", "verify-target-sign", "moments-order0", "moments-order-x",
+         "verify-outputs-str", "verify-outputs-dir", "generate-outputs-str"],
 )
 def test_config_errors_exit_2(tmp_path, capsys, monkeypatch, argv, config):
     # a config error must surface before anything is drawn or written

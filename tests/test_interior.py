@@ -164,6 +164,35 @@ def test_density_zero_outside_support():
     assert np.all(field.mu[~field.inside] == 0.0)
 
 
+@pytest.mark.parametrize("terms", [{3: 0.2}, {5: 0.075}, {3: 0.2, 4: 0.1}, {2: 0.5}])
+def test_density_matches_finite_difference_oracle(terms):
+    # mu = 1/(pi (1 - |g'(h)|^2)) is exact at each point, so it agrees with
+    # the oracle's 1e-5-wide central differences to the oracle's own accuracy
+    params = PolytrochoidParams(terms)
+    field = interior_density(params, GridSpec(resolution=64))
+    grid = field.grid()
+    for z, mu in zip(grid[field.inside][::97], field.mu[field.inside][::97]):
+        _, mu_ref, ok_ref = _fixed_point(complex(z), params)
+        assert ok_ref
+        assert mu == pytest.approx(mu_ref, rel=1e-8)
+    # h is the branch solved inside only; outside the support there is none
+    h, ok = _solve_branch(grid, params)
+    assert ok[field.inside].all()
+    np.testing.assert_array_equal(field.h[field.inside].view(np.uint64), h[field.inside].view(np.uint64))
+    assert np.isnan(field.h[~field.inside]).all()
+
+
+@pytest.mark.parametrize("terms", [{3: 0.55}, {4: 0.4}])
+def test_density_past_the_fold_has_no_branch(terms):
+    # a point whose Newton iterate crossed the fold (|g'(h)| >= 1) without a
+    # singular step is not on the continued branch: mu = 0, h = NaN
+    field = interior_density(PolytrochoidParams(terms), GridSpec(resolution=128))
+    assert (field.mu >= 0).all()
+    no_density = field.inside & (field.mu == 0)
+    assert no_density.any()
+    assert np.isnan(field.h[no_density]).all()
+
+
 def test_grid_spec_rejects_coarse_resolution():
     # a TrochoidError, so a caller catching the package's base error sees it
     with pytest.raises(InvalidSpecError, match="at least 8"):
