@@ -13,7 +13,6 @@ from .boundaries import (
     SparseCyclicParams,
     dense_hypotrochoid,
     dense_polytrochoid,
-    has_cusps,
     mixed_cycle_asymptotic,
     mixed_cycle_boundary,
     mixed_cycle_solve,

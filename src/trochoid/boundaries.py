@@ -350,23 +350,3 @@ def mixed_cycle_asymptotic(params: MixedCycleParams, n_samples: int = 1024) -> B
         + p.d2 * (p.w2 / dbar) ** p.k2 * np.exp(1j * (p.k2 - 1) * phi)
     )
     return BoundaryCurve(phi, z, params)
-
-
-def curve_turning_number(params: HypotrochoidParams, n_samples: int = 65536) -> int:
-    """Net turns of the tangent over one sweep; -1 until loops develop."""
-    phi = np.linspace(0.0, 2.0 * np.pi, n_samples, endpoint=False)
-    vel = -1j * np.exp(-1j * phi) + 1j * params.rho * (params.k - 1) * np.exp(
-        1j * (params.k - 1) * phi
-    )
-    rot = vel / np.roll(vel, 1)
-    return int(round(np.angle(rot).sum() / (2.0 * np.pi)))
-
-
-def has_cusps(params: HypotrochoidParams) -> bool:
-    """Whether the hypotrochoid has entered the cusped/looped regime.
-
-    Happens once |rho| * (k - 1) reaches 1: the tangent momentarily vanishes
-    at threshold and the curve develops self-intersecting loops beyond it,
-    changing the tangent's net turning.
-    """
-    return curve_turning_number(params) != -1

@@ -19,11 +19,13 @@ only modifies column v, the leading block S only ever grows at its border,
 so the diagonals of its powers can be maintained incrementally; row-times-P
 products then unroll into matrix-vector chains.  O(k) matvecs per node.
 
-``_induce_reference`` is the tests' oracle: it rebuilds P from scratch at
-every node, which is transparent but O(n^4) matmul work for k >= 4.  Both
-consume one independent random stream per edge, so their flip decisions
-coincide and outputs match bit-for-bit whenever the aggregate signs do
-(ties at |w| ~ 1e-16 are the only way they can diverge).
+The sweep consumes one independent random stream per edge, keyed by the
+edge alone, so a flip decision never depends on the sweep order or on n.
+The streams are read as one table per draw (``edge_flip_uniforms``), built
+before the sweep whenever p < 1.  The tests check the sweep against a
+from-scratch reference that rebuilds P at every node and draws each node's
+streams on its own; outputs match bit-for-bit whenever the aggregate signs
+do (ties at |w| ~ 1e-16 are the only way they can diverge).
 """
 
 from __future__ import annotations
@@ -57,24 +59,15 @@ class DenseCyclicSpec:
             raise InvalidSpecError(f"target sign must be +1 or -1, got {self.sign}")
 
 
-def _apply_flips(m: np.ndarray, v: int, w: np.ndarray, spec: DenseCyclicSpec, seed: int) -> None:
+def _apply_flips(
+    m: np.ndarray, v: int, w: np.ndarray, spec: DenseCyclicSpec, uniforms: list | None
+) -> None:
+    """Flip, each with probability p, the in-edges of v whose cycles have the
+    unwanted sign; ``uniforms`` is the flip-uniform table, or None at p = 1."""
     flips = spec.sign * w < 0
-    if spec.flip_prob < 1.0:
-        flips &= edge_flip_uniforms(seed, v, v) < spec.flip_prob
+    if uniforms is not None:
+        flips &= uniforms[v] < spec.flip_prob
     m[:v, v][flips] *= -1.0
-
-
-def _induce_reference(m: np.ndarray, spec: DenseCyclicSpec, seed: int) -> np.ndarray:
-    k = spec.k
-    for v in range(k - 1, m.shape[0]):
-        s = m[:v, :v]
-        p = s.copy()
-        for _ in range(k - 3):
-            p = s @ p
-            np.fill_diagonal(p, 0.0)
-        w = (m[v, :v] @ p) * m[:v, v]
-        _apply_flips(m, v, w, spec, seed)
-    return m
 
 
 def _power_diagonals(s: np.ndarray, max_power: int) -> list[np.ndarray]:
@@ -91,6 +84,7 @@ def _induce_fast(m: np.ndarray, spec: DenseCyclicSpec, seed: int) -> np.ndarray:
     k = spec.k
     n = m.shape[0]
     v0 = k - 1
+    uniforms = edge_flip_uniforms(seed, n) if spec.flip_prob < 1.0 else None
     # q[m-2] holds diag(S^m), m = 2..k-2, padded out to full length n
     top = k - 2
     q = [np.empty(n) for _ in range(max(top - 1, 0))]
@@ -123,7 +117,7 @@ def _induce_fast(m: np.ndarray, spec: DenseCyclicSpec, seed: int) -> np.ndarray:
             u -= r[k - 2 - i] * delta[i]
 
         w = u * m[:v, v]
-        _apply_flips(m, v, w, spec, seed)
+        _apply_flips(m, v, w, spec, uniforms)
 
         if v + 1 == n:
             break

@@ -74,8 +74,16 @@ def read_spectrum_csv(path: str | Path) -> np.ndarray:
 
 
 def write_density_csv(field: DensityField, path: str | Path) -> None:
-    grid = field.grid()
-    _write_csv(path, "re,im,mu", grid.real, grid.imag, field.mu)
+    """One row per grid point (x, y) = (xs[j], ys[i]), row-major over (i, j).
+
+    The grid has only len(xs) + len(ys) distinct coordinates, so each is
+    formatted once and every row is joined from those strings.
+    """
+    xs = [repr(x) + "," for x in np.asarray(field.xs, dtype=float).tolist()]
+    ys = [repr(y) + "," for y in np.asarray(field.ys, dtype=float).tolist()]
+    mu = np.asarray(field.mu, dtype=float).tolist()
+    rows = [x + y + repr(m) + "\n" for y, mu_row in zip(ys, mu) for x, m in zip(xs, mu_row)]
+    Path(path).write_text("re,im,mu\n" + "".join(rows))
 
 
 def _read_csv(path: str | Path, expected_header: str) -> list[tuple[float, ...]]:

@@ -66,10 +66,17 @@ def _operand(m: DenseMatrix | SparseDigraph):
 
 
 def _power_trace(base, k: int, n: int) -> float:
-    """Tr base^k / n for a dense or a sparse square array."""
+    """Tr base^k / n for a dense or a sparse square array.
+
+    A sparse input skips its last product: Tr(P B) = sum(P * B^T) entrywise.
+    A dense input forms it, which keeps the bits of the calibration moment.
+    """
+    sparse = k > 1 and not isinstance(base, np.ndarray)
     power = base
-    for _ in range(k - 1):
+    for _ in range(k - 2 if sparse else k - 1):
         power = power @ base
+    if sparse:
+        return float(power.multiply(base.T).sum() / n)
     return float(power.diagonal().sum() / n)
 
 

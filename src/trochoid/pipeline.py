@@ -620,13 +620,15 @@ def calibrate_flip_prob(n: int, k: int, target_rho: float, seeds: list[int]) -> 
     """Find the flip probability whose mean measured strength hits the target.
 
     The ensemble is swept toward the sign of ``target_rho``.  Measures the
-    strength at p = 0 (no sweep) and p = 1, checks the target is
-    achievable, then bisects [0, 1] for at most ``_CALIBRATION_MAX_PROBES``
-    probes, each of which must lie between its bracket ends (within the
-    sampling noise).  Returns the first probability, of the ends and the
-    probes, whose mean over ``seeds`` is within ``_CALIBRATION_TOLERANCE``
-    (relative) of the target; an end that already is one is kept, the
-    upper end on a tie.
+    strength at p = 0 (no sweep) and p = 1 and checks the target is
+    achievable.  Each next probe is the secant root through the two most
+    recent points, starting from the two ends; where that root leaves the
+    open bracket (or the two strengths are equal) the bracket's midpoint is
+    probed instead.  At most ``_CALIBRATION_MAX_PROBES`` probes are made,
+    and each must lie between its bracket ends (within the sampling noise).
+    Returns the first probability, of the ends and the probes, whose mean
+    over ``seeds`` is within ``_CALIBRATION_TOLERANCE`` (relative) of the
+    target; an end that already is one is kept, the upper end on a tie.
     """
     if not seeds:
         raise ConfigError("calibration needs at least one seed")
@@ -653,15 +655,25 @@ def calibrate_flip_prob(n: int, k: int, target_rho: float, seeds: list[int]) -> 
     def gap(point: tuple[float, float]) -> float:
         return abs(point[1] - target)
 
+    def next_probe(a: tuple[float, float], b: tuple[float, float]) -> float:
+        # the strength is convex in p and close to linear at small p, so the
+        # secant through the latest two points closes in from below
+        if a[1] != b[1]:
+            p = b[0] + (target - b[1]) * (a[0] - b[0]) / (a[1] - b[1])
+            if lo[0] < p < hi[0]:
+                return p
+        return 0.5 * (lo[0] + hi[0])
+
     best = min(hi, lo, key=gap)
+    last = (lo, hi)
     for _ in range(_CALIBRATION_MAX_PROBES):
         if gap(best) <= tolerance:
             break
-        mid = 0.5 * (lo[0] + hi[0])
-        probe = (mid, abs(measure(mid)))
+        p = next_probe(*last)
+        probe = (p, abs(measure(p)))
         if not lo[1] - noise <= probe[1] <= hi[1] + noise:
             raise CalibrationError(
-                f"response is not monotone: |rho| = {probe[1]:.4f} at p={mid} is outside "
+                f"response is not monotone: |rho| = {probe[1]:.4f} at p={p} is outside "
                 f"[{lo[1]:.4f}, {hi[1]:.4f}], its bracket's values at p={lo[0]} and p={hi[0]}",
                 achievable=ends,
             )
@@ -671,6 +683,7 @@ def calibrate_flip_prob(n: int, k: int, target_rho: float, seeds: list[int]) -> 
             lo = probe
         else:
             hi = probe
+        last = (last[1], probe)
     if gap(best) > tolerance:
         raise CalibrationError(
             f"calibration did not converge: best gap {gap(best):.4f} at p={best[0]:.4f}",

@@ -6,12 +6,14 @@ plus integer key parts (a tag and indices), so independent objects (rows,
 edges, repair loops) each own a stream whose output does not depend on
 evaluation order or thread count.
 
-Two interfaces are provided:
+Three interfaces are provided:
 
 * ``Stream``, a scalar generator for inherently sequential work (shuffles,
   retry loops).
 * ``VectorStreams``, many streams advanced in lockstep as numpy uint64
-  arrays, for bulk generation (matrix entries, per-edge coin flips).
+  arrays, for bulk generation (matrix entries).
+* ``edge_flip_uniforms``, the first uniform of one stream per in-edge of a
+  dense matrix, computed straight from the stream keys as one table.
 """
 
 from __future__ import annotations
@@ -55,10 +57,20 @@ def derive_key(seed: int, *parts: int) -> int:
     return h
 
 
+def _mix64_inplace(x: np.ndarray, tmp: np.ndarray) -> None:
+    """splitmix64 finalizer applied to ``x`` in place; ``tmp`` is scratch of its size."""
+    for shift, mult in ((30, _MIX1), (27, _MIX2)):
+        np.right_shift(x, np.uint64(shift), out=tmp)
+        x ^= tmp
+        x *= np.uint64(mult)
+    np.right_shift(x, np.uint64(31), out=tmp)
+    x ^= tmp
+
+
 def _mix64_vec(x: np.ndarray) -> np.ndarray:
-    x = (x ^ (x >> np.uint64(30))) * np.uint64(_MIX1)
-    x = (x ^ (x >> np.uint64(27))) * np.uint64(_MIX2)
-    return x ^ (x >> np.uint64(31))
+    out = np.array(x, dtype=np.uint64)
+    _mix64_inplace(out, np.empty_like(out))
+    return out
 
 
 def derive_keys(seed: int, tag: int, index: np.ndarray) -> np.ndarray:
@@ -178,15 +190,53 @@ class Stream:
         return chosen
 
 
-def edge_flip_uniforms(seed: int, node: int, count: int) -> np.ndarray:
-    """One uniform per in-edge slot (b -> node), b = 0..count-1.
+_TABLE_CHUNK = 1 << 15  # slots per vectorised pass; bounds the uint64 scratch
 
-    Each edge owns an independent derived stream keyed by (node << 32) | b,
-    so the draw for one edge never depends on how many other edges consumed
-    randomness.  Requires node and b below 2**32.
+
+def edge_flip_uniforms(seed: int, n: int) -> list[np.ndarray]:
+    """The flip uniform of every in-edge slot (b -> v), b < v < n, as row views.
+
+    Row v has length v and holds, at position b, the first uniform of the
+    stream derived from (seed, TAG_FLIP, (v << 32) | b), so the draw for one
+    edge never depends on n or on how many other edges consumed randomness.
+    Requires n below 2**32.
+
+    A freshly seeded xoshiro256** returns ``rotl(s1 * 5, 7) * 9`` first, and
+    seeding sets ``s1 = splitmix64(key + 2 * gamma)``.  So the first uniform
+    of every stream follows from its key alone, and the whole triangle is
+    built with a few in-place uint64 passes over bounded chunks instead of
+    seeding one bank of four-word states per node.
     """
-    if count == 0:
-        return np.empty(0)
-    keys = (np.uint64(node) << np.uint64(32)) | np.arange(count, dtype=np.uint64)
-    streams = VectorStreams.for_indices(seed, TAG_FLIP, keys)
-    return streams.uniform()
+    base = np.uint64(derive_key(seed, TAG_FLIP))
+    rows = np.arange(n + 1, dtype=np.int64)
+    starts = rows * (rows - 1) // 2  # row v fills flat[starts[v]:starts[v + 1]]
+    flat = np.empty(int(starts[-1]))
+    # slot j of row v holds b = j - starts[v], so its key index (v << 32) | b
+    # is j + offset[v], with offset[v] = (v << 32) - starts[v] (mod 2**64)
+    offset = (rows.astype(np.uint64) << np.uint64(32)) - starts.astype(np.uint64)
+    v = 1
+    while v < n:
+        # whole rows v..stop-1: at least one, at most _TABLE_CHUNK slots otherwise
+        stop = int(np.searchsorted(starts, starts[v] + _TABLE_CHUNK, "right")) - 1
+        stop = min(max(stop, v + 1), n)
+        lo, hi = int(starts[v]), int(starts[stop])
+        x = np.arange(lo, hi, dtype=np.uint64)
+        x += np.repeat(offset[v:stop], rows[v:stop])
+        tmp = np.empty_like(x)
+        # derive_keys: mix the index, xor in the (seed, TAG_FLIP) key, mix again
+        x += np.uint64(_GAMMA)
+        _mix64_inplace(x, tmp)
+        x ^= base
+        _mix64_inplace(x, tmp)
+        # s1 of the freshly seeded state, then its first output rotl(s1 * 5, 7) * 9
+        x += np.uint64((2 * _GAMMA) & _MASK)
+        _mix64_inplace(x, tmp)
+        x *= np.uint64(5)
+        np.right_shift(x, np.uint64(57), out=tmp)
+        x <<= np.uint64(7)
+        x |= tmp
+        x *= np.uint64(9)
+        x >>= np.uint64(11)  # VectorStreams.uniform: the top 53 bits
+        np.multiply(x, 2.0**-53, out=flat[lo:hi])
+        v = stop
+    return [flat[starts[v] : starts[v + 1]] for v in range(n)]

@@ -18,7 +18,6 @@ from trochoid.boundaries import (
     HypotrochoidParams,
     MixedCycleParams,
     dense_hypotrochoid,
-    has_cusps,
     mixed_cycle_asymptotic,
     mixed_cycle_boundary,
     mixed_cycle_solve,
@@ -47,6 +46,8 @@ from trochoid.pipeline import run_verify
 from trochoid.presets import get_preset
 from trochoid.spectra import compute_eigenvalues, containment
 from trochoid.boundaries import PolytrochoidParams
+
+from test_boundaries import has_cusps
 
 
 def _report(name: str, ok: bool, detail: str) -> None:

@@ -9,7 +9,6 @@ from trochoid.boundaries import (
     SparseCyclicParams,
     dense_hypotrochoid,
     dense_polytrochoid,
-    has_cusps,
     mixed_cycle_asymptotic,
     mixed_cycle_boundary,
     mixed_cycle_solve,
@@ -133,6 +132,26 @@ def test_sparse_large_degree_matches_dense_after_rescale():
     dense = dense_hypotrochoid(HypotrochoidParams(k=3, rho=d_hat**-0.5), 1024)
     deviation = np.abs(sparse.z * d_hat**-0.5 - dense.z).max()
     assert deviation < 0.01
+
+
+def curve_turning_number(params: HypotrochoidParams, n_samples: int = 65536) -> int:
+    """Net turns of the hypotrochoid's tangent over one sweep; -1 until loops develop."""
+    phi = np.linspace(0.0, 2.0 * np.pi, n_samples, endpoint=False)
+    vel = -1j * np.exp(-1j * phi) + 1j * params.rho * (params.k - 1) * np.exp(
+        1j * (params.k - 1) * phi
+    )
+    rot = vel / np.roll(vel, 1)
+    return int(round(np.angle(rot).sum() / (2.0 * np.pi)))
+
+
+def has_cusps(params: HypotrochoidParams) -> bool:
+    """Whether the hypotrochoid has entered the cusped/looped regime.
+
+    Happens once |rho| * (k - 1) reaches 1: the tangent momentarily vanishes
+    at threshold and the curve develops self-intersecting loops beyond it,
+    changing the tangent's net turning.
+    """
+    return curve_turning_number(params) != -1
 
 
 @pytest.mark.parametrize("k", [3, 4, 5])

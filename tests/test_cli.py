@@ -162,25 +162,30 @@ def _mean_strength(n, k, p, seeds):
 
 
 def test_calibrate_reaches_moderate_target():
+    # the secant through the two ends lands within tolerance at its first probe
     p = calibrate_flip_prob(300, 3, 0.3, [1, 2, 3])
-    assert p == 0.375
+    assert p == pytest.approx(0.39386876393803105, rel=1e-9)
     assert abs(_mean_strength(300, 3, p, [1, 2, 3]) - 0.3) / 0.3 < 0.10
 
 
 def test_calibrate_brackets_target_despite_sweep_noise():
-    # at n = 120 the sweep noise (0.158) exceeds the gap between the mean at
-    # p = 0.25 (0.186) and the target: a bracket picked with that margin would
-    # have both ends below the target
+    # at n = 120 the sweep noise (0.158) is half the target, so the bracket
+    # is updated by the measured mean alone: a bracket picked with that
+    # margin could have both ends below the target
     p = calibrate_flip_prob(120, 3, 0.3, [1, 2, 3])
-    assert p == 0.40625
+    assert p == pytest.approx(0.40175450978668303, rel=1e-9)
     assert abs(_mean_strength(120, 3, p, [1, 2, 3]) - 0.3) / 0.3 < 0.10
 
 
 def test_calibrate_keeps_sweep_point_within_tolerance():
-    # the mean at p = 0.25 sits 3 % below the target, inside the 7 % tolerance,
-    # so the second bisection probe (after p = 0.5) is already the answer
-    target = 1.03 * _mean_strength(120, 3, 0.25, [1, 2, 3])
-    assert calibrate_flip_prob(120, 3, target, [1, 2, 3]) == 0.25
+    # the first probe is the secant root through the ends; its mean sits 3 %
+    # below the target, inside the 7 % tolerance, so it is the answer as is
+    seeds = [1, 2, 3]
+    r0, r1 = abs(_mean_strength(120, 3, 0.0, seeds)), _mean_strength(120, 3, 1.0, seeds)
+    root = (0.15 - r0) / (r1 - r0)
+    p = calibrate_flip_prob(120, 3, 0.15, seeds)
+    assert p == pytest.approx(root, rel=1e-12)
+    assert 0.02 < (0.15 - _mean_strength(120, 3, p, seeds)) / 0.15 < 0.07
 
 
 def test_moments_subcommand(tmp_path, capsys):

@@ -1,12 +1,8 @@
 import numpy as np
 import pytest
 
-from trochoid.correlations import (
-    DenseCyclicSpec,
-    _induce_reference,
-    generate_dense_cyclic,
-    induce_cyclic_correlations,
-)
+from test_rng import per_node_flip_uniforms
+from trochoid.correlations import DenseCyclicSpec, generate_dense_cyclic, induce_cyclic_correlations
 from trochoid.ensembles import DenseMatrix, generate_base_iid
 from trochoid.errors import InvalidSpecError
 from trochoid.moments import trace_power_moment
@@ -14,8 +10,24 @@ from trochoid.rng import normalize_seed
 
 
 def _reference(base: DenseMatrix, spec: DenseCyclicSpec, seed: int) -> np.ndarray:
-    """The from-scratch sweep that rebuilds the path weights at every node."""
-    return _induce_reference(base.entries.copy(), spec, normalize_seed(seed))
+    """The from-scratch sweep: it rebuilds the path weights P at every node,
+    which is O(n^4) matmul work for k >= 4, and draws each node's flip
+    uniforms from streams seeded for that node alone."""
+    m = base.entries.copy()
+    seed = normalize_seed(seed)
+    k = spec.k
+    for v in range(k - 1, m.shape[0]):
+        s = m[:v, :v]
+        p = s.copy()
+        for _ in range(k - 3):
+            p = s @ p
+            np.fill_diagonal(p, 0.0)
+        w = (m[v, :v] @ p) * m[:v, v]
+        flips = spec.sign * w < 0
+        if spec.flip_prob < 1.0:
+            flips &= per_node_flip_uniforms(seed, v, v) < spec.flip_prob
+        m[:v, v][flips] *= -1.0
+    return m
 
 
 def test_spec_validation():

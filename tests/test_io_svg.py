@@ -94,6 +94,19 @@ def test_density_csv_header(tmp_path):
     assert len(lines) == 1 + field.mu.size
 
 
+@pytest.mark.parametrize("terms", [{2: 0.5}, {3: 0.2, 4: 0.1}])
+def test_density_csv_matches_the_grid_point_writer(tmp_path, terms):
+    # the writer formats each axis coordinate once; its bytes must equal one
+    # repr per cell of the complex grid, row by row
+    field = interior_density(PolytrochoidParams(terms), GridSpec(resolution=64))
+    grid = field.grid()
+    cells = zip(grid.real.ravel().tolist(), grid.imag.ravel().tolist(), field.mu.ravel().tolist())
+    expected = "re,im,mu\n" + "".join(f"{x!r},{y!r},{m!r}\n" for x, y, m in cells)
+    path = tmp_path / "d.csv"
+    write_density_csv(field, path)
+    assert path.read_bytes() == expected.encode()
+
+
 def test_csv_parse_error_reports_line_number(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("re,im\n1.0,2.0\nnot,a number\n")

@@ -187,12 +187,42 @@ _N = 10**6
 
 
 @pytest.mark.parametrize("seeds", [[1], [1, 2]])
-def test_calibration_bisects_from_both_ends(monkeypatch, seeds):
-    probes = _stub_response(monkeypatch, lambda p, sign: 0.4 * p)
-    # tolerance 0.07 * 0.13 = 0.0091: 0.4 * 0.3125 = 0.125 is the first match
-    assert calibrate_flip_prob(_N, 3, 0.13, seeds) == 0.3125
+def test_calibration_probes_along_the_secant(monkeypatch, seeds):
+    probes = _stub_response(monkeypatch, lambda p, sign: 0.5 * p)
+    # the secant through the ends (0, 0) and (1, 0.5) hits 0.125 exactly at p = 0.25
+    assert calibrate_flip_prob(_N, 3, 0.125, seeds) == 0.25
     # each probe draws every seed
-    assert probes == [p for p in [0.0, 1.0, 0.5, 0.25, 0.375, 0.3125] for _ in seeds]
+    assert probes == [p for p in [0.0, 1.0, 0.25] for _ in seeds]
+
+
+def test_calibration_steps_up_a_convex_response(monkeypatch):
+    # p^2 is convex: each secant through the latest two points lands short
+    # of the root p = 0.3 until it crosses; tolerance 0.07 * 0.09 = 0.0063
+    probes = _stub_response(monkeypatch, lambda p, sign: p * p)
+    p = calibrate_flip_prob(_N, 3, 0.09, [1])
+    expected = [0.0, 1.0, 0.09, 0.165137614679, 0.411003236246, 0.274016490595, 0.295789532009]
+    assert probes == pytest.approx(expected, rel=1e-9)
+    assert p == probes[-1]
+    assert abs(p * p - 0.09) <= 0.07 * 0.09
+    # the first four probes come up from below the target
+    assert all(p * p < 0.09 for p in probes[2:4]) and probes[4] ** 2 > 0.09
+
+
+@pytest.mark.parametrize(
+    "response, expected",
+    [
+        # the secant through (1, 1) and (0.5, 0.9) crosses 0.5 at p = -1.5
+        (lambda p: min(1.8 * p, 0.8 + 0.2 * p), [0.0, 1.0, 0.5, 0.25, 5 / 18]),
+        # the latest two strengths, at p = 0.5 and 0.25, are both 0.9
+        (lambda p: 1.0 if p == 1.0 else 0.9 if p >= 0.2 else 4.0 * p, [0.0, 1.0, 0.5, 0.25, 0.125]),
+    ],
+    ids=["secant-leaves-bracket", "equal-strengths"],
+)
+def test_calibration_falls_back_to_the_midpoint(monkeypatch, response, expected):
+    probes = _stub_response(monkeypatch, lambda p, sign: response(p))
+    p = calibrate_flip_prob(_N, 3, 0.5, [1])
+    assert probes == pytest.approx(expected, rel=1e-12)
+    assert p == probes[-1]
 
 
 @pytest.mark.parametrize(
@@ -208,11 +238,12 @@ def test_calibration_stops_at_an_end_within_tolerance(monkeypatch, offset, slope
 
 
 def test_calibration_rejects_a_probe_below_its_bracket(monkeypatch):
-    # the strength at p = 0.5 dips under the value at p = 0 by more than the noise
-    probes = _stub_response(monkeypatch, lambda p, sign: 0.02 if p == 0.5 else 0.1 + 0.3 * p)
+    # the strength at the first probe, the secant root p = 2/3, dips under
+    # the value at p = 0 by more than the noise
+    probes = _stub_response(monkeypatch, lambda p, sign: 0.02 if 0.0 < p < 1.0 else 0.1 + 0.3 * p)
     with pytest.raises(CalibrationError, match="not monotone") as err:
         calibrate_flip_prob(_N, 3, 0.3, [1])
-    assert probes == [0.0, 1.0, 0.5]
+    assert probes == pytest.approx([0.0, 1.0, 2 / 3], rel=1e-12)
     assert err.value.achievable == (0.1, 0.1 + 0.3)
 
 

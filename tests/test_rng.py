@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
 
+import trochoid.rng
+
 from trochoid.rng import (
+    TAG_FLIP,
     Stream,
     VectorStreams,
     derive_key,
@@ -9,6 +12,15 @@ from trochoid.rng import (
     edge_flip_uniforms,
     normalize_seed,
 )
+
+
+def per_node_flip_uniforms(seed: int, node: int, count: int) -> np.ndarray:
+    """Reference: seed one stream per in-edge slot (b -> node), b < count, and
+    draw its first uniform, as the sweep once did node by node."""
+    if count == 0:
+        return np.empty(0)
+    keys = (np.uint64(node) << np.uint64(32)) | np.arange(count, dtype=np.uint64)
+    return VectorStreams.for_indices(seed, TAG_FLIP, keys).uniform()
 
 
 def test_normalize_seed_masks_to_64_bits():
@@ -77,8 +89,25 @@ def test_sample_distinct():
 
 
 def test_edge_flip_uniforms_independent_of_count():
-    # stream for edge (b -> v) must not depend on how many edges are drawn
-    a = edge_flip_uniforms(7, 5, 3)
-    b = edge_flip_uniforms(7, 5, 5)
-    np.testing.assert_array_equal(a, b[:3])
-    assert edge_flip_uniforms(7, 5, 0).size == 0
+    # the stream for edge (b -> v) must not depend on how many edges are drawn
+    small, large = edge_flip_uniforms(7, 6), edge_flip_uniforms(7, 40)
+    for v in range(6):
+        np.testing.assert_array_equal(small[v], large[v])
+    assert edge_flip_uniforms(7, 0) == []
+
+
+# the table is built in chunks of whole rows: one chunk holds all 780 slots
+# at n = 40 and four chunks hold the 124750 at n = 500; a chunk size of 5
+# makes every row from v = 5 on a chunk of its own
+@pytest.mark.parametrize(
+    "n, chunk", [(0, None), (1, None), (2, None), (40, None), (40, 5), (500, None)]
+)
+@pytest.mark.parametrize("seed", [0, 2**64 - 1])
+def test_edge_flip_table_matches_per_node_streams(monkeypatch, n, chunk, seed):
+    if chunk is not None:
+        monkeypatch.setattr(trochoid.rng, "_TABLE_CHUNK", chunk)
+    table = edge_flip_uniforms(seed, n)
+    assert [row.shape for row in table] == [(v,) for v in range(n)]
+    for v, row in enumerate(table):
+        expected = per_node_flip_uniforms(seed, v, v)
+        np.testing.assert_array_equal(row.view(np.uint64), expected.view(np.uint64))
