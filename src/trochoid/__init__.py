@@ -15,7 +15,6 @@ from .boundaries import (
     dense_polytrochoid,
     mixed_cycle_asymptotic,
     mixed_cycle_boundary,
-    mixed_cycle_solve,
     solve_segment_depth,
     sparse_hypotrochoid,
 )

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ContinuationError, InvalidSpecError
+from .geometry import winding_numbers
 
 MIN_CURVE_SAMPLES = 512
 
@@ -90,11 +91,16 @@ class MixedCycleParams:
 
 @dataclass
 class BoundaryCurve:
-    """Sampled closed curve in the complex plane, closed by wrapping."""
+    """Sampled closed curve in the complex plane, closed by wrapping.
+
+    ``states`` is set by ``mixed_cycle_boundary`` only: one (t1, t2, phi2)
+    row per sample, the continuation's solution at that sample's angle.
+    """
 
     phis: np.ndarray
     z: np.ndarray
     law: object = None
+    states: np.ndarray | None = None
 
     def __post_init__(self):
         if len(self.phis) < MIN_CURVE_SAMPLES:
@@ -262,10 +268,14 @@ def _newton_mixed(
 
 
 def _symmetric_seed(params: MixedCycleParams) -> np.ndarray:
-    """Real solve at phi1 = phi2 = 0, seeded from the large-degree limit."""
+    """Real solve at phi1 = 0, seeded from the large-degree limit.
+
+    The real solution has phi2 = 0 when the weights share a sign and
+    phi2 = pi when they do not.
+    """
     p = params
     dbar = np.sqrt(p.d1 * p.w1**2 + p.d2 * p.w2**2)
-    x = np.array([abs(p.w1) / dbar, abs(p.w2) / dbar, 0.0])
+    x = np.array([abs(p.w1) / dbar, abs(p.w2) / dbar, np.pi if p.w1 * p.w2 < 0 else 0.0])
     x, ok = _newton_mixed(params, 0.0, x)
     if not ok:
         raise ContinuationError("symmetric seed solve failed", last_good_phi=float("nan"))
@@ -295,21 +305,6 @@ def _continue(params: MixedCycleParams, x: np.ndarray, start: float, stop: float
     return x
 
 
-def mixed_cycle_solve(params: MixedCycleParams, phi1: float) -> tuple[float, float, float]:
-    """Solve (t1, t2, phi2) for a given sweep angle phi1.
-
-    The solution is continued from the symmetric real solve at phi1 = 0 in
-    chunks of at most 0.05 in angle, each advanced like one sample of
-    ``mixed_cycle_boundary`` (step halvings on a failed solve).  At phi1 = 0
-    it is the symmetric solve itself.
-    """
-    x = _symmetric_seed(params)
-    steps = max(1, int(np.ceil(abs(phi1) / 0.05)))
-    for s in range(1, steps + 1):
-        x = _continue(params, x, phi1 * (s - 1) / steps, phi1 * s / steps)
-    return float(x[0]), float(x[1]), float(x[2])
-
-
 def _mixed_point(params: MixedCycleParams, phi1: float, x: np.ndarray) -> complex:
     t1, t2, phi2 = x
     p = params
@@ -325,16 +320,26 @@ def mixed_cycle_boundary(params: MixedCycleParams, n_samples: int = 1024) -> Bou
     """Boundary for two competing cycle species, swept by continuation.
 
     The sweep advances phi1 in uniform steps, continuing each solve from the
-    previous angle and halving the step up to 8 times on failure.
+    previous angle and halving the step up to 8 times on failure.  The
+    curve keeps each sample's solution in ``states``.  A sweep whose curve
+    does not wind once (clockwise) about the origin has followed another
+    solution branch and raises ``ContinuationError``.
     """
     phi = _sweep(n_samples)
-    x = _symmetric_seed(params)
-    z = np.empty(n_samples, dtype=complex)
-    z[0] = _mixed_point(params, 0.0, x)
+    states = np.empty((n_samples, 3))
+    states[0] = _symmetric_seed(params)
     for i in range(1, n_samples):
-        x = _continue(params, x, phi[i - 1], phi[i])
-        z[i] = _mixed_point(params, phi[i], x)
-    return BoundaryCurve(phi, z, params)
+        states[i] = _continue(params, states[i - 1], phi[i - 1], phi[i])
+    z = np.array([_mixed_point(params, a, x) for a, x in zip(phi, states)])
+    curve = BoundaryCurve(phi, z, params, states)
+    winding = int(winding_numbers(np.zeros(1), curve.polygon())[0])
+    if winding != -1:
+        raise ContinuationError(
+            f"sweep left the boundary branch: its curve winds {winding} times "
+            "about the origin, not once (-1)",
+            last_good_phi=float(phi[-1]),
+        )
+    return curve
 
 
 def mixed_cycle_asymptotic(params: MixedCycleParams, n_samples: int = 1024) -> BoundaryCurve:

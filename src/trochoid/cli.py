@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .boundaries import PolytrochoidParams
+from .boundaries import HypotrochoidParams, PolytrochoidParams
 from .errors import ConfigError, TrochoidError
 from .interior import GridSpec, interior_density
 from .io import write_curve_csv, write_density_csv, write_json
@@ -120,10 +120,9 @@ def _cmd_boundary(args) -> int:
     write_curve_csv(curve, args.out)
     print(f"wrote {args.out} ({len(curve.z)} samples)")
     if args.density_out:
-        if args.law == "dense":
-            params = PolytrochoidParams({int(section["k"]): float(section["rho"])})
-        else:
-            params = PolytrochoidParams(section["terms"])
+        params = curve.law
+        if isinstance(params, HypotrochoidParams):
+            params = PolytrochoidParams({params.k: params.rho})
         field = interior_density(params, grid)
         write_density_csv(field, args.density_out)
         # past the cusp some inside points lose the continued branch; their

@@ -16,7 +16,11 @@ class GenerationError(TrochoidError):
 
 
 class ContinuationError(TrochoidError):
-    """The boundary continuation stalled; carries the last angle that solved."""
+    """The boundary continuation stalled or left its branch.
+
+    Raised when a solve fails and also when a finished sweep's curve does
+    not wind once about the origin; carries the last angle that solved.
+    """
 
     def __init__(self, message: str, last_good_phi: float):
         super().__init__(message)

@@ -31,7 +31,6 @@ from .boundaries import (
     dense_polytrochoid,
     mixed_cycle_asymptotic,
     mixed_cycle_boundary,
-    mixed_cycle_solve,
     sparse_hypotrochoid,
 )
 from .correlations import DenseCyclicSpec, generate_dense_cyclic
@@ -561,18 +560,15 @@ def _isolate(fn):
 
 
 def _describe_curve(curve: BoundaryCurve) -> dict:
-    law = curve.law
-    name = type(law).__name__ if law is not None else "unknown"
     fields: dict = {}
-    if law is not None:
-        for key, value in vars(law).items():
-            if isinstance(value, dict):
-                fields[key] = {str(k): v for k, v in value.items()}
-            elif isinstance(value, (int, float, str)):
-                fields[key] = value
-    out = {"law": name, "params": fields, "samples": len(curve.z)}
-    if isinstance(law, MixedCycleParams):
-        t1, t2, phi2 = mixed_cycle_solve(law, 0.0)
+    for key, value in vars(curve.law).items():
+        if isinstance(value, dict):
+            fields[key] = {str(k): v for k, v in value.items()}
+        elif isinstance(value, (int, float, str)):
+            fields[key] = value
+    out = {"law": type(curve.law).__name__, "params": fields, "samples": len(curve.z)}
+    if curve.states is not None:
+        t1, t2, phi2 = curve.states[0].tolist()
         out["continuation"] = {
             "swept_angles": len(curve.z),
             "t1_at_zero": t1,

@@ -20,7 +20,6 @@ from trochoid.boundaries import (
     dense_hypotrochoid,
     mixed_cycle_asymptotic,
     mixed_cycle_boundary,
-    mixed_cycle_solve,
     solve_segment_depth,
 )
 from trochoid.correlations import DenseCyclicSpec, generate_dense_cyclic
@@ -144,7 +143,7 @@ def test_criterion_5_root_and_reduction_exactness():
     gap_root = abs(t - golden)
 
     params = MixedCycleParams(d1=3, k1=3, w1=1.0, d2=0, k2=4, w2=1.0)
-    t1, _, _ = mixed_cycle_solve(params, 0.0)
+    t1 = mixed_cycle_boundary(params, 512).states[0, 0]
     gap_mixed = abs(t1 - solve_segment_depth(2.0, 3))
 
     worst_poly = 0.0

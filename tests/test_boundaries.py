@@ -11,7 +11,6 @@ from trochoid.boundaries import (
     dense_polytrochoid,
     mixed_cycle_asymptotic,
     mixed_cycle_boundary,
-    mixed_cycle_solve,
     segment_depth_residual,
     solve_segment_depth,
     sparse_hypotrochoid,
@@ -167,33 +166,34 @@ FIG4 = MixedCycleParams(d1=4, k1=3, w1=1.0, d2=4, k2=4, w2=1.0)
 
 
 def test_mixed_symmetric_angle_is_exactly_zero():
-    _, _, phi2 = mixed_cycle_solve(FIG4, 0.0)
-    assert phi2 == 0.0
+    curve = mixed_cycle_boundary(FIG4, 512)
+    assert curve.phis[0] == 0.0
+    assert curve.states[0, 2] == 0.0
 
 
 def test_mixed_degenerate_species_matches_single_cycle_depth():
     params = MixedCycleParams(d1=3, k1=3, w1=1.0, d2=0, k2=4, w2=1.0)
-    t1, _, _ = mixed_cycle_solve(params, 0.0)
+    t1 = mixed_cycle_boundary(params, 512).states[0, 0]
     assert t1 == pytest.approx(solve_segment_depth(2.0, 3), abs=1e-10)
 
 
 def test_mixed_large_degree_asymptotics():
     params = MixedCycleParams(d1=50, k1=3, w1=1.0, d2=50, k2=4, w2=1.0)
     target = 1.0 / np.sqrt(100.0)
-    for phi1 in (0.0, 0.7, 2.0):
-        t1, t2, phi2 = mixed_cycle_solve(params, phi1)
-        assert abs(t1 - target) / target < 0.02
-        assert abs(t2 - target) / target < 0.02
-        assert abs(phi2 - phi1) < 0.02
+    curve = mixed_cycle_boundary(params, 512)
+    t1, t2, phi2 = curve.states.T
+    assert np.abs(t1 - target).max() / target < 0.02
+    assert np.abs(t2 - target).max() / target < 0.02
+    assert np.abs(phi2 - curve.phis).max() < 0.02
 
 
 def test_mixed_residual_small_along_continuation():
     from trochoid.boundaries import _mixed_residual
 
-    for phi1 in (0.3, 1.1, 2.9):
-        t1, t2, phi2 = mixed_cycle_solve(FIG4, phi1)
-        res = _mixed_residual(FIG4, phi1, np.array([t1, t2, phi2]))
-        assert np.linalg.norm(res) < 1e-10
+    curve = mixed_cycle_boundary(FIG4, 512)
+    assert curve.states.shape == (512, 3)
+    for phi1, x in zip(curve.phis, curve.states):
+        assert np.linalg.norm(_mixed_residual(FIG4, phi1, x)) < 1e-10
 
 
 def test_mixed_boundary_closes_and_is_finite():
@@ -249,8 +249,41 @@ def test_mixed_unsolvable_configuration_raises_continuation_error():
     # a single species with one cycle per node leaves the depth condition
     # unsatisfiable: (d1 - 1) * sum = 1 has no root when d1 == 1
     params = MixedCycleParams(d1=1, k1=3, w1=1.0, d2=0, k2=4, w2=1.0)
-    with pytest.raises(ContinuationError):
-        mixed_cycle_solve(params, 0.0)
+    with pytest.raises(ContinuationError, match="seed"):
+        mixed_cycle_boundary(params, 512)
+
+
+@pytest.mark.parametrize(
+    "species, winds",
+    [
+        ((2, 3, 0.7, 1, 4, 1.3), False),
+        ((2, 4, 0.5, 1, 6, 1.0), False),
+        ((2, 3, 0.7, 1, 4, -1.3), False),
+        ((2, 4, 0.5, 1, 6, -1.0), False),
+        ((2, 3, 1.0, 1, 4, 1.0), True),
+        ((2, 3, 0.7, 2, 4, 1.3), True),
+    ],
+)
+def test_mixed_sweep_must_wind_once_about_the_origin(species, winds):
+    # past a fold the continuation can arrive at another real root and close
+    # a curve that misses the origin; that sweep is refused, not returned
+    params = MixedCycleParams(*species)
+    if winds:
+        assert mixed_cycle_boundary(params, 512).states.shape == (512, 3)
+    else:
+        with pytest.raises(ContinuationError, match="winds 0 times"):
+            mixed_cycle_boundary(params, 512)
+
+
+def test_mixed_seed_takes_the_sign_of_the_weights():
+    # with w1 * w2 < 0 the real solution at phi1 = 0 has phi2 = pi, and it
+    # shares the depths of the positive law
+    positive = mixed_cycle_boundary(FIG4, 512).states[0]
+    for w1, w2 in ((1.0, -1.0), (-1.0, 1.0)):
+        params = MixedCycleParams(d1=4, k1=3, w1=w1, d2=4, k2=4, w2=w2)
+        t1, t2, phi2 = mixed_cycle_boundary(params, 512).states[0]
+        assert (t1, t2) == pytest.approx(tuple(positive[:2]), abs=1e-12)
+        assert phi2 == pytest.approx(np.pi, abs=1e-12)
 
 
 def test_mixed_asymptotic_rejects_empty_mixture():

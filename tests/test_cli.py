@@ -243,6 +243,19 @@ def test_fig4_report_carries_continuation_diagnostics(tmp_path):
     assert 0 < diag["t1_at_zero"] < 1
 
 
+def test_boundary_off_branch_sweep_exits_1(tmp_path, capsys):
+    out = tmp_path / "mixed.csv"
+    rc = main([
+        "boundary", "--law", "mixed", "--d1", "2", "--k1", "3", "--w1", "0.7",
+        "--d2", "1", "--k2", "4", "--w2", "1.3", "--out", str(out),
+    ])
+    assert rc == 1
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert error["type"] == "ContinuationError"
+    assert "winds 0 times about the origin" in error["message"]
+    assert not out.exists()
+
+
 def test_no_exclude_outliers_flag(tmp_path):
     config = {
         "ensemble": {"kind": "regular-cyclic", "n": 120, "d": 2, "k": 3},

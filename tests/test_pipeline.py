@@ -95,6 +95,30 @@ def test_report_shape_per_kind(
         assert "flip_prob" not in manifest
 
 
+@pytest.mark.parametrize("weights", [(1.0, -1.0), (-1.0, 1.0)], ids=["w2<0", "w1<0"])
+def test_mixed_law_with_opposite_weights_encloses_its_spectrum(weights):
+    # fig4 with one species negated: the seed starts at phi2 = pi
+    species = [{"d": 4, "k": 3, "weight": weights[0]}, {"d": 4, "k": 4, "weight": weights[1]}]
+    config = {"ensemble": {"kind": "mixed-cyclic", "n": 96, "species": species}, "seeds": [1]}
+    report = run_verify(config)
+    assert report["aggregate"]["seeds_failed"] == 0
+    assert report["aggregate"]["inside_fraction"] >= 0.95
+    assert report["boundary"]["continuation"]["phi2_at_zero"] == pytest.approx(np.pi, abs=1e-12)
+
+
+def test_mixed_asymptotic_boundary_reports_no_continuation():
+    # only the continued law has solver states; its closed form has none,
+    # even where the full law has no seed (d1 = 1, d2 = 0)
+    config = {
+        "ensemble": {"kind": "mixed-cyclic", "n": 24, "species": [{"d": 1, "k": 3}, {"d": 0, "k": 4}]},
+        "boundary": {"law": "mixed-asymptotic", "d1": 1, "k1": 3, "d2": 0, "k2": 4},
+        "seeds": [1],
+    }
+    boundary = run_verify(config)["boundary"]
+    assert boundary["law"] == "MixedCycleParams"
+    assert "continuation" not in boundary
+
+
 def _fail_seed_2(monkeypatch):
     spectrum_for = trochoid.pipeline._spectrum_for
 
