@@ -97,13 +97,16 @@ def test_report_shape_per_kind(
 
 @pytest.mark.parametrize("weights", [(1.0, -1.0), (-1.0, 1.0)], ids=["w2<0", "w1<0"])
 def test_mixed_law_with_opposite_weights_encloses_its_spectrum(weights):
-    # fig4 with one species negated: the seed starts at phi2 = pi
+    # fig4 with one species negated: the seed starts at phi2 = pi and finds
+    # the positive fig4's depths
     species = [{"d": 4, "k": 3, "weight": weights[0]}, {"d": 4, "k": 4, "weight": weights[1]}]
     config = {"ensemble": {"kind": "mixed-cyclic", "n": 96, "species": species}, "seeds": [1]}
     report = run_verify(config)
     assert report["aggregate"]["seeds_failed"] == 0
     assert report["aggregate"]["inside_fraction"] >= 0.95
-    assert report["boundary"]["continuation"]["phi2_at_zero"] == pytest.approx(np.pi, abs=1e-12)
+    seed = report["boundary"]["continuation"]
+    assert (seed["t1_at_zero"], seed["t2_at_zero"]) == pytest.approx((0.350049, 0.35962), abs=1e-6)
+    assert seed["phi2_at_zero"] == pytest.approx(np.pi, abs=1e-12)
 
 
 def test_mixed_asymptotic_boundary_reports_no_continuation():
