@@ -52,7 +52,7 @@ from .moments import (
     mixed_moment_candidates,
     tree_walk_prediction,
 )
-from .pipeline import calibrate_flip_prob, run_generate, run_moments, run_verify
+from .pipeline import Calibration, calibrate_flip_prob, run_generate, run_moments, run_verify
 from .spectra import (
     ContainmentReport,
     Spectrum,

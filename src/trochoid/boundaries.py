@@ -324,7 +324,20 @@ def mixed_cycle_boundary(params: MixedCycleParams, n_samples: int = 1024) -> Bou
     curve keeps each sample's solution in ``states``.  A sweep whose curve
     does not wind once (clockwise) about the origin has followed another
     solution branch and raises ``ContinuationError``.
+
+    Two kinds of law are refused as specs (``InvalidSpecError``): d1 = 0,
+    because the sweep is seeded from the first species and stalls without
+    it (the same species in the other order solve), and k1 = 2 with d2 = 0,
+    because 2-cycles alone have a real spectrum, whose law is a segment
+    with no winding number to check.
     """
+    if params.d1 == 0:
+        raise InvalidSpecError("two-species law with d1 = 0: list the species with cycles first")
+    if params.k1 == 2 and params.d2 == 0:
+        raise InvalidSpecError(
+            "two-species law of 2-cycles alone (k1 = 2, d2 = 0): its spectrum is real "
+            "and its boundary a segment, not a closed curve"
+        )
     phi = _sweep(n_samples)
     states = np.empty((n_samples, 3))
     states[0] = _symmetric_seed(params)

@@ -19,6 +19,17 @@ only modifies column v, the leading block S only ever grows at its border,
 so the diagonals of its powers can be maintained incrementally; row-times-P
 products then unroll into matrix-vector chains.  O(k) matvecs per node.
 
+The sweep also accumulates Tr M^k.  When node v joins the block,
+
+    Tr S'^k - Tr S^k = k * [x^k] -log(1 - F(x)),
+    F(x) = M[v, v] x + sum_(l=2..k) (row @ S^(l-2) @ c) x^l,
+
+because det(I - x S') = det(I - x S) (1 - F(x)), with c the (flipped)
+column v; the coefficients of F are dot products of the vectors the step
+has already formed.  The result travels as ``DenseMatrix.power_trace``, so
+the strength Tr M^k / n of a swept draw costs no matrix products.  A draw
+at p = 0 is not swept and carries no trace.
+
 The sweep consumes one independent random stream per edge, keyed by the
 edge alone, so a flip decision never depends on the sweep order or on n.
 The streams are read as one table per draw (``edge_flip_uniforms``), built
@@ -80,10 +91,27 @@ def _power_diagonals(s: np.ndarray, max_power: int) -> list[np.ndarray]:
     return out
 
 
-def _induce_fast(m: np.ndarray, spec: DenseCyclicSpec, seed: int) -> np.ndarray:
+def _trace_growth(f: list[float]) -> float:
+    """k * [x^k] -log(1 - F(x)) for F(x) = sum_j f[j-1] x^j, k = len(f).
+
+    The coefficients g_j of -log(1 - F) satisfy j g_j = j f_j +
+    sum_(i<j) (j - i) f_i g_(j-i), from differentiating log(1 - F).
+    """
+    g: list[float] = []
+    for j in range(1, len(f) + 1):
+        acc = 0.0
+        for i in range(1, j):
+            acc += (j - i) * f[i - 1] * g[j - i - 1]
+        g.append(f[j - 1] + acc / j)
+    return len(f) * g[-1]
+
+
+def _induce_fast(m: np.ndarray, spec: DenseCyclicSpec, seed: int) -> tuple[np.ndarray, float]:
+    """Sweep ``m`` in place; returns it with its Tr M^k."""
     k = spec.k
     n = m.shape[0]
     v0 = k - 1
+    trace = float(np.trace(np.linalg.matrix_power(m[:v0, :v0], k)))
     uniforms = edge_flip_uniforms(seed, n) if spec.flip_prob < 1.0 else None
     # q[m-2] holds diag(S^m), m = 2..k-2, padded out to full length n
     top = k - 2
@@ -118,14 +146,16 @@ def _induce_fast(m: np.ndarray, spec: DenseCyclicSpec, seed: int) -> np.ndarray:
 
         w = u * m[:v, v]
         _apply_flips(m, v, w, spec, uniforms)
+        c = m[:v, v].copy()
+        d = m[v, v]
+        # F's coefficients: the walks v -> ... -> v of length 1..k
+        trace += _trace_growth([float(d), *(np.array(r) @ c).tolist()])
 
         if v + 1 == n:
             break
 
         # Grow the maintained diagonals for the bordered block
         #   S' = [[S, c], [row, d]]  with c the (possibly flipped) column.
-        c = m[:v, v].copy()
-        d = m[v, v]
         sc = [c]  # sc[a] = S^a @ c
         for _ in range(max(top - 2, 0)):
             sc.append(s @ sc[-1])
@@ -145,24 +175,34 @@ def _induce_fast(m: np.ndarray, spec: DenseCyclicSpec, seed: int) -> np.ndarray:
             q[mm - 2][v] = br_m
             bl.append(bl_m)
             br.append(br_m)
-    return m
+    return m, trace
 
 
 def induce_cyclic_correlations(m: DenseMatrix, spec: DenseCyclicSpec, seed: int) -> DenseMatrix:
     """Return a copy of ``m`` with order-k cyclic correlations induced.
 
-    At flip probability 0 no sign can change, so the copy is returned unswept.
+    The copy carries the Tr M^k the sweep accumulated as its ``power_trace``.
+    At flip probability 0 no sign can change, so the copy is returned unswept
+    and without one.
     """
     if m.n != spec.n:
         raise InvalidSpecError(f"matrix dimension {m.n} does not match spec n={spec.n}")
     seed = normalize_seed(seed)
     if spec.flip_prob == 0.0:
         return m.copy()
-    return DenseMatrix(_induce_fast(m.entries.copy(), spec, seed))
+    entries, trace = _induce_fast(m.entries.copy(), spec, seed)
+    return DenseMatrix(entries, power_trace=(spec.k, trace))
 
 
-def generate_dense_cyclic(spec: DenseCyclicSpec, seed: int) -> DenseMatrix:
-    """Gaussian base matrix with order-k cyclic correlations induced."""
+def generate_dense_cyclic(
+    spec: DenseCyclicSpec, seed: int, base: DenseMatrix | None = None
+) -> DenseMatrix:
+    """Gaussian base matrix with order-k cyclic correlations induced.
+
+    ``base`` is ``generate_base_iid(spec.n, seed)`` when the caller already
+    holds it (calibration sweeps one base at several p); it is not modified.
+    """
     seed = normalize_seed(seed)
-    base = generate_base_iid(spec.n, seed)
+    if base is None:
+        base = generate_base_iid(spec.n, seed)
     return induce_cyclic_correlations(base, spec, seed)

@@ -18,9 +18,15 @@ from .rng import TAG_IID, VectorStreams, normalize_seed
 
 @dataclass
 class DenseMatrix:
-    """A square real matrix whose spectrum is under study."""
+    """A square real matrix whose spectrum is under study.
+
+    ``power_trace`` is (k, Tr M^k) when the sign-flip sweep that made the
+    matrix accumulated that trace on the way (see ``correlations``), else
+    None.  It describes ``entries`` as the sweep left them.
+    """
 
     entries: np.ndarray
+    power_trace: tuple[int, float] | None = None
 
     def __post_init__(self):
         a = np.asarray(self.entries, dtype=float)

@@ -117,7 +117,8 @@ def _solve_branch(z: np.ndarray, params: PolytrochoidParams) -> tuple[np.ndarray
             bad = ok & (~np.isfinite(h) | (np.abs(h) > _DIVERGENCE_RADIUS))
             h = np.where(bad, 0.0, h)
             ok &= ~bad
-        f = _residual(h, flat_z, terms, scale)
+        else:  # out of iterations: f is the residual before the last update
+            f = _residual(h, flat_z, terms, scale)
         ok &= np.abs(f) < 100 * _NEWTON_TOL
     return h.reshape(np.shape(z)), ok.reshape(np.shape(z))
 

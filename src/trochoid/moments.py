@@ -54,10 +54,14 @@ def empirical_mixed_moment(m: DenseMatrix | SparseDigraph, l: int) -> float:
 def trace_power_moment(m: DenseMatrix | SparseDigraph, k: int) -> float:
     """Tr M^k / n by direct matrix powers; cheaper than an eigensolve.
 
-    A digraph is multiplied as its sparse adjacency.
+    A dense matrix that carries Tr M^k as its ``power_trace`` (a sign-flip
+    sweep of order k) returns that instead.  A digraph is multiplied as its
+    sparse adjacency.
     """
     if k < 1:
         raise InvalidSpecError(f"moment order must be >= 1, got {k}")
+    if isinstance(m, DenseMatrix) and m.power_trace is not None and m.power_trace[0] == k:
+        return float(m.power_trace[1] / m.n)
     return _power_trace(_operand(m), k, m.n)
 
 

@@ -13,10 +13,10 @@ from __future__ import annotations
 import os
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from math import gcd, isfinite
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
@@ -104,12 +104,14 @@ class Ensemble:
 
     ``spec`` is the generator's spec (the dimension n for dense-iid).
     ``target_rho`` is set when a dense-cyclic section asks for a correlation
-    strength instead of a flip probability; ``_calibrated`` resolves it.
+    strength instead of a flip probability; ``_calibrated`` resolves it and
+    sets ``calibration``, whose kept draws ``_draw`` hands out.
     """
 
     kind: str
     spec: Any
     target_rho: float | None = None
+    calibration: Calibration | None = None
 
 
 def _unknown_moment(spec, moment: str, order: int) -> float:
@@ -291,8 +293,15 @@ def _calibrated(ens: Ensemble, seeds: list[int]) -> Ensemble:
     """The ensemble with its flip probability calibrated to ``target_rho``, if set."""
     if ens.target_rho is None:
         return ens
-    p = calibrate_flip_prob(ens.spec.n, ens.spec.k, ens.target_rho, seeds[:3])
-    return Ensemble(ens.kind, replace(ens.spec, flip_prob=p))
+    calibration = calibrate_flip_prob(ens.spec.n, ens.spec.k, ens.target_rho, seeds[:3])
+    spec = replace(ens.spec, flip_prob=calibration.flip_prob)
+    return Ensemble(ens.kind, spec, calibration=calibration)
+
+
+def _draw(ens: Ensemble, seed: int) -> DenseMatrix | SparseDigraph:
+    """The ensemble's draw at ``seed``: calibration's draw if it kept one, else a new one."""
+    kept = ens.calibration.take(seed) if ens.calibration is not None else None
+    return kept if kept is not None else _KINDS[ens.kind].draw(ens.spec, seed)
 
 
 def _flip_prob(ens: Ensemble) -> float | None:
@@ -310,7 +319,8 @@ def boundary_for(
 ) -> BoundaryCurve:
     """Build the requested boundary; "auto" derives the law from the ensemble."""
     if section == "auto" or section is None:
-        return _KINDS[ensemble.kind].law(ensemble.spec, n_samples, measured_rho)
+        with _config_errors("boundary"):
+            return _KINDS[ensemble.kind].law(ensemble.spec, n_samples, measured_rho)
     if not isinstance(section, dict) or "law" not in section:
         raise ConfigError("boundary section must be 'auto' or a mapping with a 'law'")
     law = section["law"]
@@ -360,7 +370,7 @@ def run_generate(config: dict, out_dir: str | Path | None = None) -> dict:
     if p is not None:
         manifest["flip_prob"] = p
     for seed in seeds:
-        draw = _KINDS[ens.kind].draw(ens.spec, seed)
+        draw = _draw(ens, seed)
         stem = out / f"{ens.kind}-seed{seed}"
         if isinstance(draw, DenseMatrix):
             write_dense_mtx(draw, stem.with_suffix(".mtx"))
@@ -396,7 +406,7 @@ def _seed_list(config: dict) -> list[int]:
 
 
 def _spectrum_for(ens: Ensemble, seed: int) -> tuple[Spectrum, DenseMatrix | SparseDigraph]:
-    draw = _KINDS[ens.kind].draw(ens.spec, seed)
+    draw = _draw(ens, seed)
     if isinstance(draw, DenseMatrix):
         return compute_eigenvalues(draw), draw
     return digraph_spectrum(draw), draw
@@ -536,6 +546,8 @@ def run_verify(config: dict, out_dir: str | Path | None = None) -> dict:
     p = _flip_prob(ens)
     if p is not None:
         report["calibration"] = {"flip_prob": p}
+        if ens.calibration is not None:
+            report["calibration"]["probes"] = [list(probe) for probe in ens.calibration.probes]
 
     if out is not None:
         out.mkdir(parents=True, exist_ok=True)
@@ -590,7 +602,7 @@ def run_moments(config: dict, pure_orders: list[int], mixed_orders: list[int]) -
     rows = {("pure", k): [] for k in pure_orders}
     rows.update({("mixed", l): [] for l in mixed_orders})
     for seed in seeds:
-        draw = row.draw(ens.spec, seed)
+        draw = _draw(ens, seed)
         matrix = draw if isinstance(draw, DenseMatrix) else adjacency_matrix(draw)
         for k in pure_orders:
             rows[("pure", k)].append(trace_power_moment(matrix, k))
@@ -612,7 +624,56 @@ _CALIBRATION_TOLERANCE = 0.07  # relative gap to the target that counts as a mat
 _CALIBRATION_MAX_PROBES = 18
 
 
-def calibrate_flip_prob(n: int, k: int, target_rho: float, seeds: list[int]) -> float:
+@dataclass(frozen=True)
+class _KeptDraw:
+    """A calibration draw kept as its base and the sign bits its sweep left.
+
+    The sweep changes signs only, so these two give the draw back bit for bit.
+    """
+
+    base: DenseMatrix
+    negative: np.ndarray  # np.packbits of the draw's sign bits, row-major
+    power_trace: tuple[int, float] | None
+
+    @classmethod
+    def of(cls, base: DenseMatrix, draw: DenseMatrix) -> _KeptDraw:
+        return cls(base, np.packbits(np.signbit(draw.entries)), draw.power_trace)
+
+    def restore(self) -> DenseMatrix:
+        """The draw, made in place from the base, which it uses up."""
+        e = self.base.entries
+        negative = np.unpackbits(self.negative, count=e.size).view(bool).reshape(e.shape)
+        np.abs(e, out=e)
+        np.copysign(e, -1.0, out=e, where=negative)
+        return DenseMatrix(e, power_trace=self.power_trace)
+
+
+@dataclass(frozen=True)
+class Calibration:
+    """What ``calibrate_flip_prob`` measured and found.
+
+    ``probes`` holds (p, mean strength) for every p measured, in order, the
+    two ends first.  ``draws`` keeps each calibration seed's draw at
+    ``flip_prob``; ``take`` hands each one out once.
+    """
+
+    flip_prob: float
+    probes: tuple[tuple[float, float], ...] = ()
+    draws: dict[int, _KeptDraw] = field(default_factory=dict, repr=False, compare=False)
+
+    def take(self, seed: int) -> DenseMatrix | None:
+        """The draw at ``flip_prob`` for ``seed``, if kept and not taken yet."""
+        kept = self.draws.pop(seed, None)
+        return None if kept is None else kept.restore()
+
+
+class _Point(NamedTuple):
+    p: float
+    rho: float  # |mean strength| over the calibration seeds
+    draws: dict[int, _KeptDraw]
+
+
+def calibrate_flip_prob(n: int, k: int, target_rho: float, seeds: list[int]) -> Calibration:
     """Find the flip probability whose mean measured strength hits the target.
 
     The ensemble is swept toward the sign of ``target_rho``.  Measures the
@@ -622,9 +683,12 @@ def calibrate_flip_prob(n: int, k: int, target_rho: float, seeds: list[int]) -> 
     open bracket (or the two strengths are equal) the bracket's midpoint is
     probed instead.  At most ``_CALIBRATION_MAX_PROBES`` probes are made,
     and each must lie between its bracket ends (within the sampling noise).
-    Returns the first probability, of the ends and the probes, whose mean
-    over ``seeds`` is within ``_CALIBRATION_TOLERANCE`` (relative) of the
-    target; an end that already is one is kept, the upper end on a tie.
+    The answer is the first probability, of the ends and the probes, whose
+    mean over ``seeds`` is within ``_CALIBRATION_TOLERANCE`` (relative) of
+    the target; an end that already is one is kept, the upper end on a tie.
+
+    Each seed's base matrix is drawn once and swept at every p; a swept
+    draw's strength is the Tr M^k its sweep accumulated.
     """
     if not seeds:
         raise ConfigError("calibration needs at least one seed")
@@ -632,57 +696,63 @@ def calibrate_flip_prob(n: int, k: int, target_rho: float, seeds: list[int]) -> 
     with _config_errors("calibration"):
         unswept = DenseCyclicSpec(n=n, k=k, flip_prob=0.0, sign=1 if target_rho >= 0 else -1)
     if target_rho == 0.0:
-        return 0.0
+        return Calibration(0.0)
     target = abs(target_rho)
     tolerance = _CALIBRATION_TOLERANCE * target
+    bases = {seed: generate_base_iid(n, seed) for seed in seeds}
+    probes: list[tuple[float, float]] = []
 
-    def measure(p: float) -> float:
+    def measure(p: float) -> _Point:
         spec = replace(unswept, flip_prob=p)
-        vals = [trace_power_moment(generate_dense_cyclic(spec, s), k) for s in seeds]
-        return float(np.mean(vals))
+        vals, draws = [], {}
+        for seed in seeds:
+            draw = generate_dense_cyclic(spec, seed, base=bases[seed])
+            vals.append(trace_power_moment(draw, k))
+            draws[seed] = _KeptDraw.of(bases[seed], draw)
+        probes.append((p, float(np.mean(vals))))
+        return _Point(p, abs(probes[-1][1]), draws)
 
-    ends = (measure(0.0), measure(1.0))
+    # the bracket ends and the latest probes
+    lo, hi = measure(0.0), measure(1.0)
+    ends = (probes[0][1], probes[1][1])
     noise = 3.0 / np.sqrt(len(seeds) * n)
     if target > abs(ends[1]) * (1 + _CALIBRATION_TOLERANCE) + noise:
         raise CalibrationError(f"target {target_rho} outside achievable range", achievable=ends)
-    # (p, |strength|) at each bracket end and probe
-    lo, hi = (0.0, abs(ends[0])), (1.0, abs(ends[1]))
 
-    def gap(point: tuple[float, float]) -> float:
-        return abs(point[1] - target)
+    def gap(point: _Point) -> float:
+        return abs(point.rho - target)
 
-    def next_probe(a: tuple[float, float], b: tuple[float, float]) -> float:
+    def next_probe(a: _Point, b: _Point) -> float:
         # the strength is convex in p and close to linear at small p, so the
         # secant through the latest two points closes in from below
-        if a[1] != b[1]:
-            p = b[0] + (target - b[1]) * (a[0] - b[0]) / (a[1] - b[1])
-            if lo[0] < p < hi[0]:
+        if a.rho != b.rho:
+            p = b.p + (target - b.rho) * (a.p - b.p) / (a.rho - b.rho)
+            if lo.p < p < hi.p:
                 return p
-        return 0.5 * (lo[0] + hi[0])
+        return 0.5 * (lo.p + hi.p)
 
     best = min(hi, lo, key=gap)
     last = (lo, hi)
     for _ in range(_CALIBRATION_MAX_PROBES):
         if gap(best) <= tolerance:
             break
-        p = next_probe(*last)
-        probe = (p, abs(measure(p)))
-        if not lo[1] - noise <= probe[1] <= hi[1] + noise:
+        probe = measure(next_probe(*last))
+        if not lo.rho - noise <= probe.rho <= hi.rho + noise:
             raise CalibrationError(
-                f"response is not monotone: |rho| = {probe[1]:.4f} at p={p} is outside "
-                f"[{lo[1]:.4f}, {hi[1]:.4f}], its bracket's values at p={lo[0]} and p={hi[0]}",
+                f"response is not monotone: |rho| = {probe.rho:.4f} at p={probe.p} is outside "
+                f"[{lo.rho:.4f}, {hi.rho:.4f}], its bracket's values at p={lo.p} and p={hi.p}",
                 achievable=ends,
             )
         if gap(probe) < gap(best):
             best = probe
-        if probe[1] < target:
+        if probe.rho < target:
             lo = probe
         else:
             hi = probe
         last = (last[1], probe)
     if gap(best) > tolerance:
         raise CalibrationError(
-            f"calibration did not converge: best gap {gap(best):.4f} at p={best[0]:.4f}",
+            f"calibration did not converge: best gap {gap(best):.4f} at p={best.p:.4f}",
             achievable=ends,
         )
-    return best[0]
+    return Calibration(best.p, tuple(probes), best.draws)

@@ -273,6 +273,25 @@ def test_mixed_sweep_must_wind_once_about_the_origin(species, winds):
             mixed_cycle_boundary(params, 512)
 
 
+DEGENERATE_MIXED = {
+    "d1-0-k4": ((0, 4, 1.0, 3, 3, 1.0), "list the species with cycles first"),
+    "d1-0-k3": ((0, 3, 1.0, 4, 4, 1.0), "list the species with cycles first"),
+    "segment-w0.5": ((2, 2, 1.0, 0, 3, 0.5), "segment"),
+    "segment-w1": ((2, 2, 1.0, 0, 3, 1.0), "segment"),
+}
+
+
+@pytest.mark.parametrize("species, reason", DEGENERATE_MIXED.values(), ids=DEGENERATE_MIXED.keys())
+def test_degenerate_mixed_laws_are_refused_as_specs(species, reason):
+    # d1 = 0 stalls the sweep while the swapped order solves, and 2-cycles
+    # alone draw a real segment whose winding number is a rounding accident
+    params = MixedCycleParams(*species)
+    with pytest.raises(InvalidSpecError, match=reason):
+        mixed_cycle_boundary(params, 512)
+    # the large-degree closed form needs no seed and stays available
+    assert np.isfinite(mixed_cycle_asymptotic(params, 512).z).all()
+
+
 def test_mixed_asymptotic_rejects_empty_mixture():
     with pytest.raises(InvalidSpecError):
         MixedCycleParams(d1=0, k1=3, w1=1.0, d2=0, k2=4, w2=1.0)

@@ -144,7 +144,7 @@ def test_render_missing_file_exits_1(tmp_path, capsys):
 
 
 def test_calibrate_zero_target_is_zero():
-    assert calibrate_flip_prob(100, 3, 0.0, [1]) == 0.0
+    assert calibrate_flip_prob(100, 3, 0.0, [1]).flip_prob == 0.0
 
 
 def test_calibrate_unreachable_target_reports_range():
@@ -163,7 +163,7 @@ def _mean_strength(n, k, p, seeds):
 
 def test_calibrate_reaches_moderate_target():
     # the secant through the two ends lands within tolerance at its first probe
-    p = calibrate_flip_prob(300, 3, 0.3, [1, 2, 3])
+    p = calibrate_flip_prob(300, 3, 0.3, [1, 2, 3]).flip_prob
     assert p == pytest.approx(0.39386876393803105, rel=1e-9)
     assert abs(_mean_strength(300, 3, p, [1, 2, 3]) - 0.3) / 0.3 < 0.10
 
@@ -172,7 +172,7 @@ def test_calibrate_brackets_target_despite_sweep_noise():
     # at n = 120 the sweep noise (0.158) is half the target, so the bracket
     # is updated by the measured mean alone: a bracket picked with that
     # margin could have both ends below the target
-    p = calibrate_flip_prob(120, 3, 0.3, [1, 2, 3])
+    p = calibrate_flip_prob(120, 3, 0.3, [1, 2, 3]).flip_prob
     assert p == pytest.approx(0.40175450978668303, rel=1e-9)
     assert abs(_mean_strength(120, 3, p, [1, 2, 3]) - 0.3) / 0.3 < 0.10
 
@@ -183,7 +183,7 @@ def test_calibrate_keeps_sweep_point_within_tolerance():
     seeds = [1, 2, 3]
     r0, r1 = abs(_mean_strength(120, 3, 0.0, seeds)), _mean_strength(120, 3, 1.0, seeds)
     root = (0.15 - r0) / (r1 - r0)
-    p = calibrate_flip_prob(120, 3, 0.15, seeds)
+    p = calibrate_flip_prob(120, 3, 0.15, seeds).flip_prob
     assert p == pytest.approx(root, rel=1e-12)
     assert 0.02 < (0.15 - _mean_strength(120, 3, p, seeds)) / 0.15 < 0.07
 
@@ -363,6 +363,10 @@ _TINY_GRAPH = {"kind": "regular-cyclic", "n": 12, "d": 2, "k": 3}
          "verify-outputs-str", "verify-outputs-dir", "generate-outputs-str"],
 )
 def test_config_errors_exit_2(tmp_path, capsys, monkeypatch, argv, config):
+    _assert_exit_2_before_any_draw(tmp_path, capsys, monkeypatch, argv, config)
+
+
+def _assert_exit_2_before_any_draw(tmp_path, capsys, monkeypatch, argv, config):
     # a config error must surface before anything is drawn or written
     import trochoid.pipeline
 
@@ -380,6 +384,33 @@ def test_config_errors_exit_2(tmp_path, capsys, monkeypatch, argv, config):
     assert main(argv) == 2
     assert json.loads(capsys.readouterr().err)["error"]["type"] == "config"
     assert not (tmp_path / "curve.csv").exists()
+
+
+_DEGENERATE_MIXED = {
+    "d1-0-k4": (0, 4, 1.0, 3, 3, 1.0),
+    "d1-0-k3": (0, 3, 1.0, 4, 4, 1.0),
+    "segment-w0.5": (2, 2, 1.0, 0, 3, 0.5),
+    "segment-w1": (2, 2, 1.0, 0, 3, 1.0),
+}
+
+
+@pytest.mark.parametrize("route", ["boundary", "verify-auto", "verify-explicit"])
+@pytest.mark.parametrize("law", _DEGENERATE_MIXED.values(), ids=_DEGENERATE_MIXED.keys())
+def test_degenerate_mixed_law_exits_2(tmp_path, capsys, monkeypatch, law, route):
+    names = ("d1", "k1", "w1", "d2", "k2", "w2")
+    if route == "boundary":
+        argv = ["boundary", "--law", "mixed"]
+        for name, value in zip(names, law):
+            argv += [f"--{name}", str(value)]
+        _assert_exit_2_before_any_draw(tmp_path, capsys, monkeypatch, argv, None)
+        return
+    d1, k1, w1, d2, k2, w2 = law
+    species = [{"d": d1, "k": k1, "weight": w1}, {"d": d2, "k": k2, "weight": w2}]
+    config = {"ensemble": {"kind": "mixed-cyclic", "n": 24, "species": species}, "seeds": [1]}
+    if route == "verify-explicit":
+        config["ensemble"] = _TINY_GRAPH
+        config["boundary"] = {"law": "mixed", **dict(zip(names, law))}
+    _assert_exit_2_before_any_draw(tmp_path, capsys, monkeypatch, ["verify"], config)
 
 
 def test_calibrate_seed_list_skips_empty_entries(capsys):

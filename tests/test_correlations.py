@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from test_rng import per_node_flip_uniforms
 from trochoid.correlations import DenseCyclicSpec, generate_dense_cyclic, induce_cyclic_correlations
@@ -147,3 +149,42 @@ def test_dimension_mismatch_rejected():
 def test_non_square_rejected_at_construction():
     with pytest.raises(InvalidSpecError):
         DenseMatrix(np.zeros((3, 4)))
+
+
+@st.composite
+def _sweeps(draw):
+    k = draw(st.integers(3, 7))
+    n = draw(st.integers(k + 1, 40))
+    p = draw(st.floats(0.0, 1.0))
+    sign = draw(st.sampled_from([-1, 1]))
+    return DenseCyclicSpec(n=n, k=k, flip_prob=p, sign=sign), draw(st.integers(0, 2**64 - 1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_sweeps())
+def test_sweep_keeps_magnitudes_and_carries_its_trace(case):
+    spec, seed = case
+    base = generate_base_iid(spec.n, seed)
+    out = generate_dense_cyclic(spec, seed, base=base)
+    np.testing.assert_array_equal(np.abs(out.entries), np.abs(base.entries))
+    chain = np.trace(np.linalg.matrix_power(out.entries, spec.k))
+    # rounding scales with the walks' absolute weights, not with their sum,
+    # which cancels to ~1e-3 on some draws
+    walks = np.trace(np.linalg.matrix_power(np.abs(out.entries), spec.k))
+    if spec.flip_prob == 0.0:
+        assert out.power_trace is None  # no sweep: the moment runs the products
+    else:
+        assert out.power_trace[0] == spec.k
+        assert abs(out.power_trace[1] - chain) <= 1e-12 * walks
+    assert abs(trace_power_moment(out, spec.k) - chain / spec.n) <= 1e-12 * walks / spec.n
+
+
+def test_given_base_is_used_and_left_unchanged():
+    spec = DenseCyclicSpec(n=50, k=5, flip_prob=0.4)
+    base = generate_base_iid(50, seed=6)
+    kept = base.entries.copy()
+    out = generate_dense_cyclic(spec, 6, base=base)
+    np.testing.assert_array_equal(base.entries, kept)
+    fresh = generate_dense_cyclic(spec, 6)
+    np.testing.assert_array_equal(out.entries, fresh.entries)
+    assert out.power_trace == fresh.power_trace

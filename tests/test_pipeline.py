@@ -3,8 +3,12 @@ import json
 import numpy as np
 import pytest
 
+import trochoid.correlations
 import trochoid.pipeline
+from trochoid.correlations import DenseCyclicSpec, generate_dense_cyclic
+from trochoid.ensembles import DenseMatrix
 from trochoid.errors import CalibrationError, GenerationError, InvalidSpecError
+from trochoid.moments import trace_power_moment
 from trochoid.pipeline import calibrate_flip_prob, run_generate, run_verify
 
 # ensemble, per-seed moment orders, whether the kind predicts them, drawn by
@@ -191,21 +195,83 @@ def test_negative_target_calibrates_a_negative_ensemble():
     assert abs(rho + 0.2) < 0.10 * 0.2
 
 
+def test_calibrated_verify_reuses_the_calibration_draws(monkeypatch):
+    # seeds 1-3 come back from calibration's kept bases and sign bits, bit
+    # for bit the draws generate_dense_cyclic makes at the returned p; only
+    # seed 4 is generated after calibration
+    monkeypatch.setenv("TROCHOID_THREADS", "1")
+    generated, draws = [], {}
+    generate, spectrum_for = trochoid.pipeline.generate_dense_cyclic, trochoid.pipeline._spectrum_for
+
+    def recorded_generate(spec, seed, base=None):
+        generated.append((seed, base is not None))
+        return generate(spec, seed, base=base)
+
+    def recorded_spectrum_for(ens, seed):
+        spectrum, draws[seed] = spectrum_for(ens, seed)
+        return spectrum, draws[seed]
+
+    monkeypatch.setattr(trochoid.pipeline, "generate_dense_cyclic", recorded_generate)
+    monkeypatch.setattr(trochoid.pipeline, "_spectrum_for", recorded_spectrum_for)
+    ensemble = {"kind": "dense-cyclic", "n": 60, "k": 3, "target_rho": 0.3}
+    report = run_verify({"ensemble": ensemble, "seeds": [1, 2, 3, 4]})
+
+    p = report["calibration"]["flip_prob"]
+    assert 0.0 < p < 1.0
+    assert [seed for seed, based in generated if not based] == [4]
+    assert sorted(draws) == [1, 2, 3, 4]
+    for seed, draw in draws.items():
+        fresh = generate_dense_cyclic(DenseCyclicSpec(n=60, k=3, flip_prob=p), seed)
+        assert draw.entries.tobytes() == fresh.entries.tobytes()
+        assert draw.power_trace == fresh.power_trace
+    # the report's probes are calibration's: every measured p in order, ends first
+    probes = calibrate_flip_prob(60, 3, 0.3, [1, 2, 3]).probes
+    assert report["calibration"]["probes"] == [list(probe) for probe in probes]
+    assert [q for q, _ in probes][:2] == [0.0, 1.0]
+    assert p in [q for q, _ in probes]
+
+
+def test_calibration_draws_each_base_once(monkeypatch):
+    # calibration draws the bases; no probe regenerates one
+    calls = {"pipeline": [], "correlations": []}
+    for name, module in (("pipeline", trochoid.pipeline), ("correlations", trochoid.correlations)):
+        def counted(n, seed, _calls=calls[name], _base=module.generate_base_iid):
+            _calls.append(seed)
+            return _base(n, seed)
+
+        monkeypatch.setattr(module, "generate_base_iid", counted)
+    calibration = calibrate_flip_prob(60, 3, 0.3, [1, 2, 3])
+    assert len(calibration.probes) >= 3
+    assert calls == {"pipeline": [1, 2, 3], "correlations": []}
+    # each probe's mean is that of fresh draws at its p
+    for p, mean in calibration.probes:
+        spec = DenseCyclicSpec(n=60, k=3, flip_prob=p)
+        assert mean == np.mean([trace_power_moment(generate_dense_cyclic(spec, s), 3) for s in [1, 2, 3]])
+
+
+def test_symmetry_residual_is_skipped_above_its_cap(monkeypatch):
+    monkeypatch.setattr(trochoid.pipeline, "SYMMETRY_MAX_N", 20)
+    config = {"ensemble": {"kind": "regular-cyclic", "n": 30, "d": 2, "k": 3}, "seeds": [1]}
+    report = run_verify(config)
+    assert "symmetry_residual" not in report["seeds"][0]
+    assert "mean_symmetry_residual" not in report["aggregate"]
+
+
 def _stub_response(monkeypatch, response):
     """Make every calibration draw free: its strength is ``response(p, sign)``.
 
-    Returns the list the probed flip probabilities are appended to, one per draw.
+    The bases and draws are 1 x 1, whatever n says, and each draw carries
+    the response as its Tr M^k.  Returns the list the probed flip
+    probabilities are appended to, one per draw.
     """
     probes = []
 
-    def draw(spec, seed):
+    def draw(spec, seed, base=None):
         probes.append(spec.flip_prob)
-        return spec
+        return DenseMatrix(np.ones((1, 1)), power_trace=(spec.k, response(spec.flip_prob, spec.sign)))
 
+    monkeypatch.setattr(trochoid.pipeline, "generate_base_iid", lambda n, seed: DenseMatrix(np.ones((1, 1))))
     monkeypatch.setattr(trochoid.pipeline, "generate_dense_cyclic", draw)
-    monkeypatch.setattr(
-        trochoid.pipeline, "trace_power_moment", lambda spec, k: response(spec.flip_prob, spec.sign)
-    )
     return probes
 
 
@@ -217,7 +283,7 @@ _N = 10**6
 def test_calibration_probes_along_the_secant(monkeypatch, seeds):
     probes = _stub_response(monkeypatch, lambda p, sign: 0.5 * p)
     # the secant through the ends (0, 0) and (1, 0.5) hits 0.125 exactly at p = 0.25
-    assert calibrate_flip_prob(_N, 3, 0.125, seeds) == 0.25
+    assert calibrate_flip_prob(_N, 3, 0.125, seeds).flip_prob == 0.25
     # each probe draws every seed
     assert probes == [p for p in [0.0, 1.0, 0.25] for _ in seeds]
 
@@ -226,7 +292,7 @@ def test_calibration_steps_up_a_convex_response(monkeypatch):
     # p^2 is convex: each secant through the latest two points lands short
     # of the root p = 0.3 until it crosses; tolerance 0.07 * 0.09 = 0.0063
     probes = _stub_response(monkeypatch, lambda p, sign: p * p)
-    p = calibrate_flip_prob(_N, 3, 0.09, [1])
+    p = calibrate_flip_prob(_N, 3, 0.09, [1]).flip_prob
     expected = [0.0, 1.0, 0.09, 0.165137614679, 0.411003236246, 0.274016490595, 0.295789532009]
     assert probes == pytest.approx(expected, rel=1e-9)
     assert p == probes[-1]
@@ -247,7 +313,7 @@ def test_calibration_steps_up_a_convex_response(monkeypatch):
 )
 def test_calibration_falls_back_to_the_midpoint(monkeypatch, response, expected):
     probes = _stub_response(monkeypatch, lambda p, sign: response(p))
-    p = calibrate_flip_prob(_N, 3, 0.5, [1])
+    p = calibrate_flip_prob(_N, 3, 0.5, [1]).flip_prob
     assert probes == pytest.approx(expected, rel=1e-12)
     assert p == probes[-1]
 
@@ -260,7 +326,7 @@ def test_calibration_falls_back_to_the_midpoint(monkeypatch, response, expected)
 )
 def test_calibration_stops_at_an_end_within_tolerance(monkeypatch, offset, slope, target, expected):
     probes = _stub_response(monkeypatch, lambda p, sign: offset + slope * p)
-    assert calibrate_flip_prob(_N, 3, target, [1]) == expected
+    assert calibrate_flip_prob(_N, 3, target, [1]).flip_prob == expected
     assert probes == [0.0, 1.0]
 
 

@@ -69,6 +69,12 @@ def test_dimension_cap(monkeypatch):
         compute_eigenvalues(DenseMatrix(np.eye(10)))
 
 
+def test_symmetry_residual_cap(monkeypatch):
+    monkeypatch.setattr(trochoid.spectra, "SYMMETRY_MAX_N", 5)
+    with pytest.raises(InvalidSpecError, match="refusing n=10"):
+        rotation_symmetry_residual(compute_eigenvalues(DenseMatrix(np.eye(10))), 2)
+
+
 def test_outliers_on_regular_graph():
     g = generate_regular_cyclic(RegularCyclicSpec(n=300, d=2, k=3), seed=1)
     s = compute_eigenvalues(adjacency_matrix(g))
