@@ -2,9 +2,9 @@
 
 Configs are plain dicts (JSON-compatible).  Each ensemble kind is one row of
 ``_KINDS``, which says how to parse, draw and bound it and what to report.
-Seed-level work can run on a thread pool capped by the TROCHOID_THREADS
-environment variable; results are always assembled in seed order, so the cap
-never changes a report.  Reports are reproducible byte-for-byte for a fixed
+Seed-level work runs on a thread pool capped by the TROCHOID_THREADS
+environment variable, or in the calling thread when the cap is one; results
+are always assembled in seed order, so the cap never changes a report.  Reports are reproducible byte-for-byte for a fixed
 BLAS thread count.
 """
 
@@ -491,8 +491,16 @@ def run_verify(config: dict, out_dir: str | Path | None = None) -> dict:
     curve = None if fitted else boundary_for(ens, section, n_samples)
     ens = _calibrated(ens, seeds)
 
-    with ThreadPoolExecutor(max_workers=max_workers()) as pool:
-        outcomes = list(pool.map(_isolate(lambda seed: _measure_seed(ens, seed, exclude)), seeds))
+    task = _isolate(lambda seed: _measure_seed(ens, seed, exclude))
+    workers = max_workers()
+    if workers == 1:
+        # a one-worker pool overlaps nothing, and its thread frees its malloc
+        # arena only after the join returns: the next call's thread may then
+        # get a fresh arena, which the process keeps (peak RSS jumps at random)
+        outcomes = list(map(task, seeds))
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            outcomes = list(pool.map(task, seeds))
 
     entries = [o[3] for o in outcomes if not isinstance(o, Exception)]
     measured = [entry["measured_rho"] for entry in entries if "measured_rho" in entry]

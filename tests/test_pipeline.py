@@ -178,6 +178,17 @@ def test_seed_failure_is_isolated(monkeypatch, fail):
     )
 
 
+def test_one_worker_measures_seeds_without_a_pool(monkeypatch):
+    # a one-worker pool would only add a thread, and with it a malloc arena
+    def no_pool(*args, **kwargs):
+        raise AssertionError("started a thread pool for one worker")
+
+    monkeypatch.setenv("TROCHOID_THREADS", "1")
+    monkeypatch.setattr(trochoid.pipeline, "ThreadPoolExecutor", no_pool)
+    config = {"ensemble": {"kind": "regular-cyclic", "n": 30, "d": 2, "k": 3}, "seeds": [2, 1]}
+    assert [e["seed"] for e in run_verify(config)["seeds"]] == [2, 1]
+
+
 @pytest.mark.parametrize("n, exact", [(32, True), (30, False)])
 def test_symmetry_residual_is_exact_only_when_the_gcd_divides_n(n, exact):
     # 4-cycles stratify by gcd(n, 4) phase classes: 4 at n = 32, so the
