@@ -126,11 +126,14 @@ def _cmd_boundary(args) -> int:
         field = interior_density(params, grid)
         write_density_csv(field, args.density_out)
         # past the cusp some inside points lose the continued branch; their
-        # density is written as 0, so say how many
+        # density is written as 0, so say how many, and how many points the
+        # one-shot Newton solve left to the continuation
         no_branch = int((field.inside & np.isnan(field.h)).sum())
+        inside = int(field.inside.sum())
         print(
             f"wrote {args.density_out} (integral {field.integral():.4f}, "
-            f"no branch at {no_branch} of {int(field.inside.sum())} inside grid points)"
+            f"no branch at {no_branch} of {inside} inside grid points, "
+            f"continuation at {int(field.continued.sum())} of {inside} inside grid points)"
         )
     return 0
 

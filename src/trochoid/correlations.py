@@ -33,10 +33,12 @@ at p = 0 is not swept and carries no trace.
 The sweep consumes one independent random stream per edge, keyed by the
 edge alone, so a flip decision never depends on the sweep order or on n.
 The streams are read as one table per draw (``edge_flip_uniforms``), built
-before the sweep whenever p < 1.  The tests check the sweep against a
-from-scratch reference that rebuilds P at every node and draws each node's
-streams on its own; outputs match bit-for-bit whenever the aggregate signs
-do (ties at |w| ~ 1e-16 are the only way they can diverge).
+before the sweep whenever p < 1 unless the caller passes the one it holds
+(``flip_uniforms``; calibration sweeps each base at several p).  The tests
+check the sweep against a from-scratch reference that rebuilds P at every
+node and draws each node's streams on its own; outputs match bit-for-bit
+whenever the aggregate signs do (ties at |w| ~ 1e-16 are the only way they
+can diverge).
 """
 
 from __future__ import annotations
@@ -106,13 +108,18 @@ def _trace_growth(f: list[float]) -> float:
     return len(f) * g[-1]
 
 
-def _induce_fast(m: np.ndarray, spec: DenseCyclicSpec, seed: int) -> tuple[np.ndarray, float]:
+def _induce_fast(
+    m: np.ndarray, spec: DenseCyclicSpec, seed: int, uniforms: list | None
+) -> tuple[np.ndarray, float]:
     """Sweep ``m`` in place; returns it with its Tr M^k."""
     k = spec.k
     n = m.shape[0]
     v0 = k - 1
     trace = float(np.trace(np.linalg.matrix_power(m[:v0, :v0], k)))
-    uniforms = edge_flip_uniforms(seed, n) if spec.flip_prob < 1.0 else None
+    if spec.flip_prob == 1.0:
+        uniforms = None
+    elif uniforms is None:
+        uniforms = edge_flip_uniforms(seed, n)
     # q[m-2] holds diag(S^m), m = 2..k-2, padded out to full length n
     top = k - 2
     q = [np.empty(n) for _ in range(max(top - 1, 0))]
@@ -178,31 +185,43 @@ def _induce_fast(m: np.ndarray, spec: DenseCyclicSpec, seed: int) -> tuple[np.nd
     return m, trace
 
 
-def induce_cyclic_correlations(m: DenseMatrix, spec: DenseCyclicSpec, seed: int) -> DenseMatrix:
+def flip_uniforms(seed: int, n: int) -> list[np.ndarray]:
+    """The flip-uniform table that every sweep of an n x n draw of ``seed`` reads."""
+    return edge_flip_uniforms(normalize_seed(seed), n)
+
+
+def induce_cyclic_correlations(
+    m: DenseMatrix, spec: DenseCyclicSpec, seed: int, uniforms: list | None = None
+) -> DenseMatrix:
     """Return a copy of ``m`` with order-k cyclic correlations induced.
 
     The copy carries the Tr M^k the sweep accumulated as its ``power_trace``.
     At flip probability 0 no sign can change, so the copy is returned unswept
-    and without one.
+    and without one.  ``uniforms`` is ``flip_uniforms(seed, m.n)`` when the
+    caller already holds it.
     """
     if m.n != spec.n:
         raise InvalidSpecError(f"matrix dimension {m.n} does not match spec n={spec.n}")
     seed = normalize_seed(seed)
     if spec.flip_prob == 0.0:
         return m.copy()
-    entries, trace = _induce_fast(m.entries.copy(), spec, seed)
+    entries, trace = _induce_fast(m.entries.copy(), spec, seed, uniforms)
     return DenseMatrix(entries, power_trace=(spec.k, trace))
 
 
 def generate_dense_cyclic(
-    spec: DenseCyclicSpec, seed: int, base: DenseMatrix | None = None
+    spec: DenseCyclicSpec,
+    seed: int,
+    base: DenseMatrix | None = None,
+    uniforms: list | None = None,
 ) -> DenseMatrix:
     """Gaussian base matrix with order-k cyclic correlations induced.
 
-    ``base`` is ``generate_base_iid(spec.n, seed)`` when the caller already
-    holds it (calibration sweeps one base at several p); it is not modified.
+    ``base`` is ``generate_base_iid(spec.n, seed)`` and ``uniforms`` is
+    ``flip_uniforms(seed, spec.n)`` when the caller already holds them
+    (calibration sweeps one base at several p); neither is modified.
     """
     seed = normalize_seed(seed)
     if base is None:
         base = generate_base_iid(spec.n, seed)
-    return induce_cyclic_correlations(base, spec, seed)
+    return induce_cyclic_correlations(base, spec, seed, uniforms)

@@ -10,6 +10,16 @@ respect to z* gives d h / d z* = 1 / (1 - |g'(h)|^2), where
 g(h) = sum_k rho_k * h^(k-1), so the density per unit area,
 (1/pi) * d h / d z*, needs h at the point itself only.  The support edge is
 characterized by |h| = 1.
+
+Below the cusp threshold, L = sum_k |rho_k| (k-1) < 1, that branch needs no
+continuation where a root is found in the unit disk: there |g'| <= L, so
+Phi(h) = conj(h) + g(h) satisfies |Phi(h1) - Phi(h2)| >= (1 - L) |h1 - h2|,
+and a point inside the support has exactly one root with |h| < 1, the one
+the continuation tracks.  ``interior_density`` therefore runs one Newton
+solve at full strength on every inside point and keeps each root that
+converges with |h| < 1; only the rest (the solve stalled, or landed on a
+root outside the disk) are continued.  Past the threshold every inside
+point is continued.
 """
 
 from __future__ import annotations
@@ -58,6 +68,7 @@ class DensityField:
     mu: np.ndarray  # shape (len(ys), len(xs))
     inside: np.ndarray
     h: np.ndarray
+    continued: np.ndarray  # inside points the one-shot Newton solve did not certify
 
     def grid(self) -> np.ndarray:
         return self.xs[None, :] + 1j * self.ys[:, None]
@@ -87,20 +98,23 @@ def _slope(h: np.ndarray, terms, scale: float) -> np.ndarray:
     return dfh
 
 
-def _solve_branch(z: np.ndarray, params: PolytrochoidParams) -> tuple[np.ndarray, np.ndarray]:
+def _solve_branch(
+    z: np.ndarray, params: PolytrochoidParams, steps: int = _CONTINUATION_STEPS
+) -> tuple[np.ndarray, np.ndarray]:
     """Continue h from the uncorrelated solution conj(z) on an array of points.
 
-    Returns (h, ok).  Points whose Newton iteration diverges, stalls, or hits
-    a fold (singular linearization) are marked not-ok.  Each point's
-    arithmetic is elementwise, so its result does not depend on the other
-    points in ``z``.
+    The correlations are switched on in ``steps`` equal steps; one step is a
+    plain Newton solve at full strength from conj(z).  Returns (h, ok).
+    Points whose Newton iteration diverges, stalls, or hits a fold (singular
+    linearization) are marked not-ok.  Each point's arithmetic is
+    elementwise, so its result does not depend on the other points in ``z``.
     """
     terms = _terms(params)
     flat_z = np.asarray(z, dtype=complex).ravel()
     h = np.conj(flat_z)
     ok = np.ones(h.shape, dtype=bool)
-    for step in range(1, _CONTINUATION_STEPS + 1):
-        scale = step / _CONTINUATION_STEPS
+    for step in range(1, steps + 1):
+        scale = step / steps
         for _ in range(_NEWTON_MAX_ITER):
             f = _residual(h, flat_z, terms, scale)
             live = ok & (np.abs(f) >= _NEWTON_TOL)
@@ -129,6 +143,12 @@ def interior_density(params: PolytrochoidParams, grid_spec: GridSpec = GridSpec(
     The support is bounded by ``dense_polytrochoid(params)``.  The branch is
     solved only at grid points inside that curve, and mu there is the exact
     1 / (pi * (1 - |g'(h)|^2)); see ``DensityField``.
+
+    Below the cusp threshold (see the module docstring) a point whose
+    one-shot Newton root converges with |h| < 1 keeps it, since that root is
+    the only one in the unit disk.  The other points, and every inside point
+    of a law past the threshold, take the full continuation;
+    ``DensityField.continued`` marks them.
     """
     poly = dense_polytrochoid(params).polygon()
     xlo, xhi = poly.real.min(), poly.real.max()
@@ -142,11 +162,22 @@ def interior_density(params: PolytrochoidParams, grid_spec: GridSpec = GridSpec(
     zgrid = xs[None, :] + 1j * ys[:, None]
     inside = contains(zgrid.ravel(), poly).reshape(zgrid.shape)
 
-    h_in, ok = _solve_branch(zgrid[inside], params)
-    slope = np.abs(_slope(h_in, _terms(params), 1.0))
+    terms = _terms(params)
+    z_in = zgrid[inside]
+    if sum(abs(rho) * (k - 1) for k, rho in terms) < 1.0:  # below the cusp threshold
+        h_in, ok = _solve_branch(z_in, params, steps=1)
+        ok &= np.abs(h_in) < 1.0  # the only root in the unit disk: the branch
+    else:
+        h_in, ok = np.empty_like(z_in), np.zeros(z_in.shape, dtype=bool)
+    uncertified = ~ok
+    if uncertified.any():
+        h_in[uncertified], ok[uncertified] = _solve_branch(z_in[uncertified], params)
+    slope = np.abs(_slope(h_in, terms, 1.0))
     ok &= slope < 1.0  # past the fold there is no branch
     h = np.full(zgrid.shape, np.nan + 0j)
     h[inside] = np.where(ok, h_in, np.nan)
     mu = np.zeros(zgrid.shape)
     mu[inside] = np.divide(1.0, np.pi * (1.0 - slope**2), out=np.zeros(slope.shape), where=ok)
-    return DensityField(xs=xs, ys=ys, mu=mu, inside=inside, h=h)
+    continued = np.zeros(zgrid.shape, dtype=bool)
+    continued[inside] = uncertified
+    return DensityField(xs=xs, ys=ys, mu=mu, inside=inside, h=h, continued=continued)

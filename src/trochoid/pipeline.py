@@ -33,7 +33,7 @@ from .boundaries import (
     mixed_cycle_boundary,
     sparse_hypotrochoid,
 )
-from .correlations import DenseCyclicSpec, generate_dense_cyclic
+from .correlations import DenseCyclicSpec, flip_uniforms, generate_dense_cyclic
 from .digraphs import (
     CycleSpecies,
     MixedCyclicSpec,
@@ -695,8 +695,8 @@ def calibrate_flip_prob(n: int, k: int, target_rho: float, seeds: list[int]) -> 
     mean over ``seeds`` is within ``_CALIBRATION_TOLERANCE`` (relative) of
     the target; an end that already is one is kept, the upper end on a tie.
 
-    Each seed's base matrix is drawn once and swept at every p; a swept
-    draw's strength is the Tr M^k its sweep accumulated.
+    Each seed's base matrix and flip-uniform table are built once and swept
+    at every p; a swept draw's strength is the Tr M^k its sweep accumulated.
     """
     if not seeds:
         raise ConfigError("calibration needs at least one seed")
@@ -708,13 +708,14 @@ def calibrate_flip_prob(n: int, k: int, target_rho: float, seeds: list[int]) -> 
     target = abs(target_rho)
     tolerance = _CALIBRATION_TOLERANCE * target
     bases = {seed: generate_base_iid(n, seed) for seed in seeds}
+    tables = {seed: flip_uniforms(seed, base.n) for seed, base in bases.items()}
     probes: list[tuple[float, float]] = []
 
     def measure(p: float) -> _Point:
         spec = replace(unswept, flip_prob=p)
         vals, draws = [], {}
         for seed in seeds:
-            draw = generate_dense_cyclic(spec, seed, base=bases[seed])
+            draw = generate_dense_cyclic(spec, seed, base=bases[seed], uniforms=tables[seed])
             vals.append(trace_power_moment(draw, k))
             draws[seed] = _KeptDraw.of(bases[seed], draw)
         probes.append((p, float(np.mean(vals))))

@@ -299,15 +299,27 @@ def test_boundary_density_output(tmp_path, capsys):
     ])
     assert rc == 0
     assert dens.read_text().splitlines()[0] == "re,im,mu"
-    assert "no branch at 0 of " in capsys.readouterr().out
-    # past the cusp some inside points have no continued branch
+    printed = capsys.readouterr().out
+    assert "no branch at 0 of " in printed
+    assert "continuation at 0 of " in printed  # below the cusp every point is certified
+    # past the cusp some inside points have no continued branch, and every
+    # inside point takes the continuation
     rc = main([
         "boundary", "--law", "poly", "--term", "3:0.55",
         "--out", str(out), "--density-out", str(dens), "--density-resolution", "64",
     ])
     assert rc == 0
-    missing, inside = map(int, re.search(r"no branch at (\d+) of (\d+) inside", capsys.readouterr().out).groups())
+    printed = capsys.readouterr().out
+    missing, inside = map(int, re.search(r"no branch at (\d+) of (\d+) inside", printed).groups())
     assert 0 < missing < inside
+    assert f"continuation at {inside} of {inside} inside grid points" in printed
+    # below the cusp, the points the one-shot solve did not certify
+    rc = main([
+        "boundary", "--law", "poly", "--term", "4:0.3",
+        "--out", str(out), "--density-out", str(dens), "--density-resolution", "64",
+    ])
+    assert rc == 0
+    assert "no branch at 0 of 638 inside grid points, continuation at 16 of 638" in capsys.readouterr().out
     rc = main([
         "boundary", "--law", "sparse", "--d-hat", "1", "--k", "3",
         "--out", str(out), "--density-out", str(dens),

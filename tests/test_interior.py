@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trochoid.boundaries import PolytrochoidParams, dense_polytrochoid
 from trochoid.errors import InvalidSpecError
@@ -175,10 +177,13 @@ def test_density_matches_finite_difference_oracle(terms):
         _, mu_ref, ok_ref = _fixed_point(complex(z), params)
         assert ok_ref
         assert mu == pytest.approx(mu_ref, rel=1e-8)
-    # h is the branch solved inside only; outside the support there is none
+    # h is the branch solved inside only; outside the support there is none.
+    # Below the cusp it is the one root in the unit disk, which the
+    # continuation reaches too, up to rounding
     h, ok = _solve_branch(grid, params)
     assert ok[field.inside].all()
-    np.testing.assert_array_equal(field.h[field.inside].view(np.uint64), h[field.inside].view(np.uint64))
+    assert (np.abs(field.h[field.inside]) < 1.0).all()
+    np.testing.assert_allclose(field.h[field.inside], h[field.inside], rtol=0, atol=1e-10)
     assert np.isnan(field.h[~field.inside]).all()
 
 
@@ -186,11 +191,56 @@ def test_density_matches_finite_difference_oracle(terms):
 def test_density_past_the_fold_has_no_branch(terms):
     # a point whose Newton iterate crossed the fold (|g'(h)| >= 1) without a
     # singular step is not on the continued branch: mu = 0, h = NaN
-    field = interior_density(PolytrochoidParams(terms), GridSpec(resolution=128))
+    params = PolytrochoidParams(terms)
+    field = interior_density(params, GridSpec(resolution=128))
     assert (field.mu >= 0).all()
     no_density = field.inside & (field.mu == 0)
     assert no_density.any()
     assert np.isnan(field.h[no_density]).all()
+    # sum |rho_k| (k-1) >= 1: no point is certified, every branch is the continued one
+    np.testing.assert_array_equal(field.continued, field.inside)
+    branch = field.inside & ~no_density
+    h, _ = _solve_branch(field.grid(), params)
+    np.testing.assert_array_equal(field.h[branch].view(np.uint64), h[branch].view(np.uint64))
+
+
+def test_uncertified_points_take_the_continued_branch():
+    # at these points the one-shot Newton solve converges to a root outside
+    # the unit disk (a root the continuation never reaches); the |h| < 1
+    # check hands them to the continuation, which finds the one inside
+    params = PolytrochoidParams({4: 0.3})
+    field = interior_density(params, GridSpec(resolution=64))
+    assert field.inside.sum() == 638
+    assert field.continued.sum() == 16
+    assert np.isfinite(field.h[field.inside]).all()
+    h, ok = _solve_branch(field.grid(), params)
+    at = field.continued
+    assert ok[at].all()
+    np.testing.assert_array_equal(field.h[at].view(np.uint64), h[at].view(np.uint64))
+    assert (np.abs(field.h[at]) < 1.0).all()
+
+
+@st.composite
+def _certified_laws(draw):
+    """1-3 terms of orders 2-7, either sign, with sum |rho_k| (k-1) <= 0.95."""
+    orders = draw(st.lists(st.integers(2, 7), min_size=1, max_size=3, unique=True))
+    shares = [draw(st.sampled_from([-1.0, 1.0])) * draw(st.floats(0.05, 1.0)) for _ in orders]
+    total = sum(abs(w) * (k - 1) for k, w in zip(orders, shares))
+    scale = draw(st.floats(0.0, 0.95)) / total
+    return PolytrochoidParams({k: w * scale for k, w in zip(orders, shares)})
+
+
+@settings(max_examples=50, deadline=None)
+@given(params=_certified_laws())
+def test_certified_density_is_the_disk_root(params):
+    field = interior_density(params, GridSpec(resolution=32))
+    grid = field.grid()[field.inside]
+    h = field.h[field.inside]
+    assert np.isfinite(h).all()
+    assert (np.abs(h) < 1.0).all()
+    assert (np.abs(_residual(h, grid, _terms(params), 1.0)) <= 1e-10).all()
+    h_ref, ok = _solve_branch(grid, params)
+    np.testing.assert_allclose(h[ok], h_ref[ok], rtol=0, atol=1e-9)
 
 
 def test_grid_spec_rejects_coarse_resolution():

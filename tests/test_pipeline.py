@@ -214,9 +214,9 @@ def test_calibrated_verify_reuses_the_calibration_draws(monkeypatch):
     generated, draws = [], {}
     generate, spectrum_for = trochoid.pipeline.generate_dense_cyclic, trochoid.pipeline._spectrum_for
 
-    def recorded_generate(spec, seed, base=None):
+    def recorded_generate(spec, seed, base=None, uniforms=None):
         generated.append((seed, base is not None))
-        return generate(spec, seed, base=base)
+        return generate(spec, seed, base=base, uniforms=uniforms)
 
     def recorded_spectrum_for(ens, seed):
         spectrum, draws[seed] = spectrum_for(ens, seed)
@@ -260,6 +260,21 @@ def test_calibration_draws_each_base_once(monkeypatch):
         assert mean == np.mean([trace_power_moment(generate_dense_cyclic(spec, s), 3) for s in [1, 2, 3]])
 
 
+def test_calibration_builds_each_flip_table_once(monkeypatch):
+    # the table depends only on (seed, n), so every probe of a seed reads the
+    # one built beside its base, through the global every sweep calls
+    built = []
+
+    def counted(seed, n, _table=trochoid.correlations.edge_flip_uniforms):
+        built.append((seed, n))
+        return _table(seed, n)
+
+    monkeypatch.setattr(trochoid.correlations, "edge_flip_uniforms", counted)
+    calibration = calibrate_flip_prob(60, 3, 0.3, [1, 2, 3])
+    assert sum(0.0 < p < 1.0 for p, _ in calibration.probes) >= 2
+    assert built == [(1, 60), (2, 60), (3, 60)]
+
+
 def test_symmetry_residual_is_skipped_above_its_cap(monkeypatch):
     monkeypatch.setattr(trochoid.pipeline, "SYMMETRY_MAX_N", 20)
     config = {"ensemble": {"kind": "regular-cyclic", "n": 30, "d": 2, "k": 3}, "seeds": [1]}
@@ -277,7 +292,7 @@ def _stub_response(monkeypatch, response):
     """
     probes = []
 
-    def draw(spec, seed, base=None):
+    def draw(spec, seed, base=None, uniforms=None):
         probes.append(spec.flip_prob)
         return DenseMatrix(np.ones((1, 1)), power_trace=(spec.k, response(spec.flip_prob, spec.sign)))
 
