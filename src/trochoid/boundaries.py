@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ContinuationError, InvalidSpecError
+from .errors import ContinuationError, InvalidSpecError, require_finite
 from .geometry import winding_numbers
 
 MIN_CURVE_SAMPLES = 512
@@ -28,6 +28,7 @@ class HypotrochoidParams:
     rho: float
 
     def __post_init__(self):
+        require_finite(rho=self.rho)
         if self.k < 2:
             raise InvalidSpecError(f"order must be >= 2, got {self.k}")
 
@@ -41,7 +42,8 @@ class PolytrochoidParams:
     def __post_init__(self):
         if not self.terms:
             raise InvalidSpecError("at least one correlation term is required")
-        for k in self.terms:
+        for k, rho in self.terms.items():
+            require_finite(**{f"rho_{k}": rho})
             if k < 2:
                 raise InvalidSpecError(f"order must be >= 2, got {k}")
 
@@ -61,6 +63,7 @@ class SparseCyclicParams:
     t: float = field(init=False)
 
     def __post_init__(self):
+        require_finite(d_hat=self.d_hat, weight=self.weight)
         if self.d_hat <= 0:
             raise InvalidSpecError(f"d_hat must be positive, got {self.d_hat}")
         if self.k < 2:
@@ -80,6 +83,7 @@ class MixedCycleParams:
     w2: float
 
     def __post_init__(self):
+        require_finite(d1=self.d1, w1=self.w1, d2=self.d2, w2=self.w2)
         for k in (self.k1, self.k2):
             if k < 2:
                 raise InvalidSpecError(f"cycle length must be >= 2, got {k}")

@@ -159,8 +159,11 @@ def _cmd_render(args) -> int:
 
 def _cmd_calibrate(args) -> int:
     seeds = _int_list(args.seeds, "--seeds") if args.seeds else [1, 2, 3]
-    p = calibrate_flip_prob(args.n, args.k, args.target_rho, seeds).flip_prob
-    print(json.dumps({"flip_prob": p, "n": args.n, "k": args.k, "target_rho": args.target_rho}))
+    calibration = calibrate_flip_prob(args.n, args.k, args.target_rho, seeds)
+    print(json.dumps({
+        "flip_prob": calibration.flip_prob, "n": args.n, "k": args.k, "target_rho": args.target_rho,
+        "probes": [list(probe) for probe in calibration.probes],
+    }))
     return 0
 
 

@@ -29,7 +29,7 @@ from math import gcd
 import numpy as np
 
 from .ensembles import SparseDigraph
-from .errors import GenerationError, InvalidSpecError
+from .errors import GenerationError, InvalidSpecError, require_finite
 from .rng import TAG_GRAPH, Stream, normalize_seed
 
 
@@ -43,6 +43,7 @@ class RegularCyclicSpec:
     weight: float = 1.0
 
     def __post_init__(self):
+        require_finite(weight=self.weight)
         if self.d < 1:
             raise InvalidSpecError(f"cycles per node must be >= 1, got {self.d}")
         if self.k < 2:
@@ -80,6 +81,7 @@ class PoissonCyclicSpec:
     stratified: bool = True
 
     def __post_init__(self):
+        require_finite(mean_degree=self.mean_degree, weight=self.weight)
         if self.mean_degree <= 0:
             raise InvalidSpecError(f"mean degree must be positive, got {self.mean_degree}")
         if self.k < 2:
@@ -103,6 +105,7 @@ class CycleSpecies:
     weight: float = 1.0
 
     def __post_init__(self):
+        require_finite(weight=self.weight)
         if self.d < 0:
             raise InvalidSpecError(f"cycles per node must be >= 0, got {self.d}")
         if self.k < 2:

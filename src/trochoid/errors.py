@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from math import isfinite
+
 
 class TrochoidError(Exception):
     """Base class for all errors raised by this package."""
@@ -9,6 +11,13 @@ class TrochoidError(Exception):
 
 class InvalidSpecError(TrochoidError):
     """A generator or law was given parameters that violate its contract."""
+
+
+def require_finite(**values: float) -> None:
+    """Raise InvalidSpecError naming the first of ``values`` that is NaN or infinite."""
+    for name, value in values.items():
+        if not isfinite(value):
+            raise InvalidSpecError(f"{name} must be finite, got {value}")
 
 
 class GenerationError(TrochoidError):

@@ -148,7 +148,9 @@ def interior_density(params: PolytrochoidParams, grid_spec: GridSpec = GridSpec(
     one-shot Newton root converges with |h| < 1 keeps it, since that root is
     the only one in the unit disk.  The other points, and every inside point
     of a law past the threshold, take the full continuation;
-    ``DensityField.continued`` marks them.
+    ``DensityField.continued`` marks them.  Below the threshold a continued
+    root outside the disk puts its point outside the support, though inside
+    the sampled curve, so the point is not counted inside.
     """
     poly = dense_polytrochoid(params).polygon()
     xlo, xhi = poly.real.min(), poly.real.max()
@@ -164,7 +166,8 @@ def interior_density(params: PolytrochoidParams, grid_spec: GridSpec = GridSpec(
 
     terms = _terms(params)
     z_in = zgrid[inside]
-    if sum(abs(rho) * (k - 1) for k, rho in terms) < 1.0:  # below the cusp threshold
+    below_cusp = sum(abs(rho) * (k - 1) for k, rho in terms) < 1.0
+    if below_cusp:
         h_in, ok = _solve_branch(z_in, params, steps=1)
         ok &= np.abs(h_in) < 1.0  # the only root in the unit disk: the branch
     else:
@@ -172,6 +175,12 @@ def interior_density(params: PolytrochoidParams, grid_spec: GridSpec = GridSpec(
     uncertified = ~ok
     if uncertified.any():
         h_in[uncertified], ok[uncertified] = _solve_branch(z_in[uncertified], params)
+    if below_cusp:
+        # where the curve bends inward, the sampled polygon's chords pass
+        # outside it: a point there has its branch outside the disk
+        keep = ~ok | (np.abs(h_in) < 1.0)
+        inside[inside] = keep
+        h_in, ok, uncertified = h_in[keep], ok[keep], uncertified[keep]
     slope = np.abs(_slope(h_in, terms, 1.0))
     ok &= slope < 1.0  # past the fold there is no branch
     h = np.full(zgrid.shape, np.nan + 0j)

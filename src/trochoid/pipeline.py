@@ -91,7 +91,7 @@ def _config_errors(section: str):
         raise ConfigError(f"{section} section missing field {exc}") from exc
     except InvalidSpecError as exc:
         raise ConfigError(str(exc)) from exc
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"bad {section} field: {exc}") from exc
 
 
@@ -105,7 +105,7 @@ class Ensemble:
     ``spec`` is the generator's spec (the dimension n for dense-iid).
     ``target_rho`` is set when a dense-cyclic section asks for a correlation
     strength instead of a flip probability; ``_calibrated`` resolves it and
-    sets ``calibration``, whose kept draws ``_draw`` hands out.
+    sets ``calibration``, whose draws at the chosen p ``_draw`` hands out.
     """
 
     kind: str
@@ -299,9 +299,9 @@ def _calibrated(ens: Ensemble, seeds: list[int]) -> Ensemble:
 
 
 def _draw(ens: Ensemble, seed: int) -> DenseMatrix | SparseDigraph:
-    """The ensemble's draw at ``seed``: calibration's draw if it kept one, else a new one."""
-    kept = ens.calibration.take(seed) if ens.calibration is not None else None
-    return kept if kept is not None else _KINDS[ens.kind].draw(ens.spec, seed)
+    """The ensemble's draw at ``seed``: calibration's draw if it made one, else a new one."""
+    made = ens.calibration.draws.pop(seed, None) if ens.calibration is not None else None
+    return made if made is not None else _KINDS[ens.kind].draw(ens.spec, seed)
 
 
 def _flip_prob(ens: Ensemble) -> float | None:
@@ -477,8 +477,8 @@ def run_verify(config: dict, out_dir: str | Path | None = None) -> dict:
     with _config_errors("config"):
         inflation = float(config.get("inflation", 0.03))
         n_samples = int(config.get("samples", 1024))
-    if not inflation >= 0:
-        raise ConfigError(f"inflation must be >= 0, got {inflation}")
+    if not (isfinite(inflation) and inflation >= 0):
+        raise ConfigError(f"inflation must be finite and >= 0, got {inflation}")
     if n_samples < MIN_CURVE_SAMPLES:
         raise ConfigError(f"samples must be >= {MIN_CURVE_SAMPLES}, got {n_samples}")
     exclude = bool(config.get("exclude_outliers", True))
@@ -633,52 +633,22 @@ _CALIBRATION_MAX_PROBES = 18
 
 
 @dataclass(frozen=True)
-class _KeptDraw:
-    """A calibration draw kept as its base and the sign bits its sweep left.
-
-    The sweep changes signs only, so these two give the draw back bit for bit.
-    """
-
-    base: DenseMatrix
-    negative: np.ndarray  # np.packbits of the draw's sign bits, row-major
-    power_trace: tuple[int, float] | None
-
-    @classmethod
-    def of(cls, base: DenseMatrix, draw: DenseMatrix) -> _KeptDraw:
-        return cls(base, np.packbits(np.signbit(draw.entries)), draw.power_trace)
-
-    def restore(self) -> DenseMatrix:
-        """The draw, made in place from the base, which it uses up."""
-        e = self.base.entries
-        negative = np.unpackbits(self.negative, count=e.size).view(bool).reshape(e.shape)
-        np.abs(e, out=e)
-        np.copysign(e, -1.0, out=e, where=negative)
-        return DenseMatrix(e, power_trace=self.power_trace)
-
-
-@dataclass(frozen=True)
 class Calibration:
     """What ``calibrate_flip_prob`` measured and found.
 
     ``probes`` holds (p, mean strength) for every p measured, in order, the
-    two ends first.  ``draws`` keeps each calibration seed's draw at
-    ``flip_prob``; ``take`` hands each one out once.
+    two ends first.  ``draws`` holds each calibration seed's draw at
+    ``flip_prob``; the runners pop each one and use it in place of a new draw.
     """
 
     flip_prob: float
     probes: tuple[tuple[float, float], ...] = ()
-    draws: dict[int, _KeptDraw] = field(default_factory=dict, repr=False, compare=False)
-
-    def take(self, seed: int) -> DenseMatrix | None:
-        """The draw at ``flip_prob`` for ``seed``, if kept and not taken yet."""
-        kept = self.draws.pop(seed, None)
-        return None if kept is None else kept.restore()
+    draws: dict[int, DenseMatrix] = field(default_factory=dict, repr=False, compare=False)
 
 
 class _Point(NamedTuple):
     p: float
     rho: float  # |mean strength| over the calibration seeds
-    draws: dict[int, _KeptDraw]
 
 
 def calibrate_flip_prob(n: int, k: int, target_rho: float, seeds: list[int]) -> Calibration:
@@ -710,16 +680,14 @@ def calibrate_flip_prob(n: int, k: int, target_rho: float, seeds: list[int]) -> 
     bases = {seed: generate_base_iid(n, seed) for seed in seeds}
     tables = {seed: flip_uniforms(seed, base.n) for seed, base in bases.items()}
     probes: list[tuple[float, float]] = []
+    latest: dict[int, DenseMatrix] = {}  # the draws at the last p measured
 
     def measure(p: float) -> _Point:
         spec = replace(unswept, flip_prob=p)
-        vals, draws = [], {}
         for seed in seeds:
-            draw = generate_dense_cyclic(spec, seed, base=bases[seed], uniforms=tables[seed])
-            vals.append(trace_power_moment(draw, k))
-            draws[seed] = _KeptDraw.of(bases[seed], draw)
-        probes.append((p, float(np.mean(vals))))
-        return _Point(p, abs(probes[-1][1]), draws)
+            latest[seed] = generate_dense_cyclic(spec, seed, base=bases[seed], uniforms=tables[seed])
+        probes.append((p, float(np.mean([trace_power_moment(latest[s], k) for s in seeds]))))
+        return _Point(p, abs(probes[-1][1]))
 
     # the bracket ends and the latest probes
     lo, hi = measure(0.0), measure(1.0)
@@ -764,4 +732,7 @@ def calibrate_flip_prob(n: int, k: int, target_rho: float, seeds: list[int]) -> 
             f"calibration did not converge: best gap {gap(best):.4f} at p={best.p:.4f}",
             achievable=ends,
         )
-    return Calibration(best.p, tuple(probes), best.draws)
+    # best only ever becomes the probe just measured, and the loop stops once
+    # one is within tolerance: the answer is the last p measured, or the
+    # unswept p = 0 end, whose draws are the bases themselves
+    return Calibration(best.p, tuple(probes), bases if best.p == 0.0 else latest)

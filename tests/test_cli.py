@@ -395,7 +395,28 @@ def _assert_exit_2_before_any_draw(tmp_path, capsys, monkeypatch, argv, config):
         argv = argv + ["--config", _write_config(tmp_path, config)]
     assert main(argv) == 2
     assert json.loads(capsys.readouterr().err)["error"]["type"] == "config"
-    assert not (tmp_path / "curve.csv").exists()
+    assert [f.name for f in tmp_path.iterdir()] in ([], ["config.json"])
+
+
+@pytest.mark.parametrize(
+    "argv, config",
+    [
+        (["boundary", "--law", "sparse", "--d-hat", "nan", "--k", "3"], None),
+        (["boundary", "--law", "dense", "--k", "3", "--rho", "nan"], None),
+        (["boundary", "--law", "poly", "--term", "2:inf", "--density-out", "d.csv"], None),
+        (["boundary", "--law", "mixed", "--d1", "4", "--k1", "3", "--d2", "4", "--k2", "4", "--w2", "inf"], None),
+        (["verify"], {"ensemble": {"kind": "poisson-cyclic", "n": 30, "mean_degree": float("inf"), "k": 3}, "seeds": [1]}),
+        (["verify"], {"ensemble": {**_TINY_GRAPH, "weight": float("nan")}, "seeds": [1]}),
+        (["verify"], {"ensemble": {"kind": "mixed-cyclic", "n": 24, "species": [
+            {"d": 2, "k": 3}, {"d": 1, "k": 4, "weight": float("inf")}]}, "seeds": [1]}),
+        (["verify"], {"ensemble": {**_TINY_GRAPH, "d": float("inf")}, "seeds": [1]}),
+        (["verify", "--preset", "fig3-bottom", "--inflation", "inf"], None),
+    ],
+    ids=["sparse-dhat-nan", "dense-rho-nan", "poly-rho-inf", "mixed-w2-inf", "poisson-degree-inf",
+         "regular-weight-nan", "mixed-weight-inf", "regular-d-inf", "inflation-inf"],
+)
+def test_non_finite_numbers_exit_2(tmp_path, capsys, monkeypatch, argv, config):
+    _assert_exit_2_before_any_draw(tmp_path, capsys, monkeypatch, argv, config)
 
 
 _DEGENERATE_MIXED = {
@@ -428,7 +449,15 @@ def test_degenerate_mixed_law_exits_2(tmp_path, capsys, monkeypatch, law, route)
 def test_calibrate_seed_list_skips_empty_entries(capsys):
     # --seeds is parsed as in every other subcommand, so a trailing comma is dropped
     assert main(["calibrate", "--n", "20", "--k", "3", "--target-rho", "0", "--seeds", "1,2,"]) == 0
-    assert json.loads(capsys.readouterr().out)["flip_prob"] == 0.0
+    assert json.loads(capsys.readouterr().out) == {
+        "flip_prob": 0.0, "n": 20, "k": 3, "target_rho": 0.0, "probes": []
+    }
+    # the printed probes are calibration's, as a calibrated verify report lists them
+    assert main(["calibrate", "--n", "60", "--k", "3", "--target-rho", "0.3", "--seeds", "1,2,3,"]) == 0
+    printed = json.loads(capsys.readouterr().out)
+    calibration = calibrate_flip_prob(60, 3, 0.3, [1, 2, 3])
+    assert printed["flip_prob"] == calibration.flip_prob
+    assert printed["probes"] == [list(probe) for probe in calibration.probes]
 
 
 def test_import_leaves_scipy_optimize_unloaded():

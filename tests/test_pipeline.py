@@ -206,10 +206,16 @@ def test_negative_target_calibrates_a_negative_ensemble():
     assert abs(rho + 0.2) < 0.10 * 0.2
 
 
-def test_calibrated_verify_reuses_the_calibration_draws(monkeypatch):
-    # seeds 1-3 come back from calibration's kept bases and sign bits, bit
-    # for bit the draws generate_dense_cyclic makes at the returned p; only
-    # seed 4 is generated after calibration
+@pytest.mark.parametrize(
+    "target, settles",
+    # the ends' mean strengths at n = 60, seeds 1-3, are -0.022441 and 0.721831
+    [(0.022441, 0.0), (0.721831, 1.0), (0.3, None)],
+    ids=["unswept-end", "upper-end", "interior-probe"],
+)
+def test_calibrated_verify_reuses_the_calibration_draws(monkeypatch, target, settles):
+    # seeds 1-3 are calibration's draws at the returned p (the bases at the
+    # unswept end), bit for bit the draws generate_dense_cyclic makes there;
+    # only seed 4 is generated after calibration
     monkeypatch.setenv("TROCHOID_THREADS", "1")
     generated, draws = [], {}
     generate, spectrum_for = trochoid.pipeline.generate_dense_cyclic, trochoid.pipeline._spectrum_for
@@ -224,11 +230,11 @@ def test_calibrated_verify_reuses_the_calibration_draws(monkeypatch):
 
     monkeypatch.setattr(trochoid.pipeline, "generate_dense_cyclic", recorded_generate)
     monkeypatch.setattr(trochoid.pipeline, "_spectrum_for", recorded_spectrum_for)
-    ensemble = {"kind": "dense-cyclic", "n": 60, "k": 3, "target_rho": 0.3}
+    ensemble = {"kind": "dense-cyclic", "n": 60, "k": 3, "target_rho": target}
     report = run_verify({"ensemble": ensemble, "seeds": [1, 2, 3, 4]})
 
     p = report["calibration"]["flip_prob"]
-    assert 0.0 < p < 1.0
+    assert p == settles if settles is not None else 0.0 < p < 1.0
     assert [seed for seed, based in generated if not based] == [4]
     assert sorted(draws) == [1, 2, 3, 4]
     for seed, draw in draws.items():
@@ -236,7 +242,7 @@ def test_calibrated_verify_reuses_the_calibration_draws(monkeypatch):
         assert draw.entries.tobytes() == fresh.entries.tobytes()
         assert draw.power_trace == fresh.power_trace
     # the report's probes are calibration's: every measured p in order, ends first
-    probes = calibrate_flip_prob(60, 3, 0.3, [1, 2, 3]).probes
+    probes = calibrate_flip_prob(60, 3, target, [1, 2, 3]).probes
     assert report["calibration"]["probes"] == [list(probe) for probe in probes]
     assert [q for q, _ in probes][:2] == [0.0, 1.0]
     assert p in [q for q, _ in probes]
@@ -354,6 +360,16 @@ def test_calibration_stops_at_an_end_within_tolerance(monkeypatch, offset, slope
     probes = _stub_response(monkeypatch, lambda p, sign: offset + slope * p)
     assert calibrate_flip_prob(_N, 3, target, [1]).flip_prob == expected
     assert probes == [0.0, 1.0]
+
+
+def test_calibration_gives_up_after_its_probe_cap(monkeypatch):
+    # a step at p = 0.5 never comes within 0.07 * 0.5 of the target; the
+    # probes close in on the step from both sides until the cap
+    probes = _stub_response(monkeypatch, lambda p, sign: float(p >= 0.5))
+    with pytest.raises(CalibrationError, match="did not converge") as err:
+        calibrate_flip_prob(_N, 3, 0.5, [1, 2])
+    assert err.value.achievable == (0.0, 1.0)
+    assert len(probes) == 2 * (2 + trochoid.pipeline._CALIBRATION_MAX_PROBES)
 
 
 def test_calibration_rejects_a_probe_below_its_bracket(monkeypatch):
