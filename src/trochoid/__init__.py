@@ -45,7 +45,6 @@ from .errors import (
 )
 from .interior import DensityField, GridSpec, interior_density
 from .moments import (
-    brute_force_tree_walks,
     empirical_mixed_moment,
     empirical_pure_moment,
     fuss_catalan_prediction,

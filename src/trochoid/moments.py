@@ -4,16 +4,13 @@
 formulas in exact rational arithmetic before converting to float, so they
 stay trustworthy for orders far past where naive floats would degrade.
 
-``brute_force_tree_walks`` is an independent oracle: it literally counts the
-closed walks that the prediction formula is supposed to count, on the
-universal cover of a graph built from cycles (a tree of directed m-gons; for
-m = 2 that degenerates to the ordinary infinite tree).
+The empirical moments multiply a digraph as its sparse adjacency and a dense
+draw as its entries; a sign-flip sweep's draw brings its own Tr M^k.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from math import comb
 
 import numpy as np
@@ -72,16 +69,23 @@ def _operand(m: DenseMatrix | SparseDigraph):
 def _power_trace(base, k: int, n: int) -> float:
     """Tr base^k / n for a dense or a sparse square array.
 
-    A sparse input skips its last product: Tr(P B) = sum(P * B^T) entrywise.
-    A dense input forms it, which keeps the bits of the calibration moment.
+    A dense input forms the full product chain, which keeps the bits of the
+    calibration moment.  A sparse input meets in the middle: with
+    H = base^floor(k/2) and B = base^ceil(k/2), Tr base^k = sum(B * H^T)
+    entrywise.  Powers of a sparse cycle graph fill in as they grow, so
+    stopping at half the order saves the densest products; for k <= 3 the
+    operations are those of the chain that stops one product early.
     """
-    sparse = k > 1 and not isinstance(base, np.ndarray)
-    power = base
-    for _ in range(k - 2 if sparse else k - 1):
-        power = power @ base
-    if sparse:
-        return float(power.multiply(base.T).sum() / n)
-    return float(power.diagonal().sum() / n)
+    if isinstance(base, np.ndarray) or k == 1:
+        power = base
+        for _ in range(k - 1):
+            power = power @ base
+        return float(power.diagonal().sum() / n)
+    half = base
+    for _ in range(k // 2 - 1):
+        half = half @ base
+    rest = half @ base if k % 2 else half
+    return float(rest.multiply(half.T).sum() / n)
 
 
 def fuss_catalan_prediction(l: int, rho3: float) -> float:
@@ -115,9 +119,9 @@ def mixed_moment_candidates(l: int) -> dict[str, float]:
 def tree_walk_prediction(m_kind: int, l: int, d: float, d_hat: float) -> float:
     """Closed-walk count formula (d/l) * sum_j C(ml, j) (l-j) (d_hat - 1)^j.
 
-    ``d`` and ``d_hat`` are deliberately independent arguments; the brute
-    force oracle shows the formula counts walks on the cycle tree exactly
-    when both equal the per-node cycle count (see brute_force_tree_walks).
+    ``d`` and ``d_hat`` are deliberately independent arguments; the formula
+    counts closed walks on the cycle tree exactly when both equal the
+    per-node cycle count (the tests check it against a walk enumeration).
     """
     if m_kind not in (2, 3):
         raise InvalidSpecError(f"m_kind must be 2 or 3, got {m_kind}")
@@ -128,55 +132,3 @@ def tree_walk_prediction(m_kind: int, l: int, d: float, d_hat: float) -> float:
     for j in range(l):
         acc += comb(m_kind * l, j) * (l - j) * (dh - 1) ** j
     return float(Fraction(d) / l * acc)
-
-
-_BRUTE_FORCE_MAX_L = 4
-
-
-def brute_force_tree_walks(m_kind: int, l: int, d: int, branching: int) -> int:
-    """Exact count of closed walks of length m_kind * l on a cycle tree.
-
-    The structure is the universal cover of a graph built from directed
-    m_kind-cycles: the root belongs to ``d`` cycles and every other node to
-    ``branching`` + 1 (one inherited from its parent cycle plus ``branching``
-    fresh ones).  A walk state is the stack of positions inside the cycles
-    entered and not yet completed; moves either advance one step around the
-    innermost cycle (popping it on completion) or enter a fresh cycle.
-
-    Walks are enumerated by depth-first search with memoization on the
-    (steps left, position stack) state, which visits every distinct walk
-    shape exactly once and weights it by its number of cycle choices.
-    """
-    if m_kind < 2:
-        raise InvalidSpecError(f"cycle length must be >= 2, got {m_kind}")
-    if l < 1:
-        raise InvalidSpecError(f"order must be >= 1, got {l}")
-    if l > _BRUTE_FORCE_MAX_L:
-        raise InvalidSpecError(
-            f"enumeration is exponential; l must be <= {_BRUTE_FORCE_MAX_L}, got {l}"
-        )
-    if d < 0 or branching < 0:
-        raise InvalidSpecError("degrees must be nonnegative")
-    total_steps = m_kind * l
-
-    @lru_cache(maxsize=None)
-    def count(steps_left: int, stack: tuple[int, ...]) -> int:
-        if steps_left == 0:
-            return 1 if not stack else 0
-        # completing every open cycle needs sum of remaining steps
-        need = sum(m_kind - p for p in stack)
-        if need > steps_left:
-            return 0
-        total = 0
-        if stack:
-            p = stack[-1]
-            if p + 1 == m_kind:
-                total += count(steps_left - 1, stack[:-1])
-            else:
-                total += count(steps_left - 1, stack[:-1] + (p + 1,))
-            total += branching * count(steps_left - 1, stack + (1,))
-        else:
-            total += d * count(steps_left - 1, (1,))
-        return total
-
-    return count(total_steps, ())

@@ -16,7 +16,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from math import gcd, isfinite
 from pathlib import Path
-from typing import Any, Callable, NamedTuple
+from typing import Any, Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -43,6 +43,7 @@ from .digraphs import (
     generate_poisson_cyclic,
     generate_regular_cyclic,
 )
+# adjacency_matrix goes unused: perfbench/spans.py looks it up here, and a benchmark change drops both
 from .ensembles import DenseMatrix, SparseDigraph, adjacency_matrix, generate_base_iid
 from .errors import CalibrationError, ConfigError, InvalidSpecError, TrochoidError
 from .io import (
@@ -402,7 +403,15 @@ def _seed_list(config: dict) -> list[int]:
     if not seeds:
         raise ConfigError("config must list at least one seed")
     with _config_errors("seeds"):
-        return [int(s) for s in seeds]
+        return [_whole(s, "seed") for s in seeds]
+
+
+def _whole(value, what: str) -> int:
+    """A JSON number with no fractional part (2 or 2.0) as an int, else a ConfigError."""
+    # a bool is an int subclass; a non-finite float leaves a NaN remainder
+    if type(value) not in (int, float) or value % 1:
+        raise ConfigError(f"{what} must be a whole number, got {value!r}")
+    return int(value)
 
 
 def _spectrum_for(ens: Ensemble, seed: int) -> tuple[Spectrum, DenseMatrix | SparseDigraph]:
@@ -412,24 +421,48 @@ def _spectrum_for(ens: Ensemble, seed: int) -> tuple[Spectrum, DenseMatrix | Spa
     return digraph_spectrum(draw), draw
 
 
-def _moment_row(kind: str, order: int, values: list[float], predicted: float) -> dict:
-    """One moment table row: the mean of ``values`` against the prediction.
+Moments = dict[tuple[str, int], float]  # value by (kind, order): ("pure", k) or ("mixed", l)
 
-    ``stderr`` is the standard error of that mean, 0 for a single value.
+
+def _seed_moments(
+    draw: DenseMatrix | SparseDigraph, pure: Sequence[int], mixed: Sequence[int],
+    spectrum: Spectrum | None = None,
+) -> Moments:
+    """One draw's moments by (kind, order): Tr M^k / n and Tr (M M^T)^l / n.
+
+    Pure moments are read off ``spectrum`` when the seed has one, else off
+    the draw's matrix powers (a swept draw's ``power_trace``, a digraph's
+    sparse adjacency).  Each order appears once, however often it is listed.
     """
-    v = np.asarray(values)
-    return {
-        "order": {"kind": kind, ("k" if kind == "pure" else "l"): order},
-        "empirical": float(v.mean()),
-        # strict JSON has no NaN token; an unknown prediction becomes null
-        "predicted": predicted if np.isfinite(predicted) else None,
-        "stderr": float(v.std(ddof=1) / np.sqrt(len(v))) if len(v) > 1 else 0.0,
-    }
+    source, moment = (draw, trace_power_moment) if spectrum is None else (spectrum, empirical_pure_moment)
+    values = {("pure", k): moment(source, k) for k in pure}
+    values.update({("mixed", l): empirical_mixed_moment(draw, l) for l in mixed})
+    return values
+
+
+def _moment_rows(ens: Ensemble, seeds: list[Moments], orders: Iterable[tuple[str, int]]) -> list[dict]:
+    """The moment table over ``seeds`` (per-seed ``_seed_moments``), one row per order.
+
+    Each row holds the mean over the seeds against the kind's prediction;
+    ``stderr`` is the standard error of that mean, 0 for a single seed.
+    """
+    rows = []
+    for kind, order in orders:
+        v = np.asarray([values[(kind, order)] for values in seeds])
+        predicted = _KINDS[ens.kind].predict(ens.spec, kind, order)
+        rows.append({
+            "order": {"kind": kind, ("k" if kind == "pure" else "l"): order},
+            "empirical": float(v.mean()),
+            # strict JSON has no NaN token; an unknown prediction becomes null
+            "predicted": predicted if np.isfinite(predicted) else None,
+            "stderr": float(v.std(ddof=1) / np.sqrt(len(v))) if len(v) > 1 else 0.0,
+        })
+    return rows
 
 
 def _measure_seed(
     ens: Ensemble, seed: int, exclude: bool
-) -> tuple[Spectrum, list[complex], dict[tuple[str, int], float], dict]:
+) -> tuple[Spectrum, list[complex], Moments, dict]:
     """Everything one seed reports that does not need the boundary curve.
 
     Returns the spectrum, the outliers to exclude from containment, the
@@ -440,15 +473,8 @@ def _measure_seed(
     spectrum, draw = _spectrum_for(ens, seed)
     # an ensemble without correlated cycles reports Tr M^2 / n, its k = 2 strength
     pure = sorted(row.cycle_lengths(ens.spec)) or [2]
-    values = {("pure", k): empirical_pure_moment(spectrum, k) for k in pure}
-    values.update({("mixed", l): empirical_mixed_moment(draw, l) for l in row.mixed_orders})
-    entry: dict = {
-        "seed": seed,
-        "moments": [
-            _moment_row(kind, order, [v], row.predict(ens.spec, kind, order))
-            for (kind, order), v in values.items()
-        ],
-    }
+    values = _seed_moments(draw, pure, row.mixed_orders, spectrum)
+    entry: dict = {"seed": seed, "moments": _moment_rows(ens, [values], values)}
     if row.flip_sweep:
         entry["measured_rho"] = values[("pure", ens.spec.k)]
     # exact (to solver noise) only for a graph stratified by sym_k phases:
@@ -476,12 +502,14 @@ def run_verify(config: dict, out_dir: str | Path | None = None) -> dict:
     seeds = _seed_list(config)
     with _config_errors("config"):
         inflation = float(config.get("inflation", 0.03))
-        n_samples = int(config.get("samples", 1024))
+        n_samples = _whole(config.get("samples", 1024), "samples")
     if not (isfinite(inflation) and inflation >= 0):
         raise ConfigError(f"inflation must be finite and >= 0, got {inflation}")
     if n_samples < MIN_CURVE_SAMPLES:
         raise ConfigError(f"samples must be >= {MIN_CURVE_SAMPLES}, got {n_samples}")
-    exclude = bool(config.get("exclude_outliers", True))
+    exclude = config.get("exclude_outliers", True)
+    if not isinstance(exclude, bool):
+        raise ConfigError(f"exclude_outliers must be true or false, got {exclude!r}")
     out, svg = _parse_outputs(config, out_dir)
     row = _KINDS[ens.kind]
     section = config.get("boundary", "auto")
@@ -509,7 +537,7 @@ def run_verify(config: dict, out_dir: str | Path | None = None) -> dict:
         curve = boundary_for(ens, section, n_samples, measured_rho)
 
     seed_reports = []
-    pooled_moments: dict[tuple[str, int], list[float]] = {}
+    pooled_moments: list[Moments] = []
     pooled_inside = pooled_counted = 0
     pooled_eigenvalues: list[np.ndarray] = []
     for seed, outcome in zip(seeds, outcomes):
@@ -521,8 +549,7 @@ def run_verify(config: dict, out_dir: str | Path | None = None) -> dict:
         entry["containment"] = report.to_dict()
         entry["inside_fraction"] = report.inside_fraction
         seed_reports.append(entry)
-        for order, value in values.items():
-            pooled_moments.setdefault(order, []).append(value)
+        pooled_moments.append(values)
         pooled_inside += report.inside
         pooled_counted += report.total - len(report.excluded_outliers)
         pooled_eigenvalues.append(spectrum.eigenvalues)
@@ -533,10 +560,7 @@ def run_verify(config: dict, out_dir: str | Path | None = None) -> dict:
     aggregate = {
         "inside_fraction": pooled_inside / pooled_counted,
         "seeds_failed": sum(1 for r in seed_reports if "error" in r),
-        "moments": [
-            _moment_row(kind, order, values, row.predict(ens.spec, kind, order))
-            for (kind, order), values in sorted(pooled_moments.items())
-        ],
+        "moments": _moment_rows(ens, pooled_moments, sorted(pooled_moments[0])),
     }
     if measured_rho is not None:
         aggregate["measured_rho"] = measured_rho
@@ -605,25 +629,9 @@ def run_moments(config: dict, pure_orders: list[int], mixed_orders: list[int]) -
     if any(order < 1 for order in [*pure_orders, *mixed_orders]):
         raise ConfigError(f"moment orders must be >= 1, got pure {pure_orders}, mixed {mixed_orders}")
     ens = _calibrated(ens, seeds)
-    row = _KINDS[ens.kind]
-
-    rows = {("pure", k): [] for k in pure_orders}
-    rows.update({("mixed", l): [] for l in mixed_orders})
-    for seed in seeds:
-        draw = _draw(ens, seed)
-        matrix = draw if isinstance(draw, DenseMatrix) else adjacency_matrix(draw)
-        for k in pure_orders:
-            rows[("pure", k)].append(trace_power_moment(matrix, k))
-        for l in mixed_orders:
-            rows[("mixed", l)].append(empirical_mixed_moment(matrix, l))
-    return {
-        "ensemble": config["ensemble"],
-        "seeds": seeds,
-        "moments": [
-            _moment_row(kind, order, v, row.predict(ens.spec, kind, order))
-            for (kind, order), v in rows.items()
-        ],
-    }
+    values = [_seed_moments(_draw(ens, seed), pure_orders, mixed_orders) for seed in seeds]
+    moments = _moment_rows(ens, values, values[0])
+    return {"ensemble": config["ensemble"], "seeds": seeds, "moments": moments}
 
 
 # --- calibration ----------------------------------------------------------

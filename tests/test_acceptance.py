@@ -35,7 +35,6 @@ from trochoid.digraphs import (
 from trochoid.ensembles import generate_base_iid
 from trochoid.interior import GridSpec, interior_density
 from trochoid.moments import (
-    brute_force_tree_walks,
     empirical_mixed_moment,
     empirical_pure_moment,
     fuss_catalan_prediction,
@@ -47,6 +46,7 @@ from trochoid.spectra import compute_eigenvalues, containment
 from trochoid.boundaries import PolytrochoidParams
 
 from test_boundaries import has_cusps
+from walks import brute_force_tree_walks
 
 
 def _report(name: str, ok: bool, detail: str) -> None:

@@ -419,6 +419,22 @@ def test_non_finite_numbers_exit_2(tmp_path, capsys, monkeypatch, argv, config):
     _assert_exit_2_before_any_draw(tmp_path, capsys, monkeypatch, argv, config)
 
 
+@pytest.mark.parametrize(
+    "config",
+    [
+        {"ensemble": _TINY_GRAPH, "seeds": [1.5, 1.7]},
+        {"ensemble": _TINY_GRAPH, "seeds": [True, 2]},
+        {"ensemble": _TINY_GRAPH, "seeds": ["1"]},
+        {"ensemble": _TINY_GRAPH, "seeds": [1], "samples": 1024.5},
+        {"ensemble": {**_TINY_GRAPH, "k": 4}, "seeds": [1], "exclude_outliers": "false"},
+    ],
+    ids=["seeds-fraction", "seeds-bool", "seeds-string", "samples-fraction", "exclude-outliers-string"],
+)
+def test_malformed_seeds_and_flags_exit_2(tmp_path, capsys, monkeypatch, config):
+    # each of these once ran as something else: [1, 1], [1, 2], or with outliers excluded
+    _assert_exit_2_before_any_draw(tmp_path, capsys, monkeypatch, ["verify"], config)
+
+
 _DEGENERATE_MIXED = {
     "d1-0-k4": (0, 4, 1.0, 3, 3, 1.0),
     "d1-0-k3": (0, 3, 1.0, 4, 4, 1.0),

@@ -9,7 +9,7 @@ from trochoid.correlations import DenseCyclicSpec, generate_dense_cyclic
 from trochoid.ensembles import DenseMatrix
 from trochoid.errors import CalibrationError, GenerationError, InvalidSpecError
 from trochoid.moments import trace_power_moment
-from trochoid.pipeline import calibrate_flip_prob, run_generate, run_verify
+from trochoid.pipeline import _seed_list, calibrate_flip_prob, run_generate, run_moments, run_verify
 
 # ensemble, per-seed moment orders, whether the kind predicts them, drawn by
 # the flip sweep, symmetry checked, auto law and the part of its params the
@@ -187,6 +187,26 @@ def test_one_worker_measures_seeds_without_a_pool(monkeypatch):
     monkeypatch.setattr(trochoid.pipeline, "ThreadPoolExecutor", no_pool)
     config = {"ensemble": {"kind": "regular-cyclic", "n": 30, "d": 2, "k": 3}, "seeds": [2, 1]}
     assert [e["seed"] for e in run_verify(config)["seeds"]] == [2, 1]
+
+
+_WEIGHTED_GRAPH = {"kind": "regular-cyclic", "n": 60, "d": 2, "k": 3, "weight": 0.7}
+
+
+def test_moments_table_counts_each_seed_once_per_order():
+    # a repeated order is one row over the seeds, not one value per listing
+    config = {"ensemble": _WEIGHTED_GRAPH, "seeds": [1, 2, 3]}
+    assert run_moments(config, [3, 3], [2, 2]) == run_moments(config, [3], [2])
+
+
+def test_moments_and_verify_measure_the_same_mixed_moments():
+    # both read the sparse draw, so the rows agree to the last bit
+    config = {"ensemble": _WEIGHTED_GRAPH, "seeds": [1, 2, 3]}
+    verified = [r for r in run_verify(config)["aggregate"]["moments"] if r["order"]["kind"] == "mixed"]
+    assert run_moments(config, [], [1, 2])["moments"] == verified
+
+
+def test_whole_number_seeds_pass():
+    assert _seed_list({"seeds": [2, 3.0]}) == [2, 3]
 
 
 @pytest.mark.parametrize("n, exact", [(32, True), (30, False)])

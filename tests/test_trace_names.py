@@ -11,7 +11,7 @@ import trochoid.pipeline
 from trochoid.boundaries import PolytrochoidParams
 from trochoid.digraphs import RegularCyclicSpec
 from trochoid.interior import GridSpec
-from trochoid.pipeline import run_verify
+from trochoid.pipeline import run_moments, run_verify
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -91,3 +91,15 @@ def test_fallback_solve_builds_one_dense_adjacency_per_seed(spans):
     dense = [s for s in traced if s.name == "ensembles.adjacency_matrix"]
     assert len(dense) == 2
     assert all(by_id[s.parent].name == "spectra.digraph_spectrum" for s in dense)
+
+
+@pytest.mark.parametrize("k", [3, 4], ids=["certified", "fallback"])
+def test_moments_multiply_the_sparse_draw(spans, k):
+    # a digraph's moments multiply its sparse adjacency, with or without a phase certificate
+    config = {"ensemble": {"kind": "regular-cyclic", "n": 30, "d": 2, "k": k}, "seeds": [1, 2]}
+    tracer = spans.Tracer()
+    with tracer.active(0):
+        run_moments(config, [k, 6], [1, 2])
+    names = [s.name for s in tracer.spans]
+    assert "moments.trace_power_moment" in names
+    assert "ensembles.adjacency_matrix" not in names
