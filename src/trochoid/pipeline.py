@@ -2,10 +2,15 @@
 
 Configs are plain dicts (JSON-compatible).  Each ensemble kind is one row of
 ``_KINDS``, which says how to parse, draw and bound it and what to report.
+Every number a config sets is read by ``_whole`` (int) or ``_real`` (float):
+``_read`` picks between them by the field types of the spec dataclass the
+section fills, and ``run_verify`` reads its run fields and the thread cap
+before anything is drawn.
+
 Seed-level work runs on a thread pool capped by the TROCHOID_THREADS
 environment variable, or in the calling thread when the cap is one; results
-are always assembled in seed order, so the cap never changes a report.  Reports are reproducible byte-for-byte for a fixed
-BLAS thread count.
+are always assembled in seed order, so the cap never changes a report.
+Reports are reproducible byte-for-byte for a fixed BLAS thread count.
 """
 
 from __future__ import annotations
@@ -13,7 +18,7 @@ from __future__ import annotations
 import os
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 from math import gcd, isfinite
 from pathlib import Path
 from typing import Any, Callable, Iterable, NamedTuple, Sequence
@@ -45,7 +50,7 @@ from .digraphs import (
 )
 # adjacency_matrix goes unused: perfbench/spans.py looks it up here, and a benchmark change drops both
 from .ensembles import DenseMatrix, SparseDigraph, adjacency_matrix, generate_base_iid
-from .errors import CalibrationError, ConfigError, InvalidSpecError, TrochoidError
+from .errors import CalibrationError, ConfigError, InvalidSpecError, TrochoidError, require_finite
 from .io import (
     write_curve_csv,
     write_cycle_sidecar,
@@ -96,6 +101,43 @@ def _config_errors(section: str):
         raise ConfigError(f"bad {section} field: {exc}") from exc
 
 
+def _whole(value, what: str) -> int:
+    """A JSON number with no fractional part (2 or 2.0) as an int, else a ConfigError."""
+    # a bool is an int subclass; a non-finite float leaves a NaN remainder
+    if type(value) not in (int, float) or value % 1:
+        raise ConfigError(f"{what} must be a whole number, got {value!r}")
+    return int(value)
+
+
+def _real(value, what: str) -> float:
+    """A finite JSON number (2 or 2.5) as a float, else a ConfigError."""
+    if type(value) not in (int, float) or not isfinite(value):
+        raise ConfigError(f"{what} must be a finite number, got {value!r}")
+    return float(value)
+
+
+_READERS = {"int": _whole, "float": _real}  # by annotation: the spec modules' are strings
+
+
+def _read(spec_type: type, section: dict, **given):
+    """A ``spec_type`` dataclass built from a config section.
+
+    Each int or float field is read from ``section`` by its type's reader,
+    or takes its default when the section leaves it out; ``given`` fields
+    are passed as they are.  Fields of any other type, and fields set on
+    construction, stay out of a config's reach.
+    """
+    for f in fields(spec_type):
+        read = _READERS.get(f.type)
+        if read is None or not f.init or f.name in given:
+            continue
+        if f.name in section:
+            given[f.name] = read(section[f.name], f.name)
+        elif f.default is MISSING:
+            raise KeyError(f.name)
+    return spec_type(**given)
+
+
 # --- ensemble kinds -------------------------------------------------------
 
 
@@ -142,43 +184,29 @@ class _Kind:
 
 
 def _parse_iid(s: dict) -> tuple[int, None]:
-    n = int(s["n"])
+    n = _whole(s["n"], "n")
     if n < 1:
         raise ConfigError(f"dimension must be >= 1, got {n}")
     return n, None
 
 
 def _parse_dense_cyclic(s: dict) -> tuple[DenseCyclicSpec, float | None]:
-    flip_prob, target = s.get("flip_prob"), s.get("target_rho")
-    if (flip_prob is None) == (target is None):
+    target = s.get("target_rho")
+    if (s.get("flip_prob") is None) == (target is None):
         raise ConfigError("dense-cyclic needs exactly one of flip_prob and target_rho")
-    if target is not None:
-        target = _finite_target(float(target))
+    if target is None:
+        return _read(DenseCyclicSpec, s), None
+    target = _real(target, "target_rho")
     # a target's sign is the sweep's: calibration draws toward it
-    sign = int(s.get("sign", -1 if target is not None and target < 0 else 1))
-    if target is not None and target * sign < 0:
-        raise ConfigError(f"sign {sign} contradicts target_rho {target}")
-    spec = DenseCyclicSpec(
-        n=int(s["n"]),
-        k=int(s["k"]),
-        flip_prob=float(flip_prob if target is None else 0.0),
-        sign=sign,
-    )
+    spec = _read(DenseCyclicSpec, {"sign": -1 if target < 0 else 1, **s}, flip_prob=0.0)
+    if target * spec.sign < 0:
+        raise ConfigError(f"sign {spec.sign} contradicts target_rho {target}")
     return spec, target
 
 
-def _finite_target(target_rho: float) -> float:
-    if not isfinite(target_rho):
-        raise ConfigError(f"target_rho must be finite, got {target_rho}")
-    return target_rho
-
-
 def _parse_mixed_cyclic(s: dict) -> tuple[MixedCyclicSpec, None]:
-    species = tuple(
-        CycleSpecies(d=int(sp["d"]), k=int(sp["k"]), weight=float(sp.get("weight", 1.0)))
-        for sp in s["species"]
-    )
-    return MixedCyclicSpec(n=int(s["n"]), species=species), None
+    species = tuple(_read(CycleSpecies, sp) for sp in s["species"])
+    return _read(MixedCyclicSpec, s, species=species), None
 
 
 def _dense_cyclic_law(spec: DenseCyclicSpec, n_samples: int, measured_rho: float | None):
@@ -237,12 +265,7 @@ _KINDS: dict[str, _Kind] = {
         flip_sweep=True,
     ),
     "regular-cyclic": _Kind(
-        parse=lambda s: (
-            RegularCyclicSpec(
-                n=int(s["n"]), d=int(s["d"]), k=int(s["k"]), weight=float(s.get("weight", 1.0))
-            ),
-            None,
-        ),
+        parse=lambda s: (_read(RegularCyclicSpec, s), None),
         draw=lambda s, seed: generate_regular_cyclic(s, seed),
         law=_regular_law,
         cycle_lengths=lambda s: [s.k],
@@ -250,15 +273,7 @@ _KINDS: dict[str, _Kind] = {
         predict=lambda s, moment, order: _walk_prediction(s.d, s.weight, s.k, moment, order),
     ),
     "poisson-cyclic": _Kind(
-        parse=lambda s: (
-            PoissonCyclicSpec(
-                n=int(s["n"]),
-                mean_degree=float(s["mean_degree"]),
-                k=int(s["k"]),
-                weight=float(s.get("weight", 1.0)),
-            ),
-            None,
-        ),
+        parse=lambda s: (_read(PoissonCyclicSpec, s), None),
         draw=lambda s, seed: generate_poisson_cyclic(s, seed),
         law=lambda s, samples, rho: sparse_hypotrochoid(
             SparseCyclicParams(d_hat=s.mean_degree, k=s.k, weight=s.weight), samples
@@ -311,6 +326,16 @@ def _flip_prob(ens: Ensemble) -> float | None:
 
 # --- boundary selection ---------------------------------------------------
 
+# explicit law -> (params class, curve); curves are called through this
+# module's globals when they run, as in ``_KINDS``
+_LAWS: dict[str, tuple[type, Callable[[Any, int], BoundaryCurve]]] = {
+    "dense": (HypotrochoidParams, lambda params, samples: dense_hypotrochoid(params, samples)),
+    "poly": (PolytrochoidParams, lambda params, samples: dense_polytrochoid(params, samples)),
+    "sparse": (SparseCyclicParams, lambda params, samples: sparse_hypotrochoid(params, samples)),
+    "mixed": (MixedCycleParams, lambda params, samples: mixed_cycle_boundary(params, samples)),
+    "mixed-asymptotic": (MixedCycleParams, lambda params, samples: mixed_cycle_asymptotic(params, samples)),
+}
+
 
 def boundary_for(
     ensemble: Ensemble | None,
@@ -326,34 +351,18 @@ def boundary_for(
         raise ConfigError("boundary section must be 'auto' or a mapping with a 'law'")
     law = section["law"]
     with _config_errors("boundary"):
-        if law == "dense":
-            return dense_hypotrochoid(
-                HypotrochoidParams(k=int(section["k"]), rho=float(section["rho"])), n_samples
-            )
+        if law not in _LAWS:
+            raise ConfigError(f"unknown boundary law {law!r}")
+        params, curve = _LAWS[law]
+        given = {}
         if law == "poly":
-            terms = {int(k): float(v) for k, v in section["terms"].items()}
-            return dense_polytrochoid(PolytrochoidParams(terms), n_samples)
-        if law == "sparse":
-            return sparse_hypotrochoid(
-                SparseCyclicParams(
-                    d_hat=float(section["d_hat"]),
-                    k=int(section["k"]),
-                    weight=float(section.get("weight", 1.0)),
-                ),
-                n_samples,
-            )
-        if law in ("mixed", "mixed-asymptotic"):
-            params = MixedCycleParams(
-                d1=float(section["d1"]),
-                k1=int(section["k1"]),
-                w1=float(section.get("w1", 1.0)),
-                d2=float(section["d2"]),
-                k2=int(section["k2"]),
-                w2=float(section.get("w2", 1.0)),
-            )
-            fn = mixed_cycle_boundary if law == "mixed" else mixed_cycle_asymptotic
-            return fn(params, n_samples)
-    raise ConfigError(f"unknown boundary law {law!r}")
+            # JSON object keys are strings: "3" is order 3
+            given["terms"] = {
+                _whole(int(k) if str(k).isdigit() else k, "term order"): _real(v, f"rho_{k}")
+                for k, v in section["terms"].items()
+            }
+        # the mixed laws' weights default to 1, as the sparse law's does
+        return curve(_read(params, {"w1": 1.0, "w2": 1.0, **section}, **given), n_samples)
 
 
 # --- experiment runners ---------------------------------------------------
@@ -404,14 +413,6 @@ def _seed_list(config: dict) -> list[int]:
         raise ConfigError("config must list at least one seed")
     with _config_errors("seeds"):
         return [_whole(s, "seed") for s in seeds]
-
-
-def _whole(value, what: str) -> int:
-    """A JSON number with no fractional part (2 or 2.0) as an int, else a ConfigError."""
-    # a bool is an int subclass; a non-finite float leaves a NaN remainder
-    if type(value) not in (int, float) or value % 1:
-        raise ConfigError(f"{what} must be a whole number, got {value!r}")
-    return int(value)
 
 
 def _spectrum_for(ens: Ensemble, seed: int) -> tuple[Spectrum, DenseMatrix | SparseDigraph]:
@@ -501,10 +502,11 @@ def run_verify(config: dict, out_dir: str | Path | None = None) -> dict:
     ens = parse_ensemble(config.get("ensemble", {}))
     seeds = _seed_list(config)
     with _config_errors("config"):
-        inflation = float(config.get("inflation", 0.03))
+        inflation = _real(config.get("inflation", 0.03), "inflation")
         n_samples = _whole(config.get("samples", 1024), "samples")
-    if not (isfinite(inflation) and inflation >= 0):
-        raise ConfigError(f"inflation must be finite and >= 0, got {inflation}")
+    workers = max_workers()
+    if inflation < 0:
+        raise ConfigError(f"inflation must be >= 0, got {inflation}")
     if n_samples < MIN_CURVE_SAMPLES:
         raise ConfigError(f"samples must be >= {MIN_CURVE_SAMPLES}, got {n_samples}")
     exclude = config.get("exclude_outliers", True)
@@ -520,7 +522,6 @@ def run_verify(config: dict, out_dir: str | Path | None = None) -> dict:
     ens = _calibrated(ens, seeds)
 
     task = _isolate(lambda seed: _measure_seed(ens, seed, exclude))
-    workers = max_workers()
     if workers == 1:
         # a one-worker pool overlaps nothing, and its thread frees its malloc
         # arena only after the join returns: the next call's thread may then
@@ -604,13 +605,13 @@ def _isolate(fn):
 
 
 def _describe_curve(curve: BoundaryCurve) -> dict:
-    fields: dict = {}
+    params: dict = {}
     for key, value in vars(curve.law).items():
         if isinstance(value, dict):
-            fields[key] = {str(k): v for k, v in value.items()}
+            params[key] = {str(k): v for k, v in value.items()}
         elif isinstance(value, (int, float, str)):
-            fields[key] = value
-    out = {"law": type(curve.law).__name__, "params": fields, "samples": len(curve.z)}
+            params[key] = value
+    out = {"law": type(curve.law).__name__, "params": params, "samples": len(curve.z)}
     if curve.states is not None:
         t1, t2, phi2 = curve.states[0].tolist()
         out["continuation"] = {
@@ -678,8 +679,8 @@ def calibrate_flip_prob(n: int, k: int, target_rho: float, seeds: list[int]) -> 
     """
     if not seeds:
         raise ConfigError("calibration needs at least one seed")
-    _finite_target(target_rho)
     with _config_errors("calibration"):
+        require_finite(target_rho=target_rho)
         unswept = DenseCyclicSpec(n=n, k=k, flip_prob=0.0, sign=1 if target_rho >= 0 else -1)
     if target_rho == 0.0:
         return Calibration(0.0)

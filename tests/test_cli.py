@@ -367,12 +367,17 @@ _TINY_GRAPH = {"kind": "regular-cyclic", "n": 12, "d": 2, "k": 3}
         (["verify"], {"ensemble": _TINY_GRAPH, "seeds": [1], "outputs": "out"}),
         (["verify"], {"ensemble": _TINY_GRAPH, "seeds": [1], "outputs": {"dir": 5}}),
         (["generate"], {"ensemble": _TINY_GRAPH, "seeds": [1], "outputs": "out"}),
+        (["verify"], {"ensemble": _TINY_GRAPH, "seeds": [1], "boundary": {"law": "dense", "k": 3.5, "rho": 0.1}}),
+        (["verify"], {"ensemble": _TINY_GRAPH, "seeds": [1], "boundary": {"law": "sparse", "d_hat": 1, "k": 3.2}}),
+        (["verify"], {"ensemble": _TINY_GRAPH, "seeds": [1],
+                      "boundary": {"law": "mixed", "d1": 4, "k1": 3.5, "d2": 4, "k2": 4}}),
     ],
     ids=["dense-k1", "few-samples", "sparse-dhat0", "poly-no-terms",
          "boundary-field-type", "verify-samples", "negative-inflation", "flip-and-target", "iid-n0",
          "verify-seeds", "density-resolution", "calibrate-k2", "calibrate-seeds", "calibrate-target-nan",
          "verify-target-nan", "verify-target-sign", "moments-order0", "moments-order-x",
-         "verify-outputs-str", "verify-outputs-dir", "generate-outputs-str"],
+         "verify-outputs-str", "verify-outputs-dir", "generate-outputs-str",
+         "dense-law-k-fraction", "sparse-law-k-fraction", "mixed-law-k1-fraction"],
 )
 def test_config_errors_exit_2(tmp_path, capsys, monkeypatch, argv, config):
     _assert_exit_2_before_any_draw(tmp_path, capsys, monkeypatch, argv, config)
@@ -427,11 +432,30 @@ def test_non_finite_numbers_exit_2(tmp_path, capsys, monkeypatch, argv, config):
         {"ensemble": _TINY_GRAPH, "seeds": ["1"]},
         {"ensemble": _TINY_GRAPH, "seeds": [1], "samples": 1024.5},
         {"ensemble": {**_TINY_GRAPH, "k": 4}, "seeds": [1], "exclude_outliers": "false"},
+        {"ensemble": {"kind": "regular-cyclic", "n": 30.7, "d": 2, "k": 3}, "seeds": [1]},
+        {"ensemble": {**_TINY_GRAPH, "d": 2.9}, "seeds": [1]},
+        {"ensemble": {**_TINY_GRAPH, "k": "3"}, "seeds": [1]},
+        {"ensemble": {"kind": "dense-iid", "n": 20.5}, "seeds": [1]},
+        {"ensemble": {"kind": "dense-cyclic", "n": 20, "k": 3, "flip_prob": True}, "seeds": [1]},
+        {"ensemble": {"kind": "dense-cyclic", "n": 20, "k": 3, "flip_prob": 0.5, "sign": 1.5}, "seeds": [1]},
+        {"ensemble": {"kind": "mixed-cyclic", "n": 24, "species": [{"d": 2.5, "k": 3}, {"d": 1, "k": 4}]},
+         "seeds": [1]},
+        {"ensemble": _TINY_GRAPH, "seeds": [1], "inflation": True},
     ],
-    ids=["seeds-fraction", "seeds-bool", "seeds-string", "samples-fraction", "exclude-outliers-string"],
+    ids=["seeds-fraction", "seeds-bool", "seeds-string", "samples-fraction", "exclude-outliers-string",
+         "regular-n-fraction", "regular-d-fraction", "regular-k-string", "iid-n-fraction",
+         "flip-prob-bool", "sign-fraction", "species-d-fraction", "inflation-bool"],
 )
 def test_malformed_seeds_and_flags_exit_2(tmp_path, capsys, monkeypatch, config):
-    # each of these once ran as something else: [1, 1], [1, 2], or with outliers excluded
+    # each of these once ran as something else: [1, 1], [1, 2], with outliers
+    # excluded, or with a field truncated to an integer or a bool read as 1
+    _assert_exit_2_before_any_draw(tmp_path, capsys, monkeypatch, ["verify"], config)
+
+
+def test_malformed_thread_cap_exits_2_before_calibration(tmp_path, capsys, monkeypatch):
+    # the cap is read with the run fields, so calibration never starts
+    monkeypatch.setenv("TROCHOID_THREADS", "two")
+    config = {"ensemble": {"kind": "dense-cyclic", "n": 20, "k": 3, "target_rho": 0.2}, "seeds": [1]}
     _assert_exit_2_before_any_draw(tmp_path, capsys, monkeypatch, ["verify"], config)
 
 
