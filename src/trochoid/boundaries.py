@@ -4,8 +4,11 @@ Dense ensembles with a single correlation order k and strength rho trace the
 hypotrochoid z(phi) = exp(-i phi) + rho * exp(i (k-1) phi); several orders at
 once give the polytrochoid generalization with one term per order.  Sparse
 cyclic digraphs obey the same family after solving a scalar depth equation
-for the parameter t; two competing cycle species require a three-unknown
-continuation in the sweep angle.
+for the parameter t: their law is the hypotrochoid with rho = d_hat t^k,
+scaled by w/t, and the large-degree law of two species is a two-term
+polytrochoid scaled by d_bar.  All four closed forms are one call to
+``_trochoid``.  Two competing cycle species at finite degree require a
+three-unknown continuation in the sweep angle.
 """
 
 from __future__ import annotations
@@ -131,20 +134,27 @@ def _sweep(n_samples: int) -> np.ndarray:
     return np.linspace(0.0, 2.0 * np.pi, n_samples, endpoint=False)
 
 
+def _trochoid(law, n_samples: int, terms: list[tuple[int, float]], scale=1.0, t=1.0) -> BoundaryCurve:
+    """scale * (exp(-i phi) / t + sum of c exp(i (k-1) phi) over ``terms`` (k, c)).
+
+    The terms are added in the order given, so each law fixes its own
+    floating-point sum.
+    """
+    phi = _sweep(n_samples)
+    z = np.exp(-1j * phi) / t
+    for k, c in terms:
+        z = z + c * np.exp(1j * (k - 1) * phi)
+    return BoundaryCurve(phi, scale * z, law)
+
+
 def dense_hypotrochoid(params: HypotrochoidParams, n_samples: int = 1024) -> BoundaryCurve:
     """Boundary for a dense ensemble with one correlation order."""
-    phi = _sweep(n_samples)
-    z = np.exp(-1j * phi) + params.rho * np.exp(1j * (params.k - 1) * phi)
-    return BoundaryCurve(phi, z, params)
+    return _trochoid(params, n_samples, [(params.k, params.rho)])
 
 
 def dense_polytrochoid(params: PolytrochoidParams, n_samples: int = 1024) -> BoundaryCurve:
     """Boundary for a dense ensemble with several correlation orders."""
-    phi = _sweep(n_samples)
-    z = np.exp(-1j * phi).astype(complex)
-    for k, rho in sorted(params.terms.items()):
-        z += rho * np.exp(1j * (k - 1) * phi)
-    return BoundaryCurve(phi, z, params)
+    return _trochoid(params, n_samples, sorted(params.terms.items()))
 
 
 def _sigma(t: float, k: int) -> float:
@@ -197,14 +207,12 @@ def solve_segment_depth(d_hat: float, k: int) -> float:
 
 
 def sparse_hypotrochoid(params: SparseCyclicParams, n_samples: int = 1024) -> BoundaryCurve:
-    """Boundary for a digraph built from cycles of a single length."""
-    phi = _sweep(n_samples)
-    t = params.t
-    z = params.weight * (
-        np.exp(-1j * phi) / t
-        + params.d_hat * t ** (params.k - 1) * np.exp(1j * (params.k - 1) * phi)
-    )
-    return BoundaryCurve(phi, z, params)
+    """Boundary for a digraph built from cycles of a single length.
+
+    The hypotrochoid with rho = d_hat t^k, scaled by weight / t.
+    """
+    t, k = params.t, params.k
+    return _trochoid(params, n_samples, [(k, params.d_hat * t ** (k - 1))], params.weight, t)
 
 
 # --- mixed two-species solver -------------------------------------------------
@@ -360,15 +368,14 @@ def mixed_cycle_boundary(params: MixedCycleParams, n_samples: int = 1024) -> Bou
 
 
 def mixed_cycle_asymptotic(params: MixedCycleParams, n_samples: int = 1024) -> BoundaryCurve:
-    """Large-degree closed form of the two-species boundary."""
+    """Large-degree closed form of the two-species boundary.
+
+    d_bar times the polytrochoid with rho_r = d_r (w_r / d_bar)^k_r, where
+    d_bar^2 = d1 w1^2 + d2 w2^2; the species are summed in their given order.
+    """
     p = params
     dbar = np.sqrt(p.d1 * p.w1**2 + p.d2 * p.w2**2)
     if dbar == 0:
         raise InvalidSpecError("degenerate species: d1*w1^2 + d2*w2^2 must be positive")
-    phi = _sweep(n_samples)
-    z = dbar * (
-        np.exp(-1j * phi)
-        + p.d1 * (p.w1 / dbar) ** p.k1 * np.exp(1j * (p.k1 - 1) * phi)
-        + p.d2 * (p.w2 / dbar) ** p.k2 * np.exp(1j * (p.k2 - 1) * phi)
-    )
-    return BoundaryCurve(phi, z, params)
+    terms = [(p.k1, p.d1 * (p.w1 / dbar) ** p.k1), (p.k2, p.d2 * (p.w2 / dbar) ** p.k2)]
+    return _trochoid(params, n_samples, terms, dbar)

@@ -20,7 +20,7 @@ from .boundaries import HypotrochoidParams, PolytrochoidParams
 from .errors import ConfigError, TrochoidError
 from .interior import GridSpec, interior_density
 from .io import write_curve_csv, write_density_csv, write_json
-from .pipeline import _config_errors
+from .pipeline import _config_errors, _float_text, _int_text
 from .pipeline import boundary_for, calibrate_flip_prob, run_generate, run_moments, run_verify
 from .presets import PRESETS, get_preset
 from .svg import render_svg
@@ -34,7 +34,7 @@ def _emit_error(kind: str, exc: Exception) -> None:
 def _int_list(text: str, flag: str) -> list[int]:
     """Comma-separated integers from a flag; empty entries are skipped."""
     with _config_errors(flag):
-        return [int(s) for s in text.split(",") if s]
+        return [_int_text(s) for s in text.split(",") if s]
 
 
 def _load_config(args: argparse.Namespace) -> dict:
@@ -69,7 +69,7 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="JSON config file")
     p.add_argument("--preset", help=f"named preset ({', '.join(sorted(PRESETS))})")
     p.add_argument("--seeds", help="comma-separated seed list (overrides config)")
-    p.add_argument("--seed", type=int, help="single seed (overrides config)")
+    p.add_argument("--seed", type=_int_text, help="single seed (overrides config)")
     p.add_argument("--out-dir", default=None, help="directory for output artifacts")
 
 
@@ -96,9 +96,12 @@ def _cmd_verify(args) -> int:
     return 0
 
 
+_LAW_FIELDS = ("k", "rho", "d_hat", "weight", "d1", "k1", "w1", "d2", "k2", "w2")  # one flag each
+
+
 def _cmd_boundary(args) -> int:
     section: dict = {"law": args.law}
-    for key in ("k", "rho", "d_hat", "weight", "d1", "k1", "w1", "d2", "k2", "w2"):
+    for key in _LAW_FIELDS:
         value = getattr(args, key, None)
         if value is not None:
             section[key] = value
@@ -107,9 +110,12 @@ def _cmd_boundary(args) -> int:
         for item in args.term or []:
             order, _, strength = item.partition(":")
             try:
-                terms[int(order)] = float(strength)
+                order, strength = _int_text(order), _float_text(strength)
             except ValueError as exc:
                 raise ConfigError(f"bad --term {item!r}; expected k:rho") from exc
+            if order in terms:
+                raise ConfigError(f"--term repeats order {order}")
+            terms[order] = strength
         section["terms"] = terms
     if args.density_out:
         if args.law not in ("dense", "poly"):
@@ -186,24 +192,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run the full verification pipeline")
     _add_config_flags(p)
-    p.add_argument("--inflation", type=float, help="curve inflation fraction")
-    p.add_argument("--samples", type=int, help="boundary sample count")
+    p.add_argument("--inflation", type=_float_text, help="curve inflation fraction")
+    p.add_argument("--samples", type=_int_text, help="boundary sample count")
     p.add_argument("--no-exclude-outliers", action="store_true")
     p.set_defaults(fn=_cmd_verify)
 
     p = sub.add_parser("boundary", help="compute a boundary curve CSV")
     p.add_argument("--law", required=True, choices=["dense", "poly", "sparse", "mixed", "mixed-asymptotic"])
-    p.add_argument("--k", type=int)
-    p.add_argument("--rho", type=float)
-    p.add_argument("--d-hat", dest="d_hat", type=float)
-    p.add_argument("--weight", type=float)
+    for name in _LAW_FIELDS:
+        p.add_argument(f"--{name.replace('_', '-')}", type=_int_text if name[0] == "k" else _float_text)
     p.add_argument("--term", action="append", help="k:rho (repeatable, poly law)")
-    for name in ("d1", "k1", "w1", "d2", "k2", "w2"):
-        p.add_argument(f"--{name}", type=float if name[0] in "dw" else int)
-    p.add_argument("--samples", type=int, default=1024)
+    p.add_argument("--samples", type=_int_text, default=1024)
     p.add_argument("--out", required=True)
     p.add_argument("--density-out", help="also write the interior density field CSV here")
-    p.add_argument("--density-resolution", type=int, default=256)
+    p.add_argument("--density-resolution", type=_int_text, default=256)
     p.set_defaults(fn=_cmd_boundary)
 
     p = sub.add_parser("moments", help="empirical vs predicted trace moments")
@@ -220,9 +222,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_render)
 
     p = sub.add_parser("calibrate", help="find the flip probability for a target strength")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--target-rho", dest="target_rho", type=float, required=True)
+    p.add_argument("--n", type=_int_text, required=True)
+    p.add_argument("--k", type=_int_text, required=True)
+    p.add_argument("--target-rho", dest="target_rho", type=_float_text, required=True)
     p.add_argument("--seeds", help="comma-separated calibration seeds")
     p.set_defaults(fn=_cmd_calibrate)
 

@@ -2,7 +2,9 @@
 
 Three ensembles: every node in exactly d cycles of length k (regular), nodes
 assigned to cycles at random with a target mean membership (poisson), and a
-two-species mixture of cycle lengths (mixed).
+two-species mixture of cycle lengths (mixed).  A regular digraph is built as
+a mixture with one species: both go through the same species loop, each
+species on its own random stream.
 
 Construction is a configuration-model slot shuffle: d copies of every node id
 are shuffled and chopped into k-tuples, each tuple becoming one directed
@@ -139,11 +141,6 @@ class MixedCyclicSpec:
 _MAX_SWAPS_PER_NODE = 100
 
 
-def _stratification(n: int, lengths: list[int]) -> int:
-    """Largest phase count g with g | n and g | every cycle length (1 = none)."""
-    return gcd(n, *lengths)
-
-
 def _chop_regular(
     n: int, d: int, k: int, g: int, stream: Stream, budget: int
 ) -> list[list[int]]:
@@ -200,16 +197,26 @@ def _repair_stratified(tuples: list[list[int]], g: int, stream: Stream, budget: 
                 bad.append(j)
 
 
+def _species_graph(n: int, species: list, streams: list[Stream]) -> SparseDigraph:
+    """The digraph on n nodes of every species' (d, k, weight) cycles.
+
+    Each species is chopped from its own stream, in the order given.  The
+    slots are stratified by g = gcd(n, every cycle length), the largest
+    phase count that divides n and each length (1 = none).
+    """
+    g = gcd(n, *(s.k for s in species))
+    cycles: list[tuple[int, ...]] = []
+    weights: list[float] = []
+    for s, stream in zip(species, streams):
+        tuples = _chop_regular(n, s.d, s.k, g, stream, _MAX_SWAPS_PER_NODE * n)
+        cycles.extend(map(tuple, tuples))
+        weights.extend([s.weight] * len(tuples))
+    return SparseDigraph(n, cycles, weights)
+
+
 def generate_regular_cyclic(spec: RegularCyclicSpec, seed: int) -> SparseDigraph:
-    """Digraph in which every node belongs to exactly ``d`` k-cycles."""
-    seed = normalize_seed(seed)
-    stream = Stream.derived(seed, TAG_GRAPH, 1)
-    g = _stratification(spec.n, [spec.k])
-    tuples = _chop_regular(
-        spec.n, spec.d, spec.k, g, stream, _MAX_SWAPS_PER_NODE * spec.n
-    )
-    cycles = [tuple(int(x) for x in t) for t in tuples]
-    return SparseDigraph(spec.n, cycles, [spec.weight] * len(cycles))
+    """Digraph in which every node belongs to exactly ``d`` k-cycles: one species."""
+    return _species_graph(spec.n, [spec], [Stream.derived(normalize_seed(seed), TAG_GRAPH, 1)])
 
 
 def generate_poisson_cyclic(spec: PoissonCyclicSpec, seed: int) -> SparseDigraph:
@@ -238,12 +245,5 @@ def generate_mixed_cyclic(spec: MixedCyclicSpec, seed: int) -> SparseDigraph:
     active = [s for s in spec.species if s.d > 0]
     if not active:
         raise InvalidSpecError("at least one species must have d >= 1")
-    g = _stratification(spec.n, [s.k for s in active])
-    cycles: list[tuple[int, ...]] = []
-    weights: list[float] = []
-    for idx, s in enumerate(active):
-        stream = Stream.derived(seed, TAG_GRAPH, 3, idx)
-        tuples = _chop_regular(spec.n, s.d, s.k, g, stream, _MAX_SWAPS_PER_NODE * spec.n)
-        cycles.extend(tuple(int(x) for x in t) for t in tuples)
-        weights.extend([s.weight] * len(tuples))
-    return SparseDigraph(spec.n, cycles, weights)
+    streams = [Stream.derived(seed, TAG_GRAPH, 3, idx) for idx in range(len(active))]
+    return _species_graph(spec.n, active, streams)

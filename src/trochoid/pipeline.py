@@ -78,11 +78,26 @@ from .spectra import (
 from .svg import render_svg_data
 
 
+def _from_text(kind: type) -> Callable[[str], Any]:
+    """``kind`` (int or float) as a reader of text that also refuses underscores ("1_0")."""
+
+    def read(text: str):
+        if "_" in text:
+            raise ValueError(f"invalid {kind.__name__} value: {text!r}")
+        return kind(text)
+
+    read.__name__ = kind.__name__  # argparse names the type in its error
+    return read
+
+
+_int_text, _float_text = _from_text(int), _from_text(float)
+
+
 def max_workers() -> int:
     cap = os.environ.get("TROCHOID_THREADS")
     if cap:
         try:
-            return max(1, int(cap))
+            return max(1, _int_text(cap))
         except ValueError as exc:
             raise ConfigError(f"TROCHOID_THREADS must be an integer, got {cap!r}") from exc
     return min(4, os.cpu_count() or 1)
@@ -119,20 +134,31 @@ def _real(value, what: str) -> float:
 _READERS = {"int": _whole, "float": _real}  # by annotation: the spec modules' are strings
 
 
+def _refuse_unread(section: dict, read: Iterable[str]) -> None:
+    """A ConfigError naming the fields of ``section`` nobody reads: a typo must not run a default.
+
+    The structural fields ``kind``, ``law`` and ``target_rho`` are read by
+    the callers of ``_read`` and always pass.
+    """
+    unread = sorted(set(section) - set(read) - {"kind", "law", "target_rho"})
+    if unread:
+        raise ConfigError(f"unknown field(s) {', '.join(map(repr, unread))}")
+
+
 def _read(spec_type: type, section: dict, **given):
     """A ``spec_type`` dataclass built from a config section.
 
     Each int or float field is read from ``section`` by its type's reader,
     or takes its default when the section leaves it out; ``given`` fields
     are passed as they are.  Fields of any other type, and fields set on
-    construction, stay out of a config's reach.
+    construction, stay out of a config's reach: a section that names one,
+    or any field but these and the structural ones, is refused.
     """
-    for f in fields(spec_type):
-        read = _READERS.get(f.type)
-        if read is None or not f.init or f.name in given:
-            continue
+    readable = [f for f in fields(spec_type) if f.type in _READERS and f.init and f.name not in given]
+    _refuse_unread(section, [*given, *(f.name for f in readable)])
+    for f in readable:
         if f.name in section:
-            given[f.name] = read(section[f.name], f.name)
+            given[f.name] = _READERS[f.type](section[f.name], f.name)
         elif f.default is MISSING:
             raise KeyError(f.name)
     return spec_type(**given)
@@ -184,6 +210,7 @@ class _Kind:
 
 
 def _parse_iid(s: dict) -> tuple[int, None]:
+    _refuse_unread(s, {"n"})
     n = _whole(s["n"], "n")
     if n < 1:
         raise ConfigError(f"dimension must be >= 1, got {n}")
@@ -356,13 +383,16 @@ def boundary_for(
         params, curve = _LAWS[law]
         given = {}
         if law == "poly":
-            # JSON object keys are strings: "3" is order 3
+            # JSON object keys are strings: "3" is order 3, and so is "03"
             given["terms"] = {
                 _whole(int(k) if str(k).isdigit() else k, "term order"): _real(v, f"rho_{k}")
                 for k, v in section["terms"].items()
             }
+            if len(given["terms"]) < len(section["terms"]):
+                raise ConfigError(f"poly law names an order twice: {list(section['terms'])}")
         # the mixed laws' weights default to 1, as the sparse law's does
-        return curve(_read(params, {"w1": 1.0, "w2": 1.0, **section}, **given), n_samples)
+        defaults = {"w1": 1.0, "w2": 1.0} if params is MixedCycleParams else {}
+        return curve(_read(params, {**defaults, **section}, **given), n_samples)
 
 
 # --- experiment runners ---------------------------------------------------

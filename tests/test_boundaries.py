@@ -133,6 +133,19 @@ def test_sparse_large_degree_matches_dense_after_rescale():
     assert deviation < 0.01
 
 
+@pytest.mark.parametrize("d_hat", [0.3, 1.0, 8.0])
+@pytest.mark.parametrize("k", [2, 3, 5])
+@pytest.mark.parametrize("weight", [1.0, -0.5])
+def test_sparse_law_is_a_scaled_hypotrochoid(d_hat, k, weight):
+    # at any degree: the hypotrochoid with rho = d_hat t^k, scaled by w / t
+    sparse = sparse_hypotrochoid(SparseCyclicParams(d_hat=d_hat, k=k, weight=weight), 512)
+    t = sparse.law.t
+    dense = dense_hypotrochoid(HypotrochoidParams(k=k, rho=d_hat * t**k), 512)
+    # k = 2 is a segment through 0, where only an absolute tolerance can hold
+    scale = np.abs(sparse.z).max()
+    np.testing.assert_allclose(sparse.z, (weight / t) * dense.z, rtol=1e-14, atol=1e-14 * scale)
+
+
 def curve_turning_number(params: HypotrochoidParams, n_samples: int = 65536) -> int:
     """Net turns of the hypotrochoid's tangent over one sweep; -1 until loops develop."""
     phi = np.linspace(0.0, 2.0 * np.pi, n_samples, endpoint=False)
@@ -233,6 +246,21 @@ def test_mixed_asymptotic_degenerate_species():
     single = sparse_hypotrochoid(SparseCyclicParams(d_hat=399.0, k=3), 512)
     radius = np.abs(single.z - single.z.mean()).max()
     assert np.abs(asym.z - single.z).max() / radius < 0.01
+
+
+@pytest.mark.parametrize(
+    "species",
+    [(4, 3, 1.0, 4, 4, 1.0), (2, 5, 0.7, 3, 3, -1.3), (1, 4, -1.0, 0, 2, 1.0), (3, 2, 1.0, 2, 6, 0.5)],
+    ids=["fig4", "k1>k2", "one-species", "k1=2"],
+)
+def test_mixed_asymptotic_is_a_scaled_polytrochoid(species):
+    # d_bar times the polytrochoid with rho_r = d_r (w_r / d_bar)^k_r
+    d1, k1, w1, d2, k2, w2 = species
+    asym = mixed_cycle_asymptotic(MixedCycleParams(*species), 512)
+    dbar = np.sqrt(d1 * w1**2 + d2 * w2**2)
+    terms = {k1: d1 * (w1 / dbar) ** k1, k2: d2 * (w2 / dbar) ** k2}
+    poly = dense_polytrochoid(PolytrochoidParams(terms), 512)
+    np.testing.assert_allclose(asym.z, dbar * poly.z, rtol=1e-14)
 
 
 def test_mixed_asymptotic_agrees_with_full_solver_at_large_degree():

@@ -118,6 +118,11 @@ def test_boundary_subcommand(tmp_path, capsys):
     rc = main(["boundary", "--law", "dense", "--k", "5", "--rho", "0.075", "--out", str(out)])
     assert rc == 0
     assert out.read_text().splitlines()[0] == "phi,re,im"
+    # int() and float() read "1_0" as 10 and "0_1" as 1; the number flags refuse them
+    with pytest.raises(SystemExit) as refused:
+        main(["boundary", "--law", "dense", "--k", "1_0", "--rho", "0_1", "--out", str(tmp_path / "c.csv")])
+    assert refused.value.code == 2
+    assert not (tmp_path / "c.csv").exists()
 
 
 def test_boundary_poly_terms(tmp_path):
@@ -371,13 +376,21 @@ _TINY_GRAPH = {"kind": "regular-cyclic", "n": 12, "d": 2, "k": 3}
         (["verify"], {"ensemble": _TINY_GRAPH, "seeds": [1], "boundary": {"law": "sparse", "d_hat": 1, "k": 3.2}}),
         (["verify"], {"ensemble": _TINY_GRAPH, "seeds": [1],
                       "boundary": {"law": "mixed", "d1": 4, "k1": 3.5, "d2": 4, "k2": 4}}),
+        (["verify"], {"ensemble": _TINY_GRAPH, "seeds": [1], "boundary": {"law": "dense", "k": 3, "rho": 0.1, "rh0": 5}}),
+        (["verify"], {"ensemble": _TINY_GRAPH, "seeds": [1], "boundary": {"law": "poly", "terms": {"3": 0.2, "03": 0.1}}}),
+        (["boundary", "--law", "poly", "--term", "3:0.2", "--term", "3:0.1"], None),
+        (["verify", "--seeds", "1_0"], {"ensemble": _TINY_GRAPH, "seeds": [1]}),
+        (["moments", "--pure", "1_0"], {"ensemble": _TINY_GRAPH, "seeds": [1]}),
+        (["boundary", "--law", "poly", "--term", "1_0:0.01"], None),
     ],
     ids=["dense-k1", "few-samples", "sparse-dhat0", "poly-no-terms",
          "boundary-field-type", "verify-samples", "negative-inflation", "flip-and-target", "iid-n0",
          "verify-seeds", "density-resolution", "calibrate-k2", "calibrate-seeds", "calibrate-target-nan",
          "verify-target-nan", "verify-target-sign", "moments-order0", "moments-order-x",
          "verify-outputs-str", "verify-outputs-dir", "generate-outputs-str",
-         "dense-law-k-fraction", "sparse-law-k-fraction", "mixed-law-k1-fraction"],
+         "dense-law-k-fraction", "sparse-law-k-fraction", "mixed-law-k1-fraction",
+         "dense-law-unknown-field", "poly-law-order-twice", "poly-term-order-twice",
+         "verify-seeds-underscore", "moments-order-underscore", "poly-term-underscore"],
 )
 def test_config_errors_exit_2(tmp_path, capsys, monkeypatch, argv, config):
     _assert_exit_2_before_any_draw(tmp_path, capsys, monkeypatch, argv, config)
@@ -441,22 +454,32 @@ def test_non_finite_numbers_exit_2(tmp_path, capsys, monkeypatch, argv, config):
         {"ensemble": {"kind": "mixed-cyclic", "n": 24, "species": [{"d": 2.5, "k": 3}, {"d": 1, "k": 4}]},
          "seeds": [1]},
         {"ensemble": _TINY_GRAPH, "seeds": [1], "inflation": True},
+        {"ensemble": {**_TINY_GRAPH, "wieght": 0.5}, "seeds": [1]},
+        {"ensemble": {"kind": "poisson-cyclic", "n": 30, "mean_degree": 2.0, "k": 3, "stratified": False},
+         "seeds": [1]},
+        {"ensemble": {"kind": "mixed-cyclic", "n": 24, "species": [{"d": 2, "k": 3, "w": 0.5}, {"d": 1, "k": 4}]},
+         "seeds": [1]},
+        {"ensemble": {"kind": "dense-iid", "n": 20, "k": 3}, "seeds": [1]},
     ],
     ids=["seeds-fraction", "seeds-bool", "seeds-string", "samples-fraction", "exclude-outliers-string",
          "regular-n-fraction", "regular-d-fraction", "regular-k-string", "iid-n-fraction",
-         "flip-prob-bool", "sign-fraction", "species-d-fraction", "inflation-bool"],
+         "flip-prob-bool", "sign-fraction", "species-d-fraction", "inflation-bool",
+         "regular-unknown-field", "poisson-stratified", "species-unknown-field", "iid-unknown-field"],
 )
 def test_malformed_seeds_and_flags_exit_2(tmp_path, capsys, monkeypatch, config):
     # each of these once ran as something else: [1, 1], [1, 2], with outliers
-    # excluded, or with a field truncated to an integer or a bool read as 1
+    # excluded, with a field truncated to an integer or a bool read as 1, or
+    # with a misspelt or out-of-reach field dropped for its default
     _assert_exit_2_before_any_draw(tmp_path, capsys, monkeypatch, ["verify"], config)
 
 
 def test_malformed_thread_cap_exits_2_before_calibration(tmp_path, capsys, monkeypatch):
-    # the cap is read with the run fields, so calibration never starts
-    monkeypatch.setenv("TROCHOID_THREADS", "two")
+    # the cap is read with the run fields, so calibration never starts; int()
+    # alone would read "1_6" as 16
     config = {"ensemble": {"kind": "dense-cyclic", "n": 20, "k": 3, "target_rho": 0.2}, "seeds": [1]}
-    _assert_exit_2_before_any_draw(tmp_path, capsys, monkeypatch, ["verify"], config)
+    for cap in ("two", "1_6"):
+        monkeypatch.setenv("TROCHOID_THREADS", cap)
+        _assert_exit_2_before_any_draw(tmp_path, capsys, monkeypatch, ["verify"], config)
 
 
 _DEGENERATE_MIXED = {

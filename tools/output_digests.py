@@ -1,0 +1,123 @@
+"""Print a sha256 digest of every file in a fixed set of program outputs.
+
+The set covers the paths whose bytes a behaviour-preserving change must keep:
+
+  verify    report.json, boundary.csv, spectrum.csv and figure.svg of the
+            fig1-right, fig3-bottom and fig4 presets at seed 1, a regular
+            digraph whose length gcd does not divide n (the dense fallback
+            solve), a weighted two-species digraph against an explicit
+            large-degree law, and a calibrated dense ensemble (n = 200, k = 5)
+  laws      curve CSVs of the dense, sparse, mixed-asymptotic and poly laws
+  generate  regular and mixed digraphs written by run_generate
+  moments   a Poisson digraph's moment table from run_moments
+
+Usage: python tools/output_digests.py [group ...]   (default: every group)
+
+Prints one "<sha256>  <file>" line per file, files in sorted order relative
+to the output directory, then "<sha256>  combined" over those lines.  Run it
+on two checkouts and compare: each imports trochoid from its own src/.  The
+script pins OPENBLAS_NUM_THREADS and TROCHOID_THREADS to 1 for its own
+process before numpy loads, since reports are byte-reproducible only for a
+fixed BLAS thread count.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import os
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+_WEIGHTED_SPECIES = [{"d": 2, "k": 3, "weight": 0.7}, {"d": 1, "k": 4, "weight": -1.3}]
+VERIFY = {
+    "fig1-right": "fig1-right",
+    "fig3-bottom": "fig3-bottom",
+    "fig4": "fig4",
+    "regular-n30-k4": {"ensemble": {"kind": "regular-cyclic", "n": 30, "d": 2, "k": 4}, "seeds": [1]},
+    "mixed-weighted-asymptotic": {
+        "ensemble": {"kind": "mixed-cyclic", "n": 60, "species": _WEIGHTED_SPECIES},
+        "boundary": {"law": "mixed-asymptotic", "d1": 2, "k1": 3, "w1": 0.7, "d2": 1, "k2": 4, "w2": -1.3},
+        "seeds": [1, 2],
+    },
+    "dense-calibrated": {
+        "ensemble": {"kind": "dense-cyclic", "n": 200, "k": 5, "target_rho": 0.075},
+        "seeds": [1, 2, 3],
+    },
+}
+LAWS = {
+    "dense": {"law": "dense", "k": 5, "rho": 0.075},
+    "sparse": {"law": "sparse", "d_hat": 1.0, "k": 3, "weight": -0.5},
+    "mixed-asymptotic": {"law": "mixed-asymptotic", "d1": 4, "k1": 4, "w1": 1.0, "d2": 4, "k2": 3, "w2": -1.0},
+    "poly": {"law": "poly", "terms": {"3": 0.2, "4": 0.1}},
+}
+GENERATE = {
+    "regular": {"ensemble": {"kind": "regular-cyclic", "n": 30, "d": 2, "k": 3}, "seeds": [1, 2]},
+    "mixed": {"ensemble": {"kind": "mixed-cyclic", "n": 24, "species": _WEIGHTED_SPECIES}, "seeds": [1]},
+}
+MOMENTS = {"ensemble": {"kind": "poisson-cyclic", "n": 200, "mean_degree": 3.0, "k": 3}, "seeds": [1, 2]}
+
+
+def _verify(out: Path) -> None:
+    from trochoid.pipeline import run_verify
+    from trochoid.presets import get_preset
+
+    for name, config in VERIFY.items():
+        if isinstance(config, str):
+            config = {**get_preset(config), "seeds": [1]}
+        run_verify(config, out / "verify" / name)
+
+
+def _laws(out: Path) -> None:
+    from trochoid.io import write_curve_csv
+    from trochoid.pipeline import boundary_for
+
+    (out / "laws").mkdir()
+    for name, section in LAWS.items():
+        write_curve_csv(boundary_for(None, section), out / "laws" / f"{name}.csv")
+
+
+def _generate(out: Path) -> None:
+    from trochoid.pipeline import run_generate
+
+    for name, config in GENERATE.items():
+        run_generate(config, out / "generate" / name)
+
+
+def _moments(out: Path) -> None:
+    from trochoid.io import write_json
+    from trochoid.pipeline import run_moments
+
+    (out / "moments").mkdir()
+    write_json(run_moments(MOMENTS, [3, 6], [1, 2]), out / "moments" / "poisson.json")
+
+
+GROUPS = {"verify": _verify, "laws": _laws, "generate": _generate, "moments": _moments}
+
+
+def main(argv: list[str]) -> int:
+    unknown = [g for g in argv if g not in GROUPS]
+    if unknown:
+        print(f"unknown group(s) {unknown}; choose from {list(GROUPS)}", file=sys.stderr)
+        return 2
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp)
+        for group in argv or GROUPS:
+            GROUPS[group](out)
+        lines = [
+            f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {path.relative_to(out)}"
+            for path in sorted(p for p in out.rglob("*") if p.is_file())
+        ]
+    for line in lines:
+        print(line)
+    print(f"{hashlib.sha256(chr(10).join(lines).encode()).hexdigest()}  combined")
+    return 0
+
+
+if __name__ == "__main__":
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    os.environ["TROCHOID_THREADS"] = "1"
+    sys.path.insert(0, str(ROOT / "src"))  # this checkout's sources, not an installed copy
+    sys.exit(main(sys.argv[1:]))
