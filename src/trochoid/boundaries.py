@@ -13,7 +13,7 @@ three-unknown continuation in the sweep angle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -100,14 +100,16 @@ class MixedCycleParams:
 class BoundaryCurve:
     """Sampled closed curve in the complex plane, closed by wrapping.
 
-    ``states`` is set by ``mixed_cycle_boundary`` only: one (t1, t2, phi2)
-    row per sample, the continuation's solution at that sample's angle.
+    ``states`` and ``sweep`` are set by ``mixed_cycle_boundary`` only: one
+    (t1, t2, phi2) row per sample, the continuation's solution at that
+    sample's angle, and how the continuation reached them.
     """
 
     phis: np.ndarray
     z: np.ndarray
     law: object = None
     states: np.ndarray | None = None
+    sweep: SweepRecord | None = None
 
     def __post_init__(self):
         if len(self.phis) < MIN_CURVE_SAMPLES:
@@ -218,65 +220,107 @@ def sparse_hypotrochoid(params: SparseCyclicParams, n_samples: int = 1024) -> Bo
 # --- mixed two-species solver -------------------------------------------------
 
 
-def _mixed_residual(params: MixedCycleParams, phi1: float, x: np.ndarray) -> np.ndarray:
-    """(condt, Re extracond, Im extracond) at unknowns x = (t1, t2, phi2)."""
-    t1, t2, phi2 = x
+def _mixed_residual(params: MixedCycleParams, phi1, x: np.ndarray) -> np.ndarray:
+    """(condt, Re extracond, Im extracond) at unknowns x = (t1, t2, phi2).
+
+    ``x`` is one state (3,) at the angle ``phi1``, or a stack (m, 3) with
+    one angle per row in ``phi1`` (m,); the residuals have the shape of x.
+    """
+    t1, t2, phi2 = x.T  # numpy scalars for one state: far cheaper than 0-d arrays
     p = params
     s1, s2 = _sigma(t1, p.k1), _sigma(t2, p.k2)
     f1 = (1.0 - p.d1 - p.d2) * s1 * s2 - (p.d1 - 1.0) * s1 - (p.d2 - 1.0) * s2 + 1.0
     a1 = (p.w1 / t1) * np.exp(-1j * phi1)
     a2 = (p.w2 / t2) * np.exp(-1j * phi2)
     fc = a1 - a2 - p.w1**p.k1 * a1 ** (1 - p.k1) + p.w2**p.k2 * a2 ** (1 - p.k2)
-    return np.array([f1, fc.real, fc.imag])
+    return np.array([f1, fc.real, fc.imag]).T
 
 
-def _mixed_jacobian(params: MixedCycleParams, phi1: float, x: np.ndarray) -> np.ndarray:
-    t1, t2, phi2 = x
+def _mixed_jacobian(params: MixedCycleParams, phi1, x: np.ndarray) -> np.ndarray:
+    """d(residual)/d(t1, t2, phi2): (3, 3) for one state, (m, 3, 3) for a stack."""
+    t1, t2, phi2 = x.T
     p = params
     s1, s2 = _sigma(t1, p.k1), _sigma(t2, p.k2)
     ds1, ds2 = _dsigma(t1, p.k1), _dsigma(t2, p.k2)
-    j = np.zeros((3, 3))
-    j[0, 0] = ((1.0 - p.d1 - p.d2) * s2 - (p.d1 - 1.0)) * ds1
-    j[0, 1] = ((1.0 - p.d1 - p.d2) * s1 - (p.d2 - 1.0)) * ds2
-    a1 = (p.w1 / t1) * np.exp(-1j * phi1)
-    a2 = (p.w2 / t2) * np.exp(-1j * phi2)
+    j = np.zeros(x.shape + (3,))
+    j[..., 0, 0] = ((1.0 - p.d1 - p.d2) * s2 - (p.d1 - 1.0)) * ds1
+    j[..., 0, 1] = ((1.0 - p.d1 - p.d2) * s1 - (p.d2 - 1.0)) * ds2
+    e1, e2 = np.exp(-1j * phi1), np.exp(-1j * phi2)
+    a1, a2 = (p.w1 / t1) * e1, (p.w2 / t2) * e2
     g1 = 1.0 + (p.k1 - 1.0) * p.w1**p.k1 * a1 ** (-p.k1)
     g2 = 1.0 + (p.k2 - 1.0) * p.w2**p.k2 * a2 ** (-p.k2)
-    dfc_dt1 = g1 * (-(p.w1 / t1**2) * np.exp(-1j * phi1))
-    dfc_dt2 = g2 * (p.w2 / t2**2) * np.exp(-1j * phi2)
+    dfc_dt1 = g1 * (-(p.w1 / t1**2) * e1)
+    dfc_dt2 = g2 * (p.w2 / t2**2) * e2
     dfc_dphi2 = g2 * 1j * a2
-    j[1, 0], j[2, 0] = dfc_dt1.real, dfc_dt1.imag
-    j[1, 1], j[2, 1] = dfc_dt2.real, dfc_dt2.imag
-    j[1, 2], j[2, 2] = dfc_dphi2.real, dfc_dphi2.imag
+    j[..., 1, 0], j[..., 2, 0] = dfc_dt1.real, dfc_dt1.imag
+    j[..., 1, 1], j[..., 2, 1] = dfc_dt2.real, dfc_dt2.imag
+    j[..., 1, 2], j[..., 2, 2] = dfc_dphi2.real, dfc_dphi2.imag
     return j
 
 
 _MIXED_TOL = 1e-11
 _MIXED_MAX_ITER = 100
+_MIN_STEP_SCALE = 1e-4
 
 
-def _newton_mixed(
-    params: MixedCycleParams, phi1: float, x0: np.ndarray
-) -> tuple[np.ndarray, bool]:
+def _newton_steps(jac: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """jac^-1 f for each state; NaN for a state whose Jacobian is singular."""
+    try:
+        return np.linalg.solve(jac, f[..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        steps = np.full_like(f, np.nan)
+        for row in np.ndindex(f.shape[:-1]):
+            try:
+                steps[row] = np.linalg.solve(jac[row], f[row])
+            except np.linalg.LinAlgError:
+                pass
+        return steps
+
+
+def _positive(x: np.ndarray) -> np.ndarray:
+    """Whether t1 and t2 are both positive (False for NaN)."""
+    return np.minimum(x[..., 0], x[..., 1]) > 0
+
+
+def _shortened(x: np.ndarray, step: np.ndarray, short: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """x - scale * step, each ``short`` state's scale halved until its t1 and t2 are positive.
+
+    Also returns whether each scale stayed above ``_MIN_STEP_SCALE``.
+    """
+    scale = np.ones(x.shape[:-1])
+    while short.any():
+        scale = np.where(short, 0.5 * scale, scale)
+        trial = x - scale[..., None] * step
+        short = short & ~_positive(trial) & (scale > _MIN_STEP_SCALE)
+    return trial, scale > _MIN_STEP_SCALE
+
+
+def _newton_mixed(params: MixedCycleParams, phi1, x0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Newton from one state (3,) at the angle ``phi1``, or from every row of a stack (m, 3).
+
+    A state stops once its residual norm is below ``_MIXED_TOL`` and keeps
+    its value from then on.  Its step is halved until t1 and t2 stay
+    positive; a state whose step would shrink below ``_MIN_STEP_SCALE``,
+    or whose Jacobian is singular, fails.  Returns the states and whether
+    each converged.  Each state follows the iterates it would follow alone.
+    """
     x = x0.copy()
-    for _ in range(_MIXED_MAX_ITER):
+    live = np.ones(x.shape[:-1], dtype=bool)
+    failed = np.zeros(x.shape[:-1], dtype=bool)
+    for iteration in range(_MIXED_MAX_ITER + 1):
         f = _mixed_residual(params, phi1, x)
-        if np.linalg.norm(f) < _MIXED_TOL:
-            return x, True
-        try:
-            step = np.linalg.solve(_mixed_jacobian(params, phi1, x), f)
-        except np.linalg.LinAlgError:
-            return x, False
-        scale = 1.0
-        while scale > 1e-4:
-            trial = x - scale * step
-            if trial[0] > 0 and trial[1] > 0:
-                break
-            scale *= 0.5
-        else:
-            return x, False
-        x = x - scale * step
-    return x, np.linalg.norm(_mixed_residual(params, phi1, x)) < _MIXED_TOL
+        live &= ~(np.linalg.norm(f, axis=-1) < _MIXED_TOL)
+        if iteration == _MIXED_MAX_ITER or not live.any():
+            break
+        step = _newton_steps(_mixed_jacobian(params, phi1, x), f)
+        trial = x - step
+        short = live & ~_positive(trial)
+        if short.any():
+            trial, kept = _shortened(x, step, short)
+            failed |= live & ~kept
+            live &= kept
+        x = np.where(live[..., None], trial, x)
+    return x, ~(live | failed)
 
 
 def _symmetric_seed(params: MixedCycleParams) -> np.ndarray:
@@ -294,11 +338,14 @@ def _symmetric_seed(params: MixedCycleParams) -> np.ndarray:
     return x
 
 
-def _continue(params: MixedCycleParams, x: np.ndarray, start: float, stop: float) -> np.ndarray:
+def _continue(
+    params: MixedCycleParams, x: np.ndarray, start: float, stop: float, max_halvings: int = 8
+) -> tuple[np.ndarray, int]:
     """Continue the solution ``x`` at phi1 = ``start`` to phi1 = ``stop``.
 
     Tries the whole step first; each failed Newton solve halves the step
-    for the rest of the way, up to 8 times.  Works in either direction.
+    for the rest of the way, up to ``max_halvings`` times.  Works in either
+    direction.  Returns the solution at ``stop`` and the halvings made.
     """
     span, current, halvings = stop - start, start, 0
     while abs(stop - current) > 1e-12:
@@ -309,16 +356,17 @@ def _continue(params: MixedCycleParams, x: np.ndarray, start: float, stop: float
             x, current = trial, current + step
         else:
             halvings += 1
-            if halvings > 8:
+            if halvings > max_halvings:
                 raise ContinuationError(
                     f"continuation stalled at phi1 = {current + step:.6f}",
                     last_good_phi=float(current),
                 )
-    return x
+    return x, halvings
 
 
-def _mixed_point(params: MixedCycleParams, phi1: float, x: np.ndarray) -> complex:
-    t1, t2, phi2 = x
+def _mixed_point(params: MixedCycleParams, phi1: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Boundary points at the angles ``phi1`` (m,) from their states x (m, 3)."""
+    t1, t2, phi2 = x.T
     p = params
     return (
         p.w1 / (2 * t1) * np.exp(-1j * phi1)
@@ -328,13 +376,93 @@ def _mixed_point(params: MixedCycleParams, phi1: float, x: np.ndarray) -> comple
     )
 
 
+# the coarse sweep continues through every 16th sample only; a refined state
+# must agree this closely (max norm) with the per-sample sweep's step to it
+_COARSE_STRIDE = 16
+_AGREEMENT = 1e-9
+
+
+@dataclass(frozen=True)
+class SweepRecord:
+    """How ``mixed_cycle_boundary`` reached its curve.
+
+    ``coarse_steps`` counts the coarse continuation steps that solved and
+    ``step_halvings`` the halvings of the per-sample sweep; ``fallback``
+    names the doubt that sent the law to that sweep, or is None when the
+    coarse sweep and its refine were kept.
+    """
+
+    coarse_steps: int
+    step_halvings: int = 0
+    fallback: str | None = None
+
+
+def _stepped(
+    params: MixedCycleParams, angles: np.ndarray, seed: np.ndarray, max_halvings: int = 8
+) -> tuple[np.ndarray, int]:
+    """States continued from ``seed`` at angles[0] through each later angle, and the halvings made."""
+    states = np.empty((len(angles), 3))
+    states[0], halvings = seed, 0
+    for i in range(1, len(angles)):
+        states[i], made = _continue(params, states[i - 1], angles[i - 1], angles[i], max_halvings)
+        halvings += made
+    return states, halvings
+
+
+def _points_and_winding(
+    params: MixedCycleParams, phi: np.ndarray, states: np.ndarray
+) -> tuple[np.ndarray, int]:
+    """The curve's points and its winding number about the origin."""
+    z = _mixed_point(params, phi, states)
+    return z, int(winding_numbers(np.zeros(1), np.append(z, z[0]))[0])
+
+
+def _coarse_refined(
+    params: MixedCycleParams, phi: np.ndarray, seed: np.ndarray
+) -> tuple[np.ndarray | None, SweepRecord]:
+    """States from the coarse sweep and one batched refine, or None and the doubt.
+
+    Continues ``seed`` through every ``_COARSE_STRIDE``-th angle and on to
+    phi1 = 2 pi, each step whole, interpolates (t1, t2, phi2) linearly to
+    every angle and refines all samples in one batched Newton solve.  The
+    refined states are kept only if each is, within ``_AGREEMENT``, the
+    per-sample sweep's whole step from its predecessor, which one more
+    batched Newton solve checks: then the per-sample sweep would make the
+    same states.  A refined state can otherwise sit on the same root as
+    that sweep's with phi2 a turn apart, or on another root altogether.
+    The caller still checks that the curve winds once.
+    """
+    knots = np.append(phi[::_COARSE_STRIDE], 2.0 * np.pi)
+    try:
+        coarse, _ = _stepped(params, knots, seed, max_halvings=0)
+    except ContinuationError as exc:
+        solved = int(np.searchsorted(knots, exc.last_good_phi))
+        return None, SweepRecord(solved, fallback="a coarse step needed a halving")
+    record = SweepRecord(len(knots) - 1)
+    guess = np.stack([np.interp(phi, knots, column) for column in coarse.T], axis=1)
+    states, ok = _newton_mixed(params, phi, guess)
+    if not ok.all():
+        return None, replace(record, fallback="a refined sample did not converge")
+    stepped, ok = _newton_mixed(params, phi[1:], states[:-1])
+    if not ok.all() or np.abs(stepped - states[1:]).max() > _AGREEMENT:
+        return None, replace(record, fallback="a refined sample is not the step from its predecessor")
+    return states, record
+
+
 def mixed_cycle_boundary(params: MixedCycleParams, n_samples: int = 1024) -> BoundaryCurve:
     """Boundary for two competing cycle species, swept by continuation.
 
-    The sweep advances phi1 in uniform steps, continuing each solve from the
-    previous angle and halving the step up to 8 times on failure.  The
-    curve keeps each sample's solution in ``states``.  A sweep whose curve
-    does not wind once (clockwise) about the origin has followed another
+    A coarse sweep continues the solution from phi1 = 0 through every 16th
+    sample's angle and on to 2 pi, each step whole; the states are
+    interpolated to every sample and refined together in one batched
+    Newton solve.  On any doubt (a coarse step that fails, a sample that
+    does not converge or is not the per-sample step from its predecessor,
+    a curve that does not wind once) the law is swept sample by sample
+    instead: each solve continues from the previous angle, halving the
+    step up to 8 times on failure, and that sweep alone decides the curve
+    or its error.  The curve keeps each sample's solution in ``states`` and
+    how it was reached in ``sweep``.  A per-sample sweep whose curve does
+    not wind once (clockwise) about the origin has followed another
     solution branch and raises ``ContinuationError``.
 
     Two kinds of law are refused as specs (``InvalidSpecError``): d1 = 0,
@@ -343,6 +471,11 @@ def mixed_cycle_boundary(params: MixedCycleParams, n_samples: int = 1024) -> Bou
     because 2-cycles alone have a real spectrum, whose law is a segment
     with no winding number to check.
     """
+    return _mixed_boundary(params, n_samples, coarse=True)
+
+
+def _mixed_boundary(params: MixedCycleParams, n_samples: int, coarse: bool) -> BoundaryCurve:
+    """``mixed_cycle_boundary``; with ``coarse`` False, its per-sample sweep alone."""
     if params.d1 == 0:
         raise InvalidSpecError("two-species law with d1 = 0: list the species with cycles first")
     if params.k1 == 2 and params.d2 == 0:
@@ -351,20 +484,25 @@ def mixed_cycle_boundary(params: MixedCycleParams, n_samples: int = 1024) -> Bou
             "and its boundary a segment, not a closed curve"
         )
     phi = _sweep(n_samples)
-    states = np.empty((n_samples, 3))
-    states[0] = _symmetric_seed(params)
-    for i in range(1, n_samples):
-        states[i] = _continue(params, states[i - 1], phi[i - 1], phi[i])
-    z = np.array([_mixed_point(params, a, x) for a, x in zip(phi, states)])
-    curve = BoundaryCurve(phi, z, params, states)
-    winding = int(winding_numbers(np.zeros(1), curve.polygon())[0])
+    # a Newton iterate that overflows is a solve that fails, and is handled as one
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        seed = _symmetric_seed(params)
+        states, record = _coarse_refined(params, phi, seed) if coarse else (None, SweepRecord(0))
+        if states is not None:
+            z, winding = _points_and_winding(params, phi, states)
+            if winding != -1:
+                states, record = None, replace(record, fallback="the curve did not wind once")
+        if states is None:
+            states, halvings = _stepped(params, phi, seed)
+            record = replace(record, step_halvings=halvings)
+            z, winding = _points_and_winding(params, phi, states)
     if winding != -1:
         raise ContinuationError(
             f"sweep left the boundary branch: its curve winds {winding} times "
             "about the origin, not once (-1)",
             last_good_phi=float(phi[-1]),
         )
-    return curve
+    return BoundaryCurve(phi, z, params, states, record)
 
 
 def mixed_cycle_asymptotic(params: MixedCycleParams, n_samples: int = 1024) -> BoundaryCurve:

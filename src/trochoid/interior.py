@@ -98,6 +98,44 @@ def _slope(h: np.ndarray, terms, scale: float) -> np.ndarray:
     return dfh
 
 
+def _newton(
+    h: np.ndarray, z: np.ndarray, ok: np.ndarray, terms, scale: float, iterations: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Newton at correlation ``scale`` on the points still ``ok``; returns h and the last residual.
+
+    Points whose iteration diverges or hits a fold (singular linearization)
+    leave ``ok``, which is updated in place.  Once fewer than 1/8 of the
+    points are live, the rest of the iterations run on the live ones alone:
+    each point's arithmetic is elementwise, so this gives the same h.
+    """
+    for iteration in range(iterations):
+        f = _residual(h, z, terms, scale)
+        live = ok & (np.abs(f) >= _NEWTON_TOL)
+        if not live.any():
+            return h, f
+        # not on the first pass: it screens every ok point for divergence,
+        # and the points it leaves behind do not move again
+        if iteration and 8 * np.count_nonzero(live) < len(h):
+            sel = np.flatnonzero(live)
+            sub_ok = ok[sel]
+            h[sel], f[sel] = _newton(h[sel], z[sel], sub_ok, terms, scale, iterations - iteration)
+            ok[sel] = sub_ok
+            return h, f
+        dfh = _slope(h, terms, scale)
+        # Newton step for the non-holomorphic system: with A = dF/dh and
+        # dF/dconj(h) = 1, the increment is (conj(F) - conj(A) F)/(|A|^2 - 1)
+        denom = np.abs(dfh) ** 2 - 1.0
+        singular = np.abs(denom) < 1e-12
+        delta = (np.conj(f) - np.conj(dfh) * f) / np.where(singular, 1.0, denom)
+        h = np.where(live & ~singular, h + delta, h)
+        ok &= ~(live & singular)
+        bad = ok & (~np.isfinite(h) | (np.abs(h) > _DIVERGENCE_RADIUS))
+        h = np.where(bad, 0.0, h)
+        ok &= ~bad
+    # out of iterations: the residual after the last update
+    return h, _residual(h, z, terms, scale)
+
+
 def _solve_branch(
     z: np.ndarray, params: PolytrochoidParams, steps: int = _CONTINUATION_STEPS
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -114,25 +152,7 @@ def _solve_branch(
     h = np.conj(flat_z)
     ok = np.ones(h.shape, dtype=bool)
     for step in range(1, steps + 1):
-        scale = step / steps
-        for _ in range(_NEWTON_MAX_ITER):
-            f = _residual(h, flat_z, terms, scale)
-            live = ok & (np.abs(f) >= _NEWTON_TOL)
-            if not live.any():
-                break
-            dfh = _slope(h, terms, scale)
-            # Newton step for the non-holomorphic system: with A = dF/dh and
-            # dF/dconj(h) = 1, the increment is (conj(F) - conj(A) F)/(|A|^2 - 1)
-            denom = np.abs(dfh) ** 2 - 1.0
-            singular = np.abs(denom) < 1e-12
-            delta = (np.conj(f) - np.conj(dfh) * f) / np.where(singular, 1.0, denom)
-            h = np.where(live & ~singular, h + delta, h)
-            ok &= ~(live & singular)
-            bad = ok & (~np.isfinite(h) | (np.abs(h) > _DIVERGENCE_RADIUS))
-            h = np.where(bad, 0.0, h)
-            ok &= ~bad
-        else:  # out of iterations: f is the residual before the last update
-            f = _residual(h, flat_z, terms, scale)
+        h, f = _newton(h, flat_z, ok, terms, step / steps, _NEWTON_MAX_ITER)
         ok &= np.abs(f) < 100 * _NEWTON_TOL
     return h.reshape(np.shape(z)), ok.reshape(np.shape(z))
 

@@ -135,14 +135,15 @@ _READERS = {"int": _whole, "float": _real}  # by annotation: the spec modules' a
 
 
 def _refuse_unread(section: dict, read: Iterable[str]) -> None:
-    """A ConfigError naming the fields of ``section`` nobody reads: a typo must not run a default.
-
-    The structural fields ``kind``, ``law`` and ``target_rho`` are read by
-    the callers of ``_read`` and always pass.
-    """
-    unread = sorted(set(section) - set(read) - {"kind", "law", "target_rho"})
+    """A ConfigError naming the fields of ``section`` nobody reads: a typo must not run a default."""
+    unread = sorted(set(section) - set(read))
     if unread:
         raise ConfigError(f"unknown field(s) {', '.join(map(repr, unread))}")
+
+
+def _without(section: dict, key: str) -> dict:
+    """``section`` less the structural ``key`` its caller has read."""
+    return {k: v for k, v in section.items() if k != key}
 
 
 def _read(spec_type: type, section: dict, **given):
@@ -152,7 +153,9 @@ def _read(spec_type: type, section: dict, **given):
     or takes its default when the section leaves it out; ``given`` fields
     are passed as they are.  Fields of any other type, and fields set on
     construction, stay out of a config's reach: a section that names one,
-    or any field but these and the structural ones, is refused.
+    or any field but these, is refused.  A caller that reads a structural
+    key itself (``kind``, ``law``, ``target_rho``) leaves it out of
+    ``section``, so a section where nobody reads it is refused too.
     """
     readable = [f for f in fields(spec_type) if f.type in _READERS and f.init and f.name not in given]
     _refuse_unread(section, [*given, *(f.name for f in readable)])
@@ -219,6 +222,7 @@ def _parse_iid(s: dict) -> tuple[int, None]:
 
 def _parse_dense_cyclic(s: dict) -> tuple[DenseCyclicSpec, float | None]:
     target = s.get("target_rho")
+    s = _without(s, "target_rho")
     if (s.get("flip_prob") is None) == (target is None):
         raise ConfigError("dense-cyclic needs exactly one of flip_prob and target_rho")
     if target is None:
@@ -328,7 +332,7 @@ def parse_ensemble(section: dict) -> Ensemble:
     with _config_errors("ensemble"):
         if kind not in _KINDS:
             raise ConfigError(f"unknown ensemble kind {kind!r}")
-        spec, target_rho = _KINDS[kind].parse(section)
+        spec, target_rho = _KINDS[kind].parse(_without(section, "kind"))
     return Ensemble(kind, spec, target_rho)
 
 
@@ -392,7 +396,7 @@ def boundary_for(
                 raise ConfigError(f"poly law names an order twice: {list(section['terms'])}")
         # the mixed laws' weights default to 1, as the sparse law's does
         defaults = {"w1": 1.0, "w2": 1.0} if params is MixedCycleParams else {}
-        return curve(_read(params, {**defaults, **section}, **given), n_samples)
+        return curve(_read(params, {**defaults, **_without(section, "law")}, **given), n_samples)
 
 
 # --- experiment runners ---------------------------------------------------
@@ -649,6 +653,9 @@ def _describe_curve(curve: BoundaryCurve) -> dict:
             "t1_at_zero": t1,
             "t2_at_zero": t2,
             "phi2_at_zero": phi2,
+            "coarse_steps": curve.sweep.coarse_steps,
+            "step_halvings": curve.sweep.step_halvings,
+            "fallback": curve.sweep.fallback,
         }
     return out
 

@@ -301,6 +301,76 @@ def test_mixed_sweep_must_wind_once_about_the_origin(species, winds):
             mixed_cycle_boundary(params, 512)
 
 
+# the fast path (coarse sweep, batched refine) against the per-sample sweep
+# it falls back to; the last five would change outcome if the coarse sweep
+# were trusted without its doubts, and on the last two the refine alone
+# lands with phi2 a turn (or many) away from the per-sample sweep's
+PARITY_LAWS = {
+    "fig4": ((4, 3, 1.0, 4, 4, 1.0), 1024),
+    "fig4-w2-neg": ((4, 3, 1.0, 4, 4, -1.0), 1024),
+    "d2-1-k2-4": ((2, 3, 1.0, 1, 4, 1.0), 1024),
+    "weighted": ((2, 3, 0.7, 2, 4, 1.3), 1024),
+    "d1-1-k2-6": ((1, 3, 1.0, 1, 6, 1.3), 1024),
+    "k1-4-w2-neg": ((2, 4, 1.0, 1, 3, -1.3), 1024),
+    "d1-1-k1-4": ((1, 4, 1.0, 1, 3, 1.0), 1024),
+    "k1-2": ((2, 2, 1.0, 1, 3, 1.3), 1024),
+    "k1-4-w2-pos": ((2, 4, 1.0, 1, 3, 1.3), 1024),
+    "d2-0": ((2, 3, 1.0, 0, 3, 1.0), 1024),
+    "d2-1-k2-4-coarse": ((2, 3, 1.0, 1, 4, 1.0), 512),
+}
+
+
+@pytest.mark.parametrize("species, n_samples", PARITY_LAWS.values(), ids=PARITY_LAWS.keys())
+def test_fast_path_has_the_per_sample_sweeps_outcome(species, n_samples):
+    from trochoid.boundaries import _mixed_boundary
+
+    params = MixedCycleParams(*species)
+    outcomes = []
+    for coarse in (True, False):
+        try:
+            outcomes.append(_mixed_boundary(params, n_samples, coarse))
+        except ContinuationError as exc:
+            outcomes.append(str(exc))
+    fast, per_sample = outcomes
+    if isinstance(per_sample, str):
+        assert fast == per_sample
+    else:
+        assert not isinstance(fast, str), fast
+        np.testing.assert_allclose(fast.states, per_sample.states, rtol=0, atol=1e-9)
+
+
+def test_doubt_sends_the_law_to_the_per_sample_sweep():
+    # on a coarse grid of 32 steps the refine of this law lands with phi2
+    # turns away from the per-sample sweep's, which the predecessor check sees
+    sweep = mixed_cycle_boundary(MixedCycleParams(2, 3, 1.0, 1, 4, 1.0), 512).sweep
+    assert sweep.coarse_steps == 32
+    assert sweep.fallback == "a refined sample is not the step from its predecessor"
+
+
+def test_a_diverging_coarse_step_warns_nothing():
+    # the coarse sweep's whole steps overflow on this law before it falls
+    # back; the CLI's stderr must carry the refusal alone
+    import warnings
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ContinuationError, match="stalled"):
+            mixed_cycle_boundary(MixedCycleParams(1, 3, 1.0, 1, 6, 0.5), 1024)
+
+
+def test_batched_newton_matches_one_state_at_a_time():
+    from trochoid.boundaries import _newton_mixed
+
+    curve = mixed_cycle_boundary(FIG4, 512)
+    phi, guess = curve.phis[1::7], curve.states[:-1:7] * 1.01
+    batch, ok = _newton_mixed(FIG4, phi, guess)
+    assert ok.all()
+    for angle, start, x in zip(phi, guess, batch):
+        alone, converged = _newton_mixed(FIG4, angle, start)
+        assert converged
+        np.testing.assert_allclose(x, alone, rtol=0, atol=1e-12)
+
+
 DEGENERATE_MIXED = {
     "d1-0-k4": ((0, 4, 1.0, 3, 3, 1.0), "list the species with cycles first"),
     "d1-0-k3": ((0, 3, 1.0, 4, 4, 1.0), "list the species with cycles first"),

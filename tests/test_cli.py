@@ -246,6 +246,8 @@ def test_fig4_report_carries_continuation_diagnostics(tmp_path):
     assert diag["swept_angles"] == 1024
     assert diag["phi2_at_zero"] == 0.0
     assert 0 < diag["t1_at_zero"] < 1
+    # the coarse sweep and its refine were kept: no halving, no fallback
+    assert (diag["coarse_steps"], diag["step_halvings"], diag["fallback"]) == (64, 0, None)
 
 
 def test_boundary_off_branch_sweep_exits_1(tmp_path, capsys):
@@ -382,6 +384,10 @@ _TINY_GRAPH = {"kind": "regular-cyclic", "n": 12, "d": 2, "k": 3}
         (["verify", "--seeds", "1_0"], {"ensemble": _TINY_GRAPH, "seeds": [1]}),
         (["moments", "--pure", "1_0"], {"ensemble": _TINY_GRAPH, "seeds": [1]}),
         (["boundary", "--law", "poly", "--term", "1_0:0.01"], None),
+        (["verify"], {"ensemble": {"kind": "regular-cyclic", "n": 30, "d": 2, "k": 3, "target_rho": 0.3,
+                                   "law": "dense"}, "seeds": [1]}),
+        (["verify"], {"ensemble": _TINY_GRAPH, "seeds": [1],
+                      "boundary": {"law": "dense", "k": 3, "rho": 0.1, "target_rho": 5}}),
     ],
     ids=["dense-k1", "few-samples", "sparse-dhat0", "poly-no-terms",
          "boundary-field-type", "verify-samples", "negative-inflation", "flip-and-target", "iid-n0",
@@ -390,7 +396,8 @@ _TINY_GRAPH = {"kind": "regular-cyclic", "n": 12, "d": 2, "k": 3}
          "verify-outputs-str", "verify-outputs-dir", "generate-outputs-str",
          "dense-law-k-fraction", "sparse-law-k-fraction", "mixed-law-k1-fraction",
          "dense-law-unknown-field", "poly-law-order-twice", "poly-term-order-twice",
-         "verify-seeds-underscore", "moments-order-underscore", "poly-term-underscore"],
+         "verify-seeds-underscore", "moments-order-underscore", "poly-term-underscore",
+         "ensemble-unread-structural-keys", "law-unread-target-rho"],
 )
 def test_config_errors_exit_2(tmp_path, capsys, monkeypatch, argv, config):
     _assert_exit_2_before_any_draw(tmp_path, capsys, monkeypatch, argv, config)
