@@ -430,7 +430,7 @@ def _coarse_refined(
     batched Newton solve checks: then the per-sample sweep would make the
     same states.  A refined state can otherwise sit on the same root as
     that sweep's with phi2 a turn apart, or on another root altogether.
-    The caller still checks that the curve winds once.
+    The caller checks that the curve winds once, on either path.
     """
     knots = np.append(phi[::_COARSE_STRIDE], 2.0 * np.pi)
     try:
@@ -456,14 +456,15 @@ def mixed_cycle_boundary(params: MixedCycleParams, n_samples: int = 1024) -> Bou
     sample's angle and on to 2 pi, each step whole; the states are
     interpolated to every sample and refined together in one batched
     Newton solve.  On any doubt (a coarse step that fails, a sample that
-    does not converge or is not the per-sample step from its predecessor,
-    a curve that does not wind once) the law is swept sample by sample
-    instead: each solve continues from the previous angle, halving the
-    step up to 8 times on failure, and that sweep alone decides the curve
-    or its error.  The curve keeps each sample's solution in ``states`` and
-    how it was reached in ``sweep``.  A per-sample sweep whose curve does
-    not wind once (clockwise) about the origin has followed another
-    solution branch and raises ``ContinuationError``.
+    does not converge or is not the per-sample step from its predecessor)
+    the law is swept sample by sample instead: each solve continues from
+    the previous angle, halving the step up to 8 times on failure, and that
+    sweep alone decides the curve or its error.  The curve keeps each
+    sample's solution in ``states`` and how it was reached in ``sweep``.
+    A curve that does not wind once (clockwise) about the origin has
+    followed another solution branch and raises ``ContinuationError``.  A
+    checked fast curve has the per-sample sweep's states, so it is refused
+    at once, without that sweep.
 
     Two kinds of law are refused as specs (``InvalidSpecError``): d1 = 0,
     because the sweep is seeded from the first species and stalls without
@@ -488,14 +489,10 @@ def _mixed_boundary(params: MixedCycleParams, n_samples: int, coarse: bool) -> B
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         seed = _symmetric_seed(params)
         states, record = _coarse_refined(params, phi, seed) if coarse else (None, SweepRecord(0))
-        if states is not None:
-            z, winding = _points_and_winding(params, phi, states)
-            if winding != -1:
-                states, record = None, replace(record, fallback="the curve did not wind once")
         if states is None:
             states, halvings = _stepped(params, phi, seed)
             record = replace(record, step_halvings=halvings)
-            z, winding = _points_and_winding(params, phi, states)
+        z, winding = _points_and_winding(params, phi, states)
     if winding != -1:
         raise ContinuationError(
             f"sweep left the boundary branch: its curve winds {winding} times "

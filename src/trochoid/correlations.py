@@ -14,21 +14,35 @@ where P is the k-2 step path-weight matrix of the leading v x v block,
 built by the recursion P_1 = S, P_j = S @ P_(j-1) with the diagonal zeroed
 after each product (discarding walks that return to their origin).
 
-``induce_cyclic_correlations`` never materializes P.  Because a sweep step
-only modifies column v, the leading block S only ever grows at its border,
-so the diagonals of its powers can be maintained incrementally; row-times-P
-products then unroll into matrix-vector chains.  O(k) matvecs per node.
+``induce_cyclic_correlations`` never materializes P: row-times-P products
+unroll into matrix-vector chains once the diagonals diag(S^m), m = 2..k-2,
+of the leading block are known.  A sweep step only modifies column v, so
+the block only ever grows at its border, S' = [[S, c], [row, d]], with c
+the (flipped) column v and d = M[v, v].  The walks that leave v and first
+come back to it have the generating function
 
-The sweep also accumulates Tr M^k.  When node v joins the block,
+    F(x) = d x + sum_(l=2..k) (row @ S^(l-2) @ c) x^l,
+
+whose coefficients are dot products of the vectors the step has already
+formed.  The walks from v back to v are the return series
+H(x) = 1 / (1 - F(x)), so diag(S'^m)[v] = h_m = [x^m] H, and every older
+node gains the walks that pass through v:
+
+    diag(S'^m)[:v] += sum_(a+b+l=m-2) h_l * (S^a @ c) * (row @ S^b).
+
+O(k) matvecs per node.  The bookkeeping runs from v = 0: no k-cycle closes
+through fewer than k nodes, so the first k - 1 nodes only join the block
+and flips start at v = k - 1.
+
+The sweep also accumulates Tr M^k from the same F.  When node v joins the
+block,
 
     Tr S'^k - Tr S^k = k * [x^k] -log(1 - F(x)),
-    F(x) = M[v, v] x + sum_(l=2..k) (row @ S^(l-2) @ c) x^l,
 
-because det(I - x S') = det(I - x S) (1 - F(x)), with c the (flipped)
-column v; the coefficients of F are dot products of the vectors the step
-has already formed.  The result travels as ``DenseMatrix.power_trace``, so
-the strength Tr M^k / n of a swept draw costs no matrix products.  A draw
-at p = 0 is not swept and carries no trace.
+because det(I - x S') = det(I - x S) (1 - F(x)).  The result travels as
+``DenseMatrix.power_trace``, so the strength Tr M^k / n of a swept draw
+costs no matrix products.  A draw at p = 0 is not swept and carries no
+trace.
 
 The sweep consumes one independent random stream per edge, keyed by the
 edge alone, so a flip decision never depends on the sweep order or on n.
@@ -83,16 +97,6 @@ def _apply_flips(
     m[:v, v][flips] *= -1.0
 
 
-def _power_diagonals(s: np.ndarray, max_power: int) -> list[np.ndarray]:
-    """diag(S^m) for m = 2..max_power, computed directly (startup block only)."""
-    out = []
-    p = s
-    for _ in range(2, max_power + 1):
-        p = p @ s
-        out.append(np.diag(p).copy())
-    return out
-
-
 def _trace_growth(f: list[float]) -> float:
     """k * [x^k] -log(1 - F(x)) for F(x) = sum_j f[j-1] x^j, k = len(f).
 
@@ -114,19 +118,16 @@ def _induce_fast(
     """Sweep ``m`` in place; returns it with its Tr M^k."""
     k = spec.k
     n = m.shape[0]
-    v0 = k - 1
-    trace = float(np.trace(np.linalg.matrix_power(m[:v0, :v0], k)))
     if spec.flip_prob == 1.0:
         uniforms = None
     elif uniforms is None:
         uniforms = edge_flip_uniforms(seed, n)
     # q[m-2] holds diag(S^m), m = 2..k-2, padded out to full length n
     top = k - 2
-    q = [np.empty(n) for _ in range(max(top - 1, 0))]
-    for i, d in enumerate(_power_diagonals(m[:v0, :v0], top)):
-        q[i][:v0] = d
+    q = [np.zeros(n) for _ in range(top - 1)]
+    trace = 0.0
 
-    for v in range(v0, n):
+    for v in range(n):
         s = m[:v, :v]
         row = m[v, :v]
 
@@ -152,36 +153,27 @@ def _induce_fast(
             u -= r[k - 2 - i] * delta[i]
 
         w = u * m[:v, v]
-        _apply_flips(m, v, w, spec, uniforms)
-        c = m[:v, v].copy()
-        d = m[v, v]
-        # F's coefficients: the walks v -> ... -> v of length 1..k
-        trace += _trace_growth([float(d), *(np.array(r) @ c).tolist()])
+        if v >= k - 1:  # no k-cycle closes through fewer than k nodes
+            _apply_flips(m, v, w, spec, uniforms)
+        c = m[:v, v]
+        # F's coefficients f[l-1]: the walks v -> ... -> v of length l = 1..k
+        # that visit v only at their ends
+        f = [float(m[v, v]), *(np.array(r) @ c).tolist()]
+        trace += _trace_growth(f)
 
-        if v + 1 == n:
-            break
-
-        # Grow the maintained diagonals for the bordered block
-        #   S' = [[S, c], [row, d]]  with c the (possibly flipped) column.
+        # Grow the diagonals from the return series h[l] = [x^l] 1 / (1 - F(x))
+        h = [1.0]
+        for l in range(1, top + 1):
+            h.append(sum(f[i - 1] * h[l - i] for i in range(1, l + 1)))
+        # out[j] = sum_(l+b=j) h[l] * r[b]: the walks of length j + 1 from v
+        # to each older node
+        out = [sum(h[l] * r[j - l] for l in range(j + 1)) for j in range(top - 1)]
         sc = [c]  # sc[a] = S^a @ c
-        for _ in range(max(top - 2, 0)):
+        for _ in range(top - 2):
             sc.append(s @ sc[-1])
-        bl = [row]  # bl[i-1] = bottom row of S'^i restricted to old columns
-        tr = [c]  # tr[i-1] = right column of S'^i restricted to old rows
-        br = [d]  # br[i-1] = bottom-right scalar of S'^i
         for mm in range(2, top + 1):
-            rd = sum((r[mm - 2 - i] @ c) * bl[i - 1] for i in range(1, mm - 1))
-            bl_m = r[mm - 1] + (rd if mm > 2 else 0.0) + d * bl[mm - 2]
-            br_m = row @ tr[mm - 2] + d * br[mm - 2]
-            if mm < top:  # the last level's right column is never read
-                # tr[0] is c, so S @ tr[0] is sc[1], already computed
-                s_tr = sc[1] if mm == 2 else s @ tr[mm - 2]
-                tr.append(s_tr + br[mm - 2] * c)
-            grow = sum(sc[mm - 1 - i] * bl[i - 1] for i in range(1, mm))
-            q[mm - 2][:v] += grow
-            q[mm - 2][v] = br_m
-            bl.append(bl_m)
-            br.append(br_m)
+            q[mm - 2][:v] += sum(sc[a] * out[mm - 2 - a] for a in range(mm - 1))
+            q[mm - 2][v] = h[mm]
     return m, trace
 
 

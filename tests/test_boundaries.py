@@ -311,6 +311,9 @@ PARITY_LAWS = {
     "d2-1-k2-4": ((2, 3, 1.0, 1, 4, 1.0), 1024),
     "weighted": ((2, 3, 0.7, 2, 4, 1.3), 1024),
     "d1-1-k2-6": ((1, 3, 1.0, 1, 6, 1.3), 1024),
+    # a checked fast curve that winds 0 times: refused at once, with the
+    # per-sample sweep's message
+    "winds-0": ((1, 3, 1.0, 1, 4, 1.3), 1024),
     "k1-4-w2-neg": ((2, 4, 1.0, 1, 3, -1.3), 1024),
     "d1-1-k1-4": ((1, 4, 1.0, 1, 3, 1.0), 1024),
     "k1-2": ((2, 2, 1.0, 1, 3, 1.3), 1024),

@@ -7,7 +7,10 @@ The set covers the paths whose bytes a behaviour-preserving change must keep:
             digraph whose length gcd does not divide n (the dense fallback
             solve), a weighted two-species digraph against an explicit
             large-degree law, and a calibrated dense ensemble (n = 200, k = 5)
-  laws      curve CSVs of the dense, sparse, mixed-asymptotic and poly laws
+  laws      curve CSVs of the dense, sparse, mixed-asymptotic and poly laws,
+            and of two finite-degree two-species laws: fig4's, which takes
+            the batched fast path, and one that falls back to the
+            per-sample sweep
   generate  regular and mixed digraphs written by run_generate
   moments   a Poisson digraph's moment table from run_moments
 
@@ -52,6 +55,8 @@ LAWS = {
     "sparse": {"law": "sparse", "d_hat": 1.0, "k": 3, "weight": -0.5},
     "mixed-asymptotic": {"law": "mixed-asymptotic", "d1": 4, "k1": 4, "w1": 1.0, "d2": 4, "k2": 3, "w2": -1.0},
     "poly": {"law": "poly", "terms": {"3": 0.2, "4": 0.1}},
+    "mixed-fig4": {"law": "mixed", "d1": 4, "k1": 3, "w1": 1.0, "d2": 4, "k2": 4, "w2": 1.0},
+    "mixed-fallback": {"law": "mixed", "d1": 1, "k1": 4, "w1": 1.0, "d2": 1, "k2": 3, "w2": 1.0},
 }
 GENERATE = {
     "regular": {"ensemble": {"kind": "regular-cyclic", "n": 30, "d": 2, "k": 3}, "seeds": [1, 2]},
