@@ -49,6 +49,8 @@ def _load_config(args: argparse.Namespace) -> dict:
             loaded = json.loads(path.read_text())
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config file is not valid JSON: {exc}") from exc
+        if not isinstance(loaded, dict):
+            raise ConfigError(f"config file must hold a JSON object, got {loaded!r:.60}")
         config.update(loaded)
     if getattr(args, "seeds", None):
         config["seeds"] = _int_list(args.seeds, "--seeds")

@@ -7,6 +7,7 @@ adjacency, entry (u, v) is the total weight of edges u -> v.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import chain
 from math import gcd
 
@@ -54,6 +55,8 @@ class SparseDigraph:
     are derived from them: one row per ordered pair that some cycle steps
     along, carrying the sum of those steps' weights added in cycle order,
     sorted by (source, target).  Pairs whose weights cancel to 0 are dropped.
+    ``sparse_adjacency`` is their CSR form, built on first use and shared
+    by every reader: one that changes it must change a copy.
     """
 
     n: int
@@ -84,6 +87,14 @@ class SparseDigraph:
         kept = totals != 0.0
         self.edges = np.column_stack(np.divmod(pairs[kept], self.n))
         self.edge_weights = totals[kept]
+
+    @cached_property
+    def sparse_adjacency(self):
+        """The adjacency of ``adjacency_matrix`` as a scipy CSR array."""
+        # imported here: scipy.sparse is slow to load and only digraphs need it
+        from scipy.sparse import csr_array
+
+        return csr_array((self.edge_weights, (self.edges[:, 0], self.edges[:, 1])), shape=(self.n, self.n))
 
     def row_sums(self) -> np.ndarray:
         return np.bincount(self.edges[:, 0], weights=self.edge_weights, minlength=self.n)
@@ -121,10 +132,3 @@ def adjacency_matrix(g: SparseDigraph) -> DenseMatrix:
     m[g.edges[:, 0], g.edges[:, 1]] = g.edge_weights
     return DenseMatrix(m)
 
-
-def sparse_adjacency(g: SparseDigraph):
-    """The adjacency of ``adjacency_matrix`` as a scipy CSR array."""
-    # imported here: scipy.sparse is slow to load and only digraphs need it
-    from scipy.sparse import csr_array
-
-    return csr_array((g.edge_weights, (g.edges[:, 0], g.edges[:, 1])), shape=(g.n, g.n))

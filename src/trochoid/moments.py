@@ -15,7 +15,7 @@ from math import comb
 
 import numpy as np
 
-from .ensembles import DenseMatrix, SparseDigraph, sparse_adjacency
+from .ensembles import DenseMatrix, SparseDigraph
 from .errors import InvalidSpecError
 from .spectra import Spectrum
 
@@ -63,7 +63,7 @@ def trace_power_moment(m: DenseMatrix | SparseDigraph, k: int) -> float:
 
 
 def _operand(m: DenseMatrix | SparseDigraph):
-    return sparse_adjacency(m) if isinstance(m, SparseDigraph) else m.entries
+    return m.sparse_adjacency if isinstance(m, SparseDigraph) else m.entries
 
 
 def _power_trace(base, k: int, n: int) -> float:

@@ -1,11 +1,15 @@
 """End-to-end experiment orchestration: generate, verify, calibrate.
 
-Configs are plain dicts (JSON-compatible).  Each ensemble kind is one row of
-``_KINDS``, which says how to parse, draw and bound it and what to report.
-Every number a config sets is read by ``_whole`` (int) or ``_real`` (float):
-``_read`` picks between them by the field types of the spec dataclass the
-section fills, and ``run_verify`` reads its run fields and the thread cap
-before anything is drawn.
+Configs are plain dicts (JSON-compatible).  ``_prepare`` reads what
+``run_generate``, ``run_verify`` and ``run_moments`` share: it refuses a
+top-level or ``outputs`` field that nothing reads and returns the parsed
+ensemble, the seeds and the output directory.  Each runner then calibrates,
+and ``_calibration`` describes the result the same way in all three outputs.
+Each ensemble kind is one row of ``_KINDS``, which says how to parse, draw
+and bound it and what to report.  Every number a config sets is read by
+``_whole`` (int) or ``_real`` (float): ``_read`` picks between them by the
+field types of the spec dataclass the section fills, and ``run_verify``
+reads its run fields, the thread cap and its law before anything is drawn.
 
 Seed-level work runs on a thread pool capped by the TROCHOID_THREADS
 environment variable, or in the calling thread when the cap is one; results
@@ -351,8 +355,18 @@ def _draw(ens: Ensemble, seed: int) -> DenseMatrix | SparseDigraph:
     return made if made is not None else _KINDS[ens.kind].draw(ens.spec, seed)
 
 
-def _flip_prob(ens: Ensemble) -> float | None:
-    return ens.spec.flip_prob if _KINDS[ens.kind].flip_sweep else None
+def _calibration(ens: Ensemble) -> dict:
+    """The ``calibration`` entry of every runner's output for a swept ensemble, else nothing.
+
+    It holds the flip probability the draws were made at and, when
+    calibration chose it, the ``[p, mean strength]`` of every probe.
+    """
+    if not _KINDS[ens.kind].flip_sweep:
+        return {}
+    block: dict = {"flip_prob": ens.spec.flip_prob}
+    if ens.calibration is not None:
+        block["probes"] = [list(probe) for probe in ens.calibration.probes]
+    return {"calibration": block}
 
 
 # --- boundary selection ---------------------------------------------------
@@ -402,17 +416,42 @@ def boundary_for(
 # --- experiment runners ---------------------------------------------------
 
 
+# every top-level field that a runner or a CLI flag writes: each runner
+# accepts all of them, so one preset or config file serves every command
+_CONFIG_FIELDS = ("ensemble", "seeds", "boundary", "inflation", "samples", "exclude_outliers", "outputs")
+
+
+def _prepare(config: dict, out_dir: str | Path | None = None) -> tuple[Ensemble, list[int], Path | None, bool]:
+    """(ensemble, seeds, directory, svg): the config fields every runner reads.
+
+    A top-level field outside ``_CONFIG_FIELDS`` or an ``outputs`` field
+    other than ``dir`` and ``svg`` is refused, before anything is drawn.
+    The directory is ``out_dir`` if given, else the section's ``dir``
+    (default "."); it is None when neither is set and the section is empty.
+    The ensemble is not calibrated yet, so that verify can build its law
+    first and a bad law exits before any draw.
+    """
+    _refuse_unread(config, _CONFIG_FIELDS)
+    outputs, seeds = config.get("outputs", {}), config.get("seeds")
+    if not (isinstance(outputs, dict) and isinstance(outputs.get("dir", "."), str)
+            and isinstance(outputs.get("svg", True), bool)):
+        raise ConfigError(f"outputs must map 'dir' to a string and 'svg' to true or false, got {outputs!r}")
+    _refuse_unread(outputs, ("dir", "svg"))
+    if not isinstance(seeds, list) or not seeds:
+        raise ConfigError(f"seeds must be a non-empty list of whole numbers, got {seeds!r}")
+    seeds = [_whole(s, "seed") for s in seeds]
+    folder = out_dir if out_dir is not None else outputs.get("dir", "." if outputs else None)
+    out = None if folder is None else Path(folder)
+    return parse_ensemble(config.get("ensemble", {})), seeds, out, outputs.get("svg", True)
+
+
 def run_generate(config: dict, out_dir: str | Path | None = None) -> dict:
     """Generate every seed's draw and persist it; returns a file manifest."""
-    ens = parse_ensemble(config.get("ensemble", {}))
-    seeds = _seed_list(config)
-    out = _parse_outputs(config, out_dir)[0] or Path(".")
+    ens, seeds, out, _ = _prepare(config, out_dir)
+    out = out or Path(".")
     out.mkdir(parents=True, exist_ok=True)
     ens = _calibrated(ens, seeds)
-    manifest: dict = {"files": [], "ensemble": config["ensemble"], "seeds": seeds}
-    p = _flip_prob(ens)
-    if p is not None:
-        manifest["flip_prob"] = p
+    manifest = {"files": [], "ensemble": config["ensemble"], "seeds": seeds, **_calibration(ens)}
     for seed in seeds:
         draw = _draw(ens, seed)
         stem = out / f"{ens.kind}-seed{seed}"
@@ -425,28 +464,6 @@ def run_generate(config: dict, out_dir: str | Path | None = None) -> dict:
             write_cycle_sidecar(draw, sidecar)
             manifest["files"].extend([str(stem.with_suffix(".mtx")), str(sidecar)])
     return manifest
-
-
-def _parse_outputs(config: dict, out_dir: str | Path | None) -> tuple[Path | None, bool]:
-    """(directory, svg) from ``out_dir`` and the ``outputs`` section.
-
-    The directory is ``out_dir`` if given, else the section's ``dir``
-    (default "."); it is None when neither is set and the section is empty.
-    """
-    section = config.get("outputs", {})
-    if not (isinstance(section, dict) and isinstance(section.get("dir", "."), str)
-            and isinstance(section.get("svg", True), bool)):
-        raise ConfigError(f"outputs must map 'dir' to a string and 'svg' to true or false, got {section!r}")
-    folder = out_dir if out_dir is not None else section.get("dir", "." if section else None)
-    return (None if folder is None else Path(folder)), section.get("svg", True)
-
-
-def _seed_list(config: dict) -> list[int]:
-    seeds = config.get("seeds")
-    if not seeds:
-        raise ConfigError("config must list at least one seed")
-    with _config_errors("seeds"):
-        return [_whole(s, "seed") for s in seeds]
 
 
 def _spectrum_for(ens: Ensemble, seed: int) -> tuple[Spectrum, DenseMatrix | SparseDigraph]:
@@ -533,8 +550,7 @@ def run_verify(config: dict, out_dir: str | Path | None = None) -> dict:
     mean measured strength (dense-cyclic auto boundary), containment, and
     the aggregate.
     """
-    ens = parse_ensemble(config.get("ensemble", {}))
-    seeds = _seed_list(config)
+    ens, seeds, out, svg = _prepare(config, out_dir)
     with _config_errors("config"):
         inflation = _real(config.get("inflation", 0.03), "inflation")
         n_samples = _whole(config.get("samples", 1024), "samples")
@@ -546,7 +562,6 @@ def run_verify(config: dict, out_dir: str | Path | None = None) -> dict:
     exclude = config.get("exclude_outliers", True)
     if not isinstance(exclude, bool):
         raise ConfigError(f"exclude_outliers must be true or false, got {exclude!r}")
-    out, svg = _parse_outputs(config, out_dir)
     row = _KINDS[ens.kind]
     section = config.get("boundary", "auto")
     # every law but the one fitted to the measured strength is built, and so
@@ -609,12 +624,8 @@ def run_verify(config: dict, out_dir: str | Path | None = None) -> dict:
         "inflation": inflation,
         "seeds": seed_reports,
         "aggregate": aggregate,
+        **_calibration(ens),
     }
-    p = _flip_prob(ens)
-    if p is not None:
-        report["calibration"] = {"flip_prob": p}
-        if ens.calibration is not None:
-            report["calibration"]["probes"] = [list(probe) for probe in ens.calibration.probes]
 
     if out is not None:
         out.mkdir(parents=True, exist_ok=True)
@@ -662,14 +673,13 @@ def _describe_curve(curve: BoundaryCurve) -> dict:
 
 def run_moments(config: dict, pure_orders: list[int], mixed_orders: list[int]) -> dict:
     """Empirical-vs-predicted moment table over the configured seeds."""
-    ens = parse_ensemble(config.get("ensemble", {}))
-    seeds = _seed_list(config)
+    ens, seeds, _, _ = _prepare(config)
     if any(order < 1 for order in [*pure_orders, *mixed_orders]):
         raise ConfigError(f"moment orders must be >= 1, got pure {pure_orders}, mixed {mixed_orders}")
     ens = _calibrated(ens, seeds)
     values = [_seed_moments(_draw(ens, seed), pure_orders, mixed_orders) for seed in seeds]
     moments = _moment_rows(ens, values, values[0])
-    return {"ensemble": config["ensemble"], "seeds": seeds, "moments": moments}
+    return {"ensemble": config["ensemble"], "seeds": seeds, "moments": moments, **_calibration(ens)}
 
 
 # --- calibration ----------------------------------------------------------

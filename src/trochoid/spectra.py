@@ -105,7 +105,7 @@ def phase_certificate(g: SparseDigraph) -> np.ndarray | None:
     # imported here: scipy.sparse is slow to load and only digraphs need it
     from scipy.sparse.csgraph import connected_components, dijkstra
 
-    forward = ensembles.sparse_adjacency(g)
+    forward = g.sparse_adjacency.copy()  # the graph's own is shared and keeps its weights
     forward.data[:] = 1.0
     _, labels = connected_components(forward, connection="weak")
     _, roots = np.unique(labels, return_index=True)  # first node of each component
@@ -136,7 +136,7 @@ def digraph_spectrum(g: SparseDigraph) -> Spectrum:
         return compute_eigenvalues(ensembles.adjacency_matrix(g))
     start = int(np.argmin(sizes))
     classes = [np.flatnonzero(phase == (start + j) % p) for j in range(p)]
-    adjacency = ensembles.sparse_adjacency(g)
+    adjacency = g.sparse_adjacency
     # block j maps class start + j to the next class; multiplied left to right
     blocks = [adjacency[a][:, b].toarray() for a, b in zip(classes, classes[1:] + classes[:1])]
     product = reduce(np.matmul, blocks)

@@ -419,8 +419,40 @@ def _assert_exit_2_before_any_draw(tmp_path, capsys, monkeypatch, argv, config):
     elif config is not None:
         argv = argv + ["--config", _write_config(tmp_path, config)]
     assert main(argv) == 2
-    assert json.loads(capsys.readouterr().err)["error"]["type"] == "config"
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert error["type"] == "config"
     assert [f.name for f in tmp_path.iterdir()] in ([], ["config.json"])
+    return error["message"]
+
+
+@pytest.mark.parametrize("text", ["[1, 2]", "null", '"abc"', "[[1, 2]]"], ids=["list", "null", "string", "pairs"])
+def test_config_file_that_is_not_an_object_exits_2(tmp_path, capsys, monkeypatch, text):
+    # each once reached config.update: a TypeError or ValueError traceback, or
+    # [[1, 2]] read as the mapping {1: 2} on top of the preset
+    (tmp_path / "config.json").write_text(text)
+    argv = ["verify", "--preset", "fig1-right", "--config", str(tmp_path / "config.json")]
+    _assert_exit_2_before_any_draw(tmp_path, capsys, monkeypatch, argv, None)
+
+
+@pytest.mark.parametrize("argv", [["verify"], ["generate"], ["moments", "--pure", "3"]], ids=lambda a: a[0])
+@pytest.mark.parametrize(
+    "config",
+    [
+        {"ensemble": _TINY_GRAPH, "seeds": [1], "inflaton": 0.5},
+        {"ensemble": _TINY_GRAPH, "seeds": [1], "outputs": {"svgg": False}},
+    ],
+    ids=["top-level", "outputs"],
+)
+def test_unknown_config_field_exits_2_under_every_runner(tmp_path, capsys, monkeypatch, argv, config):
+    # once dropped for the default: verify ran at inflation 0.03 and drew an svg
+    message = _assert_exit_2_before_any_draw(tmp_path, capsys, monkeypatch, argv, config)
+    assert ("'inflaton'" if "inflaton" in config else "'svgg'") in message
+
+
+def test_seeds_given_as_text_are_named_as_given(tmp_path, capsys, monkeypatch):
+    # a string once went through the seed reader one character at a time
+    config = {"ensemble": _TINY_GRAPH, "seeds": "12"}
+    assert "'12'" in _assert_exit_2_before_any_draw(tmp_path, capsys, monkeypatch, ["verify"], config)
 
 
 @pytest.mark.parametrize(

@@ -9,7 +9,7 @@ from trochoid.correlations import DenseCyclicSpec, generate_dense_cyclic
 from trochoid.ensembles import DenseMatrix
 from trochoid.errors import CalibrationError, GenerationError, InvalidSpecError
 from trochoid.moments import trace_power_moment
-from trochoid.pipeline import _seed_list, calibrate_flip_prob, run_generate, run_moments, run_verify
+from trochoid.pipeline import _prepare, calibrate_flip_prob, run_generate, run_moments, run_verify
 
 # ensemble, per-seed moment orders, whether the kind predicts them, drawn by
 # the flip sweep, symmetry checked, auto law and the part of its params the
@@ -93,10 +93,10 @@ def test_report_shape_per_kind(
     manifest = run_generate(config, tmp_path)
     if flip_sweep:
         assert report["calibration"] == {"flip_prob": ensemble["flip_prob"]}
-        assert manifest["flip_prob"] == ensemble["flip_prob"]
+        assert manifest["calibration"] == {"flip_prob": ensemble["flip_prob"]}
     else:
         assert "calibration" not in report
-        assert "flip_prob" not in manifest
+        assert "calibration" not in manifest
 
 
 @pytest.mark.parametrize("weights", [(1.0, -1.0), (-1.0, 1.0)], ids=["w2<0", "w1<0"])
@@ -206,7 +206,31 @@ def test_moments_and_verify_measure_the_same_mixed_moments():
 
 
 def test_whole_number_seeds_pass():
-    assert _seed_list({"seeds": [2, 3.0]}) == [2, 3]
+    assert _prepare({"ensemble": _WEIGHTED_GRAPH, "seeds": [2, 3.0]})[1] == [2, 3]
+
+
+def test_calibrated_moments_table_carries_verifys_calibration():
+    config = {"ensemble": {"kind": "dense-cyclic", "n": 60, "k": 3, "target_rho": 0.3}, "seeds": [1, 2, 3]}
+    calibration = run_verify(config)["calibration"]
+    assert set(calibration) == {"flip_prob", "probes"}
+    assert run_moments(config, [3], [])["calibration"] == calibration
+
+
+def test_each_verified_digraph_builds_one_sparse_adjacency(monkeypatch):
+    # the phase certificate, the cyclic blocks and both mixed moment orders
+    # read the one CSR form the graph builds on first use
+    import scipy.sparse
+
+    built = []
+
+    def counted(*args, _csr=scipy.sparse.csr_array, **kwargs):
+        built.append(1)
+        return _csr(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.sparse, "csr_array", counted)
+    report = run_verify({"ensemble": _WEIGHTED_GRAPH, "seeds": [1, 2]})
+    assert "symmetry_residual" in report["seeds"][0]
+    assert len(built) == 2
 
 
 @pytest.mark.parametrize("n, exact", [(32, True), (30, False)])

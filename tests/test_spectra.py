@@ -206,6 +206,20 @@ def test_phase_certificate_on_stratified_graph():
     np.testing.assert_array_equal(phase[g.edges[:, 1]], (phase[g.edges[:, 0]] + 1) % 3)
 
 
+def test_phase_certificate_leaves_the_shared_adjacency_alone():
+    # the certificate sets its edge weights to 1 on a copy: the graph's own
+    # CSR keeps the weights that its moments and cyclic blocks read
+    from trochoid.moments import empirical_mixed_moment, trace_power_moment
+
+    species = (CycleSpecies(d=2, k=3, weight=0.7), CycleSpecies(d=1, k=6, weight=-1.3))
+    g = generate_mixed_cyclic(MixedCyclicSpec(n=24, species=species), seed=1)
+    moments = [trace_power_moment(g, 3), trace_power_moment(g, 6), empirical_mixed_moment(g, 1)]
+    data = g.sparse_adjacency.data.copy()
+    assert phase_certificate(g) is not None
+    np.testing.assert_array_equal(g.sparse_adjacency.data, data)
+    assert [trace_power_moment(g, 3), trace_power_moment(g, 6), empirical_mixed_moment(g, 1)] == moments
+
+
 def _reference_phase_certificate(g: SparseDigraph) -> np.ndarray | None:
     """The certificate by a depth-first search over neighbour lists (test oracle)."""
     p = g.cycle_length_gcd()

@@ -17,11 +17,12 @@ The set covers the paths whose bytes a behaviour-preserving change must keep:
 Usage: python tools/output_digests.py [group ...]   (default: every group)
 
 Prints one "<sha256>  <file>" line per file, files in sorted order relative
-to the output directory, then "<sha256>  combined" over those lines.  Run it
-on two checkouts and compare: each imports trochoid from its own src/.  The
-script pins OPENBLAS_NUM_THREADS and TROCHOID_THREADS to 1 for its own
-process before numpy loads, since reports are byte-reproducible only for a
-fixed BLAS thread count.
+to the output directory, then "<sha256>  combined" over those lines.
+tests/output_digests.txt records this output, and tests/test_output_digests.py
+compares against it.  To compare two checkouts, run it in each: each imports
+trochoid from its own src/.  The script pins OPENBLAS_NUM_THREADS and
+TROCHOID_THREADS to 1 for its own process before numpy loads, since reports
+are byte-reproducible only for a fixed BLAS thread count.
 """
 
 from __future__ import annotations
