@@ -11,8 +11,10 @@ The set covers the paths whose bytes a behaviour-preserving change must keep:
             and of two finite-degree two-species laws: fig4's, which takes
             the batched fast path, and one that falls back to the
             per-sample sweep
-  generate  regular and mixed digraphs written by run_generate
-  moments   a Poisson digraph's moment table from run_moments
+  generate  the files and manifests run_generate writes for regular and
+            mixed digraphs and for the calibrated dense ensemble
+  moments   moment tables from run_moments: a Poisson digraph's, and the
+            calibrated dense ensemble's
 
 Usage: python tools/output_digests.py [group ...]   (default: every group)
 
@@ -27,6 +29,7 @@ are byte-reproducible only for a fixed BLAS thread count.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import os
 import sys
@@ -51,6 +54,8 @@ VERIFY = {
         "seeds": [1, 2, 3],
     },
 }
+# seed 4 is drawn after calibration, which hands over the draws of seeds 1-3
+DENSE_CALIBRATED = {**VERIFY["dense-calibrated"], "seeds": [1, 2, 3, 4]}
 LAWS = {
     "dense": {"law": "dense", "k": 5, "rho": 0.075},
     "sparse": {"law": "sparse", "d_hat": 1.0, "k": 3, "weight": -0.5},
@@ -62,8 +67,14 @@ LAWS = {
 GENERATE = {
     "regular": {"ensemble": {"kind": "regular-cyclic", "n": 30, "d": 2, "k": 3}, "seeds": [1, 2]},
     "mixed": {"ensemble": {"kind": "mixed-cyclic", "n": 24, "species": _WEIGHTED_SPECIES}, "seeds": [1]},
+    "dense-calibrated": DENSE_CALIBRATED,
 }
-MOMENTS = {"ensemble": {"kind": "poisson-cyclic", "n": 200, "mean_degree": 3.0, "k": 3}, "seeds": [1, 2]}
+# name -> (config, pure orders, mixed orders)
+MOMENTS = {
+    "poisson": ({"ensemble": {"kind": "poisson-cyclic", "n": 200, "mean_degree": 3.0, "k": 3}, "seeds": [1, 2]},
+                [3, 6], [1, 2]),
+    "dense-calibrated": (DENSE_CALIBRATED, [5], [1]),
+}
 
 
 def _verify(out: Path) -> None:
@@ -86,10 +97,14 @@ def _laws(out: Path) -> None:
 
 
 def _generate(out: Path) -> None:
+    from trochoid.io import write_json
     from trochoid.pipeline import run_generate
 
-    for name, config in GENERATE.items():
-        run_generate(config, out / "generate" / name)
+    # from inside ``out``, so that the manifest lists the files by relative path
+    with contextlib.chdir(out):
+        for name, config in GENERATE.items():
+            manifest = run_generate(config, Path("generate") / name)
+            write_json(manifest, Path("generate") / name / "manifest.json")
 
 
 def _moments(out: Path) -> None:
@@ -97,7 +112,8 @@ def _moments(out: Path) -> None:
     from trochoid.pipeline import run_moments
 
     (out / "moments").mkdir()
-    write_json(run_moments(MOMENTS, [3, 6], [1, 2]), out / "moments" / "poisson.json")
+    for name, (config, pure, mixed) in MOMENTS.items():
+        write_json(run_moments(config, pure, mixed), out / "moments" / f"{name}.json")
 
 
 GROUPS = {"verify": _verify, "laws": _laws, "generate": _generate, "moments": _moments}
