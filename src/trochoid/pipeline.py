@@ -70,6 +70,7 @@ from .moments import (
     trace_power_moment,
     tree_walk_prediction,
 )
+from .rng import normalize_seed
 from .spectra import (
     SYMMETRY_MAX_N,
     Spectrum,
@@ -138,11 +139,24 @@ def _real(value, what: str) -> float:
 _READERS = {"int": _whole, "float": _real}  # by annotation: the spec modules' are strings
 
 
-def _refuse_unread(section: dict, read: Iterable[str]) -> None:
-    """A ConfigError naming the fields of ``section`` nobody reads: a typo must not run a default."""
+def _refuse_unread(section: dict, read: Iterable[str], where: str) -> None:
+    """A ConfigError naming the fields of ``section`` nobody reads, and the
+    section (``where``) they are in: a typo must not run a default."""
     unread = sorted(set(section) - set(read))
     if unread:
-        raise ConfigError(f"unknown field(s) {', '.join(map(repr, unread))}")
+        raise ConfigError(f"unknown {where} field(s) {', '.join(map(repr, unread))}")
+
+
+def _refuse_repeats(seeds: Iterable[int]) -> None:
+    """A ConfigError naming a seed listed twice: it would be pooled as two independent draws."""
+    drawn: dict[int, int] = {}  # by the 64-bit seed the streams read
+    for seed in seeds:
+        key = normalize_seed(seed)
+        if key in drawn:
+            twin = drawn[key]
+            same = f"seed {seed} is listed twice" if twin == seed else f"seeds {twin} and {seed} are one draw"
+            raise ConfigError(f"{same}: each seed must name its own draw")
+        drawn[key] = seed
 
 
 def _without(section: dict, key: str) -> dict:
@@ -150,19 +164,20 @@ def _without(section: dict, key: str) -> dict:
     return {k: v for k, v in section.items() if k != key}
 
 
-def _read(spec_type: type, section: dict, **given):
+def _read(spec_type: type, section: dict, where: str, **given):
     """A ``spec_type`` dataclass built from a config section.
 
     Each int or float field is read from ``section`` by its type's reader,
     or takes its default when the section leaves it out; ``given`` fields
     are passed as they are.  Fields of any other type, and fields set on
     construction, stay out of a config's reach: a section that names one,
-    or any field but these, is refused.  A caller that reads a structural
+    or any field but these, is refused, and the refusal names the section
+    as ``where`` ("ensemble", "boundary").  A caller that reads a structural
     key itself (``kind``, ``law``, ``target_rho``) leaves it out of
     ``section``, so a section where nobody reads it is refused too.
     """
     readable = [f for f in fields(spec_type) if f.type in _READERS and f.init and f.name not in given]
-    _refuse_unread(section, [*given, *(f.name for f in readable)])
+    _refuse_unread(section, [*given, *(f.name for f in readable)], where)
     for f in readable:
         if f.name in section:
             given[f.name] = _READERS[f.type](section[f.name], f.name)
@@ -217,7 +232,7 @@ class _Kind:
 
 
 def _parse_iid(s: dict) -> tuple[int, None]:
-    _refuse_unread(s, {"n"})
+    _refuse_unread(s, {"n"}, "ensemble")
     n = _whole(s["n"], "n")
     if n < 1:
         raise ConfigError(f"dimension must be >= 1, got {n}")
@@ -230,18 +245,18 @@ def _parse_dense_cyclic(s: dict) -> tuple[DenseCyclicSpec, float | None]:
     if (s.get("flip_prob") is None) == (target is None):
         raise ConfigError("dense-cyclic needs exactly one of flip_prob and target_rho")
     if target is None:
-        return _read(DenseCyclicSpec, s), None
+        return _read(DenseCyclicSpec, s, "ensemble"), None
     target = _real(target, "target_rho")
     # a target's sign is the sweep's: calibration draws toward it
-    spec = _read(DenseCyclicSpec, {"sign": -1 if target < 0 else 1, **s}, flip_prob=0.0)
+    spec = _read(DenseCyclicSpec, {"sign": -1 if target < 0 else 1, **s}, "ensemble", flip_prob=0.0)
     if target * spec.sign < 0:
         raise ConfigError(f"sign {spec.sign} contradicts target_rho {target}")
     return spec, target
 
 
 def _parse_mixed_cyclic(s: dict) -> tuple[MixedCyclicSpec, None]:
-    species = tuple(_read(CycleSpecies, sp) for sp in s["species"])
-    return _read(MixedCyclicSpec, s, species=species), None
+    species = tuple(_read(CycleSpecies, sp, "ensemble") for sp in s["species"])
+    return _read(MixedCyclicSpec, s, "ensemble", species=species), None
 
 
 def _dense_cyclic_law(spec: DenseCyclicSpec, n_samples: int, measured_rho: float | None):
@@ -300,7 +315,7 @@ _KINDS: dict[str, _Kind] = {
         flip_sweep=True,
     ),
     "regular-cyclic": _Kind(
-        parse=lambda s: (_read(RegularCyclicSpec, s), None),
+        parse=lambda s: (_read(RegularCyclicSpec, s, "ensemble"), None),
         draw=lambda s, seed: generate_regular_cyclic(s, seed),
         law=_regular_law,
         cycle_lengths=lambda s: [s.k],
@@ -308,7 +323,7 @@ _KINDS: dict[str, _Kind] = {
         predict=lambda s, moment, order: _walk_prediction(s.d, s.weight, s.k, moment, order),
     ),
     "poisson-cyclic": _Kind(
-        parse=lambda s: (_read(PoissonCyclicSpec, s), None),
+        parse=lambda s: (_read(PoissonCyclicSpec, s, "ensemble"), None),
         draw=lambda s, seed: generate_poisson_cyclic(s, seed),
         law=lambda s, samples, rho: sparse_hypotrochoid(
             SparseCyclicParams(d_hat=s.mean_degree, k=s.k, weight=s.weight), samples
@@ -359,7 +374,8 @@ def _calibration(ens: Ensemble) -> dict:
     """The ``calibration`` entry of every runner's output for a swept ensemble, else nothing.
 
     It holds the flip probability the draws were made at and, when
-    calibration chose it, the ``[p, mean strength]`` of every probe.
+    calibration chose it, the ``[p, mean strength, nodes swept]`` of every
+    probe (see ``Calibration``).
     """
     if not _KINDS[ens.kind].flip_sweep:
         return {}
@@ -410,7 +426,7 @@ def boundary_for(
                 raise ConfigError(f"poly law names an order twice: {list(section['terms'])}")
         # the mixed laws' weights default to 1, as the sparse law's does
         defaults = {"w1": 1.0, "w2": 1.0} if params is MixedCycleParams else {}
-        return curve(_read(params, {**defaults, **_without(section, "law")}, **given), n_samples)
+        return curve(_read(params, {**defaults, **_without(section, "law")}, "boundary", **given), n_samples)
 
 
 # --- experiment runners ---------------------------------------------------
@@ -431,15 +447,16 @@ def _prepare(config: dict, out_dir: str | Path | None = None) -> tuple[Ensemble,
     The ensemble is not calibrated yet, so that verify can build its law
     first and a bad law exits before any draw.
     """
-    _refuse_unread(config, _CONFIG_FIELDS)
+    _refuse_unread(config, _CONFIG_FIELDS, "config")
     outputs, seeds = config.get("outputs", {}), config.get("seeds")
     if not (isinstance(outputs, dict) and isinstance(outputs.get("dir", "."), str)
             and isinstance(outputs.get("svg", True), bool)):
         raise ConfigError(f"outputs must map 'dir' to a string and 'svg' to true or false, got {outputs!r}")
-    _refuse_unread(outputs, ("dir", "svg"))
+    _refuse_unread(outputs, ("dir", "svg"), "outputs")
     if not isinstance(seeds, list) or not seeds:
         raise ConfigError(f"seeds must be a non-empty list of whole numbers, got {seeds!r}")
     seeds = [_whole(s, "seed") for s in seeds]
+    _refuse_repeats(seeds)
     folder = out_dir if out_dir is not None else outputs.get("dir", "." if outputs else None)
     out = None if folder is None else Path(folder)
     return parse_ensemble(config.get("ensemble", {})), seeds, out, outputs.get("svg", True)
@@ -692,40 +709,65 @@ _CALIBRATION_MAX_PROBES = 18
 class Calibration:
     """What ``calibrate_flip_prob`` measured and found.
 
-    ``probes`` holds (p, mean strength) for every p measured, in order, the
-    two ends first.  ``draws`` holds each calibration seed's draw at
-    ``flip_prob``; the runners pop each one and use it in place of a new draw.
+    ``probes`` holds (p, mean strength, nodes) for every p measured, in
+    order, the two ends first; ``nodes`` is the size of the draws measured:
+    n, or n // 2 for a probe on their leading half.  ``draws`` holds each
+    calibration seed's draw at ``flip_prob``; the runners pop each one and
+    use it in place of a new draw.
     """
 
     flip_prob: float
-    probes: tuple[tuple[float, float], ...] = ()
+    probes: tuple[tuple[float, float, int], ...] = ()
     draws: dict[int, DenseMatrix] = field(default_factory=dict, repr=False, compare=False)
 
 
 class _Point(NamedTuple):
     p: float
     rho: float  # |mean strength| over the calibration seeds
+    nodes: int  # the size of the draws measured
 
 
 def calibrate_flip_prob(n: int, k: int, target_rho: float, seeds: list[int]) -> Calibration:
     """Find the flip probability whose mean measured strength hits the target.
 
-    The ensemble is swept toward the sign of ``target_rho``.  Measures the
-    strength at p = 0 (no sweep) and p = 1 and checks the target is
-    achievable.  Each next probe is the secant root through the two most
-    recent points, starting from the two ends; where that root leaves the
-    open bracket (or the two strengths are equal) the bracket's midpoint is
-    probed instead.  At most ``_CALIBRATION_MAX_PROBES`` probes are made,
-    and each must lie between its bracket ends (within the sampling noise).
-    The answer is the first probability, of the ends and the probes, whose
-    mean over ``seeds`` is within ``_CALIBRATION_TOLERANCE`` (relative) of
-    the target; an end that already is one is kept, the upper end on a tie.
+    The ensemble is swept toward the sign of ``target_rho``.  The secant
+    runs on the leading half of the draws.  With m = n // 2, the leading
+    m x m block of a seed's base, scaled by sqrt(n / m), is that seed's
+    m x m base up to the last bit of the scale (each row has its own
+    stream), and its sweep flips the signs the full sweep flips in that
+    block (flip decisions read signs and edge-keyed uniforms only).  So a
+    probe there measures the m-node ensemble, whose strength at a given p
+    does not move with n beyond seed noise, for about a quarter of a full
+    sweep's cost at n = 500 and a sixth at n = 1000.
+
+    Measures the strength at p = 0 on the full bases (no sweep) and at
+    p = 1 on the leading half.  Each next probe is the secant root through
+    the two most recent points, starting from the two ends; where that root
+    leaves the open bracket (or the two strengths are equal) the bracket's
+    midpoint is probed instead.  At most ``_CALIBRATION_MAX_PROBES`` such
+    probes are made, and each must lie between its bracket ends within the
+    sampling noise 3 / sqrt(seeds * nodes).  The first p, of the ends and
+    the probes, whose mean over ``seeds`` is within
+    ``_CALIBRATION_TOLERANCE`` (relative) of the target, the upper end on a
+    tie, is confirmed on the full draws.  If the confirmation misses, the
+    secant goes on there between the p = 0 end and p = 1, its first step
+    along the slope of the last two points before it.  The answer is the
+    first p whose full draws are within tolerance.
+
+    Every probe is on the full draws when m would not exceed k, and when
+    the leading half falls short of the target at p = 1: then the full
+    p = 1 draws decide whether the target is achievable.  A CalibrationError
+    carries the mean strengths at the two ends as ``achievable``: the full
+    draws' on a refusal, and the p = 1 end's on the leading half when the
+    secant fails there.
 
     Each seed's base matrix and flip-uniform table are built once and swept
-    at every p; a swept draw's strength is the Tr M^k its sweep accumulated.
+    (whole, or their leading block and rows) at every p; a swept draw's
+    strength is the Tr M^k its sweep accumulated.
     """
     if not seeds:
         raise ConfigError("calibration needs at least one seed")
+    _refuse_repeats(seeds)
     with _config_errors("calibration"):
         require_finite(target_rho=target_rho)
         unswept = DenseCyclicSpec(n=n, k=k, flip_prob=0.0, sign=1 if target_rho >= 0 else -1)
@@ -735,60 +777,82 @@ def calibrate_flip_prob(n: int, k: int, target_rho: float, seeds: list[int]) -> 
     tolerance = _CALIBRATION_TOLERANCE * target
     bases = {seed: generate_base_iid(n, seed) for seed in seeds}
     tables = {seed: flip_uniforms(seed, base.n) for seed, base in bases.items()}
-    probes: list[tuple[float, float]] = []
-    latest: dict[int, DenseMatrix] = {}  # the draws at the last p measured
+    probes: list[tuple[float, float, int]] = []
+    latest: dict[int, DenseMatrix] = {}  # the full draws at the last p measured on them
 
-    def measure(p: float) -> _Point:
-        spec = replace(unswept, flip_prob=p)
+    def measure(p: float, nodes: int) -> _Point:
+        spec = replace(unswept, n=nodes, flip_prob=p)
+        # full draws replace the latest one by one: at most one more is alive
+        draws = latest if nodes == n else {}
         for seed in seeds:
-            latest[seed] = generate_dense_cyclic(spec, seed, base=bases[seed], uniforms=tables[seed])
-        probes.append((p, float(np.mean([trace_power_moment(latest[s], k) for s in seeds]))))
-        return _Point(p, abs(probes[-1][1]))
+            base = bases[seed]
+            if nodes < n:  # the leading block, at the nodes-node ensemble's scale
+                base = DenseMatrix(base.entries[:nodes, :nodes] * np.sqrt(n / nodes))
+            draws[seed] = generate_dense_cyclic(spec, seed, base=base, uniforms=tables[seed][:nodes])
+        probes.append((p, float(np.mean([trace_power_moment(draws[s], k) for s in seeds])), nodes))
+        return _Point(p, abs(probes[-1][1]), nodes)
 
-    # the bracket ends and the latest probes
-    lo, hi = measure(0.0), measure(1.0)
-    ends = (probes[0][1], probes[1][1])
-    noise = 3.0 / np.sqrt(len(seeds) * n)
-    if target > abs(ends[1]) * (1 + _CALIBRATION_TOLERANCE) + noise:
+    def noise(nodes: int) -> float:
+        return 3.0 / np.sqrt(len(seeds) * nodes)
+
+    # the bracket ends, the latest probes, and the size they are made at
+    nodes = n // 2 if n // 2 > k else n
+    lo, hi = measure(0.0, n), measure(1.0, nodes)
+    if hi.rho < target and nodes < n:
+        # the leading half falls short: the full draws decide whether the
+        # target is in reach, and only they can reach it
+        nodes = n
+        hi = measure(1.0, n)
+    ends = (probes[0][1], probes[-1][1])
+    if target > hi.rho * (1 + _CALIBRATION_TOLERANCE) + noise(n):
         raise CalibrationError(f"target {target_rho} outside achievable range", achievable=ends)
 
     def gap(point: _Point) -> float:
         return abs(point.rho - target)
 
-    def next_probe(a: _Point, b: _Point) -> float:
-        # the strength is convex in p and close to linear at small p, so the
-        # secant through the latest two points closes in from below
+    def next_probe(a: _Point, b: _Point, at: _Point) -> float:
+        # the root of the line through ``at`` with the slope from a to b (the
+        # secant when at is b); the strength is convex in p and close to
+        # linear at small p, so the secant closes in from below
         if a.rho != b.rho:
-            p = b.p + (target - b.rho) * (a.p - b.p) / (a.rho - b.rho)
+            p = at.p + (target - at.rho) * (a.p - b.p) / (a.rho - b.rho)
             if lo.p < p < hi.p:
                 return p
         return 0.5 * (lo.p + hi.p)
 
+    zero = lo
     best = min(hi, lo, key=gap)
-    last = (lo, hi)
-    for _ in range(_CALIBRATION_MAX_PROBES):
+    slope, at = (lo, hi), hi
+    tries = _CALIBRATION_MAX_PROBES
+    while gap(best) > tolerance or best.nodes < n:
         if gap(best) <= tolerance:
-            break
-        probe = measure(next_probe(*last))
-        if not lo.rho - noise <= probe.rho <= hi.rho + noise:
-            raise CalibrationError(
-                f"response is not monotone: |rho| = {probe.rho:.4f} at p={probe.p} is outside "
-                f"[{lo.rho:.4f}, {hi.rho:.4f}], its bracket's values at p={lo.p} and p={hi.p}",
-                achievable=ends,
-            )
-        if gap(probe) < gap(best):
-            best = probe
+            # settled on the leading half: confirm on the full draws, and on a
+            # miss go on there, where the strength at p = 1 is not measured
+            nodes, lo, hi = n, zero, _Point(1.0, np.inf, n)
+            probe = best = measure(best.p, n)
+        else:
+            if not tries:
+                raise CalibrationError(
+                    f"calibration did not converge: best gap {gap(best):.4f} at p={best.p:.4f}",
+                    achievable=ends,
+                )
+            tries -= 1
+            probe = measure(next_probe(*slope, at), nodes)
+            if not lo.rho - noise(nodes) <= probe.rho <= hi.rho + noise(nodes):
+                raise CalibrationError(
+                    f"response is not monotone: |rho| = {probe.rho:.4f} at p={probe.p} is outside "
+                    f"[{lo.rho:.4f}, {hi.rho:.4f}], its bracket's values at p={lo.p} and p={hi.p}",
+                    achievable=ends,
+                )
+            if gap(probe) < gap(best):
+                best = probe
+            slope = (at, probe)
         if probe.rho < target:
             lo = probe
         else:
             hi = probe
-        last = (last[1], probe)
-    if gap(best) > tolerance:
-        raise CalibrationError(
-            f"calibration did not converge: best gap {gap(best):.4f} at p={best.p:.4f}",
-            achievable=ends,
-        )
-    # best only ever becomes the probe just measured, and the loop stops once
-    # one is within tolerance: the answer is the last p measured, or the
-    # unswept p = 0 end, whose draws are the bases themselves
+        at = probe
+    # best only ever becomes the full probe just measured, and the loop stops
+    # once one is within tolerance: the answer is the last p measured on the
+    # full draws, or the unswept p = 0 end, whose draws are the bases themselves
     return Calibration(best.p, tuple(probes), bases if best.p == 0.0 else latest)

@@ -167,30 +167,34 @@ def _mean_strength(n, k, p, seeds):
 
 
 def test_calibrate_reaches_moderate_target():
-    # the secant through the two ends lands within tolerance at its first probe
+    # the secant through the two ends lands within tolerance at its first
+    # probe on the leading half, and the full draws confirm it
     p = calibrate_flip_prob(300, 3, 0.3, [1, 2, 3]).flip_prob
-    assert p == pytest.approx(0.39386876393803105, rel=1e-9)
+    assert p == pytest.approx(0.39900986603958144, rel=1e-9)
     assert abs(_mean_strength(300, 3, p, [1, 2, 3]) - 0.3) / 0.3 < 0.10
 
 
 def test_calibrate_brackets_target_despite_sweep_noise():
-    # at n = 120 the sweep noise (0.158) is half the target, so the bracket
-    # is updated by the measured mean alone: a bracket picked with that
-    # margin could have both ends below the target
+    # on the leading 60 nodes the sweep noise (0.224) is most of the target,
+    # so the bracket is updated by the measured mean alone: a bracket picked
+    # with that margin could have both ends below the target
     p = calibrate_flip_prob(120, 3, 0.3, [1, 2, 3]).flip_prob
-    assert p == pytest.approx(0.40175450978668303, rel=1e-9)
+    assert p == pytest.approx(0.41378908690728455, rel=1e-9)
     assert abs(_mean_strength(120, 3, p, [1, 2, 3]) - 0.3) / 0.3 < 0.10
 
 
 def test_calibrate_keeps_sweep_point_within_tolerance():
-    # the first probe is the secant root through the ends; its mean sits 3 %
-    # below the target, inside the 7 % tolerance, so it is the answer as is
+    # the first probe is the secant root through the ends, the p = 1 end
+    # measured on the leading half (the 60-node ensemble); its mean sits 4 %
+    # below the target there and 3 % above it on the full draws, inside the
+    # 7 % tolerance both times, so it is the answer as is
     seeds = [1, 2, 3]
-    r0, r1 = abs(_mean_strength(120, 3, 0.0, seeds)), _mean_strength(120, 3, 1.0, seeds)
-    root = (0.15 - r0) / (r1 - r0)
-    p = calibrate_flip_prob(120, 3, 0.15, seeds).flip_prob
+    r0, r1 = abs(_mean_strength(120, 3, 0.0, seeds)), _mean_strength(60, 3, 1.0, seeds)
+    root = (0.35 - r0) / (r1 - r0)
+    p = calibrate_flip_prob(120, 3, 0.35, seeds).flip_prob
     assert p == pytest.approx(root, rel=1e-12)
-    assert 0.02 < (0.15 - _mean_strength(120, 3, p, seeds)) / 0.15 < 0.07
+    assert 0.02 < (0.35 - _mean_strength(60, 3, p, seeds)) / 0.35 < 0.07
+    assert 0.02 < (_mean_strength(120, 3, p, seeds) - 0.35) / 0.35 < 0.07
 
 
 def test_moments_subcommand(tmp_path, capsys):
@@ -447,6 +451,41 @@ def test_unknown_config_field_exits_2_under_every_runner(tmp_path, capsys, monke
     # once dropped for the default: verify ran at inflation 0.03 and drew an svg
     message = _assert_exit_2_before_any_draw(tmp_path, capsys, monkeypatch, argv, config)
     assert ("'inflaton'" if "inflaton" in config else "'svgg'") in message
+
+
+@pytest.mark.parametrize(
+    "section, config",
+    [
+        ("ensemble", {"ensemble": {**_TINY_GRAPH, "svgg": False}, "seeds": [1]}),
+        ("config", {"ensemble": _TINY_GRAPH, "seeds": [1], "svgg": False}),
+        ("outputs", {"ensemble": _TINY_GRAPH, "seeds": [1], "outputs": {"svgg": False}}),
+    ],
+    ids=["ensemble", "config", "outputs"],
+)
+def test_unknown_field_names_its_section(tmp_path, capsys, monkeypatch, section, config):
+    # the same typo once gave the same message in all three sections
+    message = _assert_exit_2_before_any_draw(tmp_path, capsys, monkeypatch, ["verify"], config)
+    assert f"unknown {section} field(s) 'svgg'" in message
+
+
+@pytest.mark.parametrize("argv", [["verify"], ["generate"], ["moments", "--pure", "3"]], ids=lambda a: a[0])
+@pytest.mark.parametrize(
+    "seeds, named",
+    [([1, 2, 1], "seed 1 is listed twice"), ([3, 3.0], "seed 3 is listed twice"),
+     ([-1, 2**64 - 1], "seeds -1 and 18446744073709551615 are one draw")],
+    ids=["repeat", "whole-float", "same-64-bits"],
+)
+def test_repeated_seed_exits_2_under_every_runner(tmp_path, capsys, monkeypatch, argv, seeds, named):
+    # a repeated seed was once pooled twice, as if two independent draws
+    dense = {"kind": "dense-cyclic", "n": 20, "k": 3, "target_rho": 0.2}
+    message = _assert_exit_2_before_any_draw(tmp_path, capsys, monkeypatch, argv, {"ensemble": dense, "seeds": seeds})
+    assert named in message
+
+
+def test_calibrate_refuses_a_repeated_seed(capsys):
+    # calibration would average the one draw twice
+    assert main(["calibrate", "--n", "20", "--k", "3", "--target-rho", "0.2", "--seeds", "1,2,1"]) == 2
+    assert "seed 1 is listed twice" in json.loads(capsys.readouterr().err)["error"]["message"]
 
 
 def test_seeds_given_as_text_are_named_as_given(tmp_path, capsys, monkeypatch):

@@ -1,10 +1,12 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from test_rng import per_node_flip_uniforms
-from trochoid.correlations import DenseCyclicSpec, generate_dense_cyclic, induce_cyclic_correlations
+from trochoid.correlations import DenseCyclicSpec, flip_uniforms, generate_dense_cyclic, induce_cyclic_correlations
 from trochoid.ensembles import DenseMatrix, generate_base_iid
 from trochoid.errors import InvalidSpecError
 from trochoid.moments import trace_power_moment
@@ -191,3 +193,35 @@ def test_given_base_is_used_and_left_unchanged():
     fresh = generate_dense_cyclic(spec, 6)
     np.testing.assert_array_equal(out.entries, fresh.entries)
     assert out.power_trace == fresh.power_trace
+
+
+@st.composite
+def _leading_blocks(draw):
+    k = draw(st.integers(3, 8))
+    n = draw(st.integers(k + 1, 60))
+    m = draw(st.integers(k + 1, n))
+    p = draw(st.sampled_from([0.3, 1.0]))
+    sign = draw(st.sampled_from([-1, 1]))
+    return DenseCyclicSpec(n=n, k=k, flip_prob=p, sign=sign), m, draw(st.integers(0, 2**64 - 1))
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_leading_blocks())
+def test_rescaled_leading_block_sweeps_as_the_full_draws_leading_block(case):
+    # calibration probes the leading m nodes this way: a flip decision reads
+    # only signs, which no positive scale changes, and edge-keyed uniforms
+    spec, m, seed = case
+    base = generate_base_iid(spec.n, seed)
+    full = generate_dense_cyclic(spec, seed, base=base)
+    scale = np.sqrt(spec.n / m)
+    block = DenseMatrix(base.entries[:m, :m] * scale)
+    part = generate_dense_cyclic(replace(spec, n=m), seed, base=block, uniforms=flip_uniforms(seed, spec.n)[:m])
+    np.testing.assert_array_equal(np.sign(part.entries), np.sign(full.entries[:m, :m]))
+    # rows have their own streams: the block is the seed's m x m base up to the last bit
+    np.testing.assert_array_equal(np.sign(part.entries), np.sign(generate_dense_cyclic(replace(spec, n=m), seed).entries))
+    lead = full.entries[:m, :m] * scale
+    chain = np.trace(np.linalg.matrix_power(lead, spec.k))
+    # relative to the walks' absolute weights, as in the test above
+    walks = np.trace(np.linalg.matrix_power(np.abs(lead), spec.k))
+    assert part.power_trace[0] == spec.k
+    assert abs(part.power_trace[1] - chain) <= 1e-12 * walks

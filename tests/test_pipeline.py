@@ -288,8 +288,9 @@ def test_calibrated_verify_reuses_the_calibration_draws(monkeypatch, target, set
     # the report's probes are calibration's: every measured p in order, ends first
     probes = calibrate_flip_prob(60, 3, target, [1, 2, 3]).probes
     assert report["calibration"]["probes"] == [list(probe) for probe in probes]
-    assert [q for q, _ in probes][:2] == [0.0, 1.0]
-    assert p in [q for q, _ in probes]
+    assert [q for q, *_ in probes][:2] == [0.0, 1.0]
+    # the chosen p was measured on the full draws
+    assert (p, 60) in [(q, nodes) for q, _, nodes in probes]
 
 
 def test_calibration_draws_each_base_once(monkeypatch):
@@ -304,10 +305,14 @@ def test_calibration_draws_each_base_once(monkeypatch):
     calibration = calibrate_flip_prob(60, 3, 0.3, [1, 2, 3])
     assert len(calibration.probes) >= 3
     assert calls == {"pipeline": [1, 2, 3], "correlations": []}
-    # each probe's mean is that of fresh draws at its p
-    for p, mean in calibration.probes:
-        spec = DenseCyclicSpec(n=60, k=3, flip_prob=p)
-        assert mean == np.mean([trace_power_moment(generate_dense_cyclic(spec, s), 3) for s in [1, 2, 3]])
+    # each probe's mean is that of fresh draws at its p and size: bit for bit
+    # on the full draws, and up to the last bit of the 1/sqrt(n) scale on the
+    # leading half, whose probes are the 30-node ensemble's draws
+    assert {nodes for _, _, nodes in calibration.probes} == {30, 60}
+    for p, mean, nodes in calibration.probes:
+        spec = DenseCyclicSpec(n=nodes, k=3, flip_prob=p)
+        fresh = np.mean([trace_power_moment(generate_dense_cyclic(spec, s), 3) for s in [1, 2, 3]])
+        assert mean == fresh if nodes == 60 else mean == pytest.approx(fresh, rel=1e-12)
 
 
 def test_calibration_builds_each_flip_table_once(monkeypatch):
@@ -321,8 +326,37 @@ def test_calibration_builds_each_flip_table_once(monkeypatch):
 
     monkeypatch.setattr(trochoid.correlations, "edge_flip_uniforms", counted)
     calibration = calibrate_flip_prob(60, 3, 0.3, [1, 2, 3])
-    assert sum(0.0 < p < 1.0 for p, _ in calibration.probes) >= 2
+    assert sum(0.0 < p < 1.0 for p, *_ in calibration.probes) >= 2
+    # probes on the leading half read the leading rows of the same tables
+    assert any(nodes == 30 for *_, nodes in calibration.probes)
     assert built == [(1, 60), (2, 60), (3, 60)]
+
+
+def test_calibration_goes_on_at_full_size_after_a_missed_confirmation():
+    # at n = 120 the secant settles on the leading 60 nodes at p = 0.236,
+    # whose full draws read 18 % above the target: the secant goes on there,
+    # its first step along the slope of the last two probes on the leading half
+    target = 0.15
+    probes = calibrate_flip_prob(120, 3, target, [1, 2, 3]).probes
+    assert [nodes for *_, nodes in probes] == [120, 60, 60, 60, 120, 120]
+    (p1, r1, _), (p2, r2, _), (p3, r3, _), (p4, r4, _) = probes[2:]
+    assert abs(r2 - target) <= 0.07 * target < abs(r3 - target) and p3 == p2
+    assert p4 == pytest.approx(p3 + (target - r3) * (p1 - p2) / (r1 - r2), rel=1e-12)
+    assert abs(r4 - target) <= 0.07 * target
+
+
+@pytest.mark.parametrize("target", [2.2, 3.0], ids=["half-end-within-tolerance", "half-end-short"])
+def test_calibration_reaches_targets_only_the_full_draws_reach(target):
+    # at n = 200, k = 5 the mean strength at p = 1 is 2.233 on the leading
+    # 100 nodes and 3.685 on the full draws: 2.2 is within tolerance of the
+    # first, so p = 1 is confirmed (and missed) on the full draws, and 3.0 is
+    # beyond it, so the full p = 1 draws decide and every probe is full
+    calibration = calibrate_flip_prob(200, 5, target, [1, 2, 3])
+    assert [(p, nodes) for p, _, nodes in calibration.probes[1:3]] == [(1.0, 100), (1.0, 200)]
+    # the answer is the last probe, on the full draws handed over
+    p, mean, nodes = calibration.probes[-1]
+    assert (p, nodes) == (calibration.flip_prob, 200) and abs(mean - target) <= 0.07 * target
+    assert mean == np.mean([trace_power_moment(calibration.draws[s], 5) for s in [1, 2, 3]])
 
 
 def test_symmetry_residual_is_skipped_above_its_cap(monkeypatch):
@@ -337,40 +371,48 @@ def _stub_response(monkeypatch, response):
     """Make every calibration draw free: its strength is ``response(p, sign)``.
 
     The bases and draws are 1 x 1, whatever n says, and each draw carries
-    the response as its Tr M^k.  Returns the list the probed flip
-    probabilities are appended to, one per draw.
+    the response as its Tr M^k, on the full draws and on their leading half
+    alike.  Returns the lists that each draw appends its flip probability
+    and its size (the spec's n) to.
     """
-    probes = []
+    probes, sizes = [], []
 
     def draw(spec, seed, base=None, uniforms=None):
         probes.append(spec.flip_prob)
+        sizes.append(spec.n)
         return DenseMatrix(np.ones((1, 1)), power_trace=(spec.k, response(spec.flip_prob, spec.sign)))
 
     monkeypatch.setattr(trochoid.pipeline, "generate_base_iid", lambda n, seed: DenseMatrix(np.ones((1, 1))))
     monkeypatch.setattr(trochoid.pipeline, "generate_dense_cyclic", draw)
-    return probes
+    return probes, sizes
 
 
-# n only sets the noise term 3 / sqrt(seeds * n): 0.003 here
+# n only sets the noise term 3 / sqrt(seeds * nodes): 0.003 on the full
+# draws here, 0.0042 on their leading half
 _N = 10**6
+_HALF = _N // 2
 
 
 @pytest.mark.parametrize("seeds", [[1], [1, 2]])
 def test_calibration_probes_along_the_secant(monkeypatch, seeds):
-    probes = _stub_response(monkeypatch, lambda p, sign: 0.5 * p)
+    probes, sizes = _stub_response(monkeypatch, lambda p, sign: 0.5 * p)
     # the secant through the ends (0, 0) and (1, 0.5) hits 0.125 exactly at p = 0.25
     assert calibrate_flip_prob(_N, 3, 0.125, seeds).flip_prob == 0.25
-    # each probe draws every seed
-    assert probes == [p for p in [0.0, 1.0, 0.25] for _ in seeds]
+    # each probe draws every seed: the p = 0 end on the full draws, the
+    # secant on their leading half, and its answer again on the full draws
+    assert probes == [p for p in [0.0, 1.0, 0.25, 0.25] for _ in seeds]
+    assert sizes == [n for n in [_N, _HALF, _HALF, _N] for _ in seeds]
 
 
 def test_calibration_steps_up_a_convex_response(monkeypatch):
     # p^2 is convex: each secant through the latest two points lands short
     # of the root p = 0.3 until it crosses; tolerance 0.07 * 0.09 = 0.0063
-    probes = _stub_response(monkeypatch, lambda p, sign: p * p)
+    probes, sizes = _stub_response(monkeypatch, lambda p, sign: p * p)
     p = calibrate_flip_prob(_N, 3, 0.09, [1]).flip_prob
     expected = [0.0, 1.0, 0.09, 0.165137614679, 0.411003236246, 0.274016490595, 0.295789532009]
-    assert probes == pytest.approx(expected, rel=1e-9)
+    # the last probe on the leading half is confirmed on the full draws
+    assert probes == pytest.approx([*expected, expected[-1]], rel=1e-9)
+    assert sizes == [_N, *[_HALF] * 6, _N]
     assert p == probes[-1]
     assert abs(p * p - 0.09) <= 0.07 * 0.09
     # the first four probes come up from below the target
@@ -388,9 +430,10 @@ def test_calibration_steps_up_a_convex_response(monkeypatch):
     ids=["secant-leaves-bracket", "equal-strengths"],
 )
 def test_calibration_falls_back_to_the_midpoint(monkeypatch, response, expected):
-    probes = _stub_response(monkeypatch, lambda p, sign: response(p))
+    probes, sizes = _stub_response(monkeypatch, lambda p, sign: response(p))
     p = calibrate_flip_prob(_N, 3, 0.5, [1]).flip_prob
-    assert probes == pytest.approx(expected, rel=1e-12)
+    assert probes == pytest.approx([*expected, expected[-1]], rel=1e-12)
+    assert sizes == [_N, *[_HALF] * (len(expected) - 1), _N]
     assert p == probes[-1]
 
 
@@ -401,36 +444,43 @@ def test_calibration_falls_back_to_the_midpoint(monkeypatch, response, expected)
     ids=["lower-end", "upper-end", "tie-goes-up"],
 )
 def test_calibration_stops_at_an_end_within_tolerance(monkeypatch, offset, slope, target, expected):
-    probes = _stub_response(monkeypatch, lambda p, sign: offset + slope * p)
+    probes, sizes = _stub_response(monkeypatch, lambda p, sign: offset + slope * p)
     assert calibrate_flip_prob(_N, 3, target, [1]).flip_prob == expected
-    assert probes == [0.0, 1.0]
+    # the p = 0 end is measured on the full draws; the p = 1 end on their
+    # leading half, so it is confirmed there
+    assert probes == [0.0, 1.0] + [1.0] * (expected == 1.0)
+    assert sizes == [_N, _HALF] + [_N] * (expected == 1.0)
 
 
 def test_calibration_gives_up_after_its_probe_cap(monkeypatch):
     # a step at p = 0.5 never comes within 0.07 * 0.5 of the target; the
     # probes close in on the step from both sides until the cap
-    probes = _stub_response(monkeypatch, lambda p, sign: float(p >= 0.5))
+    probes, sizes = _stub_response(monkeypatch, lambda p, sign: float(p >= 0.5))
     with pytest.raises(CalibrationError, match="did not converge") as err:
         calibrate_flip_prob(_N, 3, 0.5, [1, 2])
     assert err.value.achievable == (0.0, 1.0)
     assert len(probes) == 2 * (2 + trochoid.pipeline._CALIBRATION_MAX_PROBES)
+    assert sizes[2:] == [_HALF] * (len(sizes) - 2)
 
 
 def test_calibration_rejects_a_probe_below_its_bracket(monkeypatch):
     # the strength at the first probe, the secant root p = 2/3, dips under
     # the value at p = 0 by more than the noise
-    probes = _stub_response(monkeypatch, lambda p, sign: 0.02 if 0.0 < p < 1.0 else 0.1 + 0.3 * p)
+    probes, sizes = _stub_response(monkeypatch, lambda p, sign: 0.02 if 0.0 < p < 1.0 else 0.1 + 0.3 * p)
     with pytest.raises(CalibrationError, match="not monotone") as err:
         calibrate_flip_prob(_N, 3, 0.3, [1])
     assert probes == pytest.approx([0.0, 1.0, 2 / 3], rel=1e-12)
+    assert sizes == [_N, _HALF, _HALF]
     assert err.value.achievable == (0.1, 0.1 + 0.3)
 
 
 def test_calibration_reports_the_signed_achievable_range(monkeypatch):
     # the unswept strength is 0.02 whatever the sign; sweeping toward -1 reaches -0.28
     response = lambda p, sign: 0.02 + sign * 0.3 * p
-    probes = _stub_response(monkeypatch, response)
+    probes, sizes = _stub_response(monkeypatch, response)
     with pytest.raises(CalibrationError, match="outside achievable range") as err:
         calibrate_flip_prob(_N, 3, -0.5, [1])
-    assert probes == [0.0, 1.0]
+    # the leading half falls short at p = 1, and the full draws confirm it
+    assert probes == [0.0, 1.0, 1.0]
+    assert sizes == [_N, _HALF, _N]
     assert err.value.achievable == (response(0.0, -1), response(1.0, -1))
