@@ -736,9 +736,10 @@ def calibrate_flip_prob(n: int, k: int, target_rho: float, seeds: list[int]) -> 
     m x m base up to the last bit of the scale (each row has its own
     stream), and its sweep flips the signs the full sweep flips in that
     block (flip decisions read signs and edge-keyed uniforms only).  So a
-    probe there measures the m-node ensemble, whose strength at a given p
-    does not move with n beyond seed noise, for about a quarter of a full
-    sweep's cost at n = 500 and a sixth at n = 1000.
+    probe there measures the m-node ensemble, for about a quarter of a full
+    sweep's cost at n = 500 and a sixth at n = 1000.  At the small p that
+    the presets calibrate to, its strength does not move with n beyond seed
+    noise; at p = 1 it grows with n.
 
     Measures the strength at p = 0 on the full bases (no sweep) and at
     p = 1 on the leading half.  Each next probe is the secant root through
