@@ -417,9 +417,12 @@ def boundary_for(
         params, curve = _LAWS[law]
         given = {}
         if law == "poly":
+            if not isinstance(section["terms"], dict):
+                raise ConfigError(f"poly law terms must map each order to its strength, got {section['terms']!r}")
             # JSON object keys are strings: "3" is order 3, and so is "03"
+            # (ASCII digits only: str.isdigit also takes other scripts' digits)
             given["terms"] = {
-                _whole(int(k) if str(k).isdigit() else k, "term order"): _real(v, f"rho_{k}")
+                _whole(int(k) if str(k).isascii() and str(k).isdigit() else k, "term order"): _real(v, f"rho_{k}")
                 for k, v in section["terms"].items()
             }
             if len(given["terms"]) < len(section["terms"]):
@@ -598,6 +601,8 @@ def run_verify(config: dict, out_dir: str | Path | None = None) -> dict:
             outcomes = list(pool.map(task, seeds))
 
     entries = [o[3] for o in outcomes if not isinstance(o, Exception)]
+    if not entries:
+        raise TrochoidError("every seed failed; nothing to report")
     measured = [entry["measured_rho"] for entry in entries if "measured_rho" in entry]
     measured_rho = float(np.mean(measured)) if measured else None
     if curve is None:
@@ -622,7 +627,7 @@ def run_verify(config: dict, out_dir: str | Path | None = None) -> dict:
         pooled_eigenvalues.append(spectrum.eigenvalues)
 
     if pooled_counted == 0:
-        raise TrochoidError("every seed failed; nothing to report")
+        raise TrochoidError("no eigenvalue left to test: every one is a deterministic outlier (see exclude_outliers)")
 
     aggregate = {
         "inside_fraction": pooled_inside / pooled_counted,
@@ -724,7 +729,6 @@ class Calibration:
 class _Point(NamedTuple):
     p: float
     rho: float  # |mean strength| over the calibration seeds
-    nodes: int  # the size of the draws measured
 
 
 def calibrate_flip_prob(n: int, k: int, target_rho: float, seeds: list[int]) -> Calibration:
@@ -745,15 +749,15 @@ def calibrate_flip_prob(n: int, k: int, target_rho: float, seeds: list[int]) -> 
     p = 1 on the leading half.  Each next probe is the secant root through
     the two most recent points, starting from the two ends; where that root
     leaves the open bracket (or the two strengths are equal) the bracket's
-    midpoint is probed instead.  At most ``_CALIBRATION_MAX_PROBES`` such
-    probes are made, and each must lie between its bracket ends within the
-    sampling noise 3 / sqrt(seeds * nodes).  The first p, of the ends and
-    the probes, whose mean over ``seeds`` is within
+    midpoint is probed instead.  Each probe must lie between its bracket
+    ends within the sampling noise 3 / sqrt(seeds * nodes).  The first p,
+    of the ends and the probes, whose mean over ``seeds`` is within
     ``_CALIBRATION_TOLERANCE`` (relative) of the target, the upper end on a
     tie, is confirmed on the full draws.  If the confirmation misses, the
-    secant goes on there between the p = 0 end and p = 1, its first step
-    along the slope of the last two points before it.  The answer is the
-    first p whose full draws are within tolerance.
+    same secant goes on there between the p = 0 end and p = 1, its first
+    step along the slope of the last two points before it.  The answer is
+    the first p whose full draws are within tolerance.  The two sizes share
+    one budget of ``_CALIBRATION_MAX_PROBES`` secant probes.
 
     Every probe is on the full draws when m would not exceed k, and when
     the leading half falls short of the target at p = 1: then the full
@@ -780,6 +784,7 @@ def calibrate_flip_prob(n: int, k: int, target_rho: float, seeds: list[int]) -> 
     tables = {seed: flip_uniforms(seed, base.n) for seed, base in bases.items()}
     probes: list[tuple[float, float, int]] = []
     latest: dict[int, DenseMatrix] = {}  # the full draws at the last p measured on them
+    budget = iter(range(_CALIBRATION_MAX_PROBES))  # the secant probes both sizes share
 
     def measure(p: float, nodes: int) -> _Point:
         spec = replace(unswept, n=nodes, flip_prob=p)
@@ -791,12 +796,42 @@ def calibrate_flip_prob(n: int, k: int, target_rho: float, seeds: list[int]) -> 
                 base = DenseMatrix(base.entries[:nodes, :nodes] * np.sqrt(n / nodes))
             draws[seed] = generate_dense_cyclic(spec, seed, base=base, uniforms=tables[seed][:nodes])
         probes.append((p, float(np.mean([trace_power_moment(draws[s], k) for s in seeds])), nodes))
-        return _Point(p, abs(probes[-1][1]), nodes)
+        return _Point(p, abs(probes[-1][1]))
 
     def noise(nodes: int) -> float:
         return 3.0 / np.sqrt(len(seeds) * nodes)
 
-    # the bracket ends, the latest probes, and the size they are made at
+    def gap(point: _Point) -> float:
+        return abs(point.rho - target)
+
+    def secant(nodes: int, lo: _Point, hi: _Point, slope: tuple[_Point, _Point], at: _Point, best: _Point):
+        """Probe ``nodes``-node draws from ``at`` until ``best`` is within
+        tolerance; returns it and the slope of the last two points."""
+        while gap(best) > tolerance:
+            if next(budget, None) is None:
+                raise CalibrationError(
+                    f"calibration did not converge: best gap {gap(best):.4f} at p={best.p:.4f}",
+                    achievable=ends,
+                )
+            # the root of the line through ``at`` with the slope from a to b (the
+            # secant when at is b); the strength is convex in p and close to
+            # linear at small p, so the secant closes in from below; equal
+            # strengths have no root, and lo.p sends the probe to the midpoint
+            a, b = slope
+            p = at.p + (target - at.rho) * (a.p - b.p) / (a.rho - b.rho) if a.rho != b.rho else lo.p
+            probe = measure(p if lo.p < p < hi.p else 0.5 * (lo.p + hi.p), nodes)
+            if not lo.rho - noise(nodes) <= probe.rho <= hi.rho + noise(nodes):
+                raise CalibrationError(
+                    f"response is not monotone: |rho| = {probe.rho:.4f} at p={probe.p} is outside "
+                    f"[{lo.rho:.4f}, {hi.rho:.4f}], its bracket's values at p={lo.p} and p={hi.p}",
+                    achievable=ends,
+                )
+            best = min(best, probe, key=gap)
+            lo, hi = (probe, hi) if probe.rho < target else (lo, probe)
+            slope, at = (at, probe), probe
+        return best, slope
+
+    # the bracket ends, and the size the first secant probes at
     nodes = n // 2 if n // 2 > k else n
     lo, hi = measure(0.0, n), measure(1.0, nodes)
     if hi.rho < target and nodes < n:
@@ -807,53 +842,14 @@ def calibrate_flip_prob(n: int, k: int, target_rho: float, seeds: list[int]) -> 
     ends = (probes[0][1], probes[-1][1])
     if target > hi.rho * (1 + _CALIBRATION_TOLERANCE) + noise(n):
         raise CalibrationError(f"target {target_rho} outside achievable range", achievable=ends)
-
-    def gap(point: _Point) -> float:
-        return abs(point.rho - target)
-
-    def next_probe(a: _Point, b: _Point, at: _Point) -> float:
-        # the root of the line through ``at`` with the slope from a to b (the
-        # secant when at is b); the strength is convex in p and close to
-        # linear at small p, so the secant closes in from below
-        if a.rho != b.rho:
-            p = at.p + (target - at.rho) * (a.p - b.p) / (a.rho - b.rho)
-            if lo.p < p < hi.p:
-                return p
-        return 0.5 * (lo.p + hi.p)
-
-    zero = lo
-    best = min(hi, lo, key=gap)
-    slope, at = (lo, hi), hi
-    tries = _CALIBRATION_MAX_PROBES
-    while gap(best) > tolerance or best.nodes < n:
-        if gap(best) <= tolerance:
-            # settled on the leading half: confirm on the full draws, and on a
-            # miss go on there, where the strength at p = 1 is not measured
-            nodes, lo, hi = n, zero, _Point(1.0, np.inf, n)
-            probe = best = measure(best.p, n)
-        else:
-            if not tries:
-                raise CalibrationError(
-                    f"calibration did not converge: best gap {gap(best):.4f} at p={best.p:.4f}",
-                    achievable=ends,
-                )
-            tries -= 1
-            probe = measure(next_probe(*slope, at), nodes)
-            if not lo.rho - noise(nodes) <= probe.rho <= hi.rho + noise(nodes):
-                raise CalibrationError(
-                    f"response is not monotone: |rho| = {probe.rho:.4f} at p={probe.p} is outside "
-                    f"[{lo.rho:.4f}, {hi.rho:.4f}], its bracket's values at p={lo.p} and p={hi.p}",
-                    achievable=ends,
-                )
-            if gap(probe) < gap(best):
-                best = probe
-            slope = (at, probe)
-        if probe.rho < target:
-            lo = probe
-        else:
-            hi = probe
-        at = probe
-    # best only ever becomes the full probe just measured, and the loop stops
-    # once one is within tolerance: the answer is the last p measured on the
-    # full draws, or the unswept p = 0 end, whose draws are the bases themselves
+    best, slope = secant(nodes, lo, hi, (lo, hi), hi, min(hi, lo, key=gap))
+    if nodes < n and best is not lo:
+        # settled on the leading half: confirm on the full draws, and on a
+        # miss go on there, where the strength at p = 1 is not measured
+        best = measure(best.p, n)
+        lo, hi = (best, _Point(1.0, np.inf)) if best.rho < target else (lo, best)
+        best, _ = secant(n, lo, hi, slope, best, best)
+    # the secant stops at the first probe within tolerance: the answer is the
+    # last p measured on the full draws, or the unswept p = 0 end, whose
+    # draws are the bases themselves
     return Calibration(best.p, tuple(probes), bases if best.p == 0.0 else latest)

@@ -392,6 +392,9 @@ _TINY_GRAPH = {"kind": "regular-cyclic", "n": 12, "d": 2, "k": 3}
                                    "law": "dense"}, "seeds": [1]}),
         (["verify"], {"ensemble": _TINY_GRAPH, "seeds": [1],
                       "boundary": {"law": "dense", "k": 3, "rho": 0.1, "target_rho": 5}}),
+        (["verify"], {"ensemble": _TINY_GRAPH, "seeds": [1], "boundary": {"law": "poly", "terms": [3, 0.2]}}),
+        # an Arabic-Indic three, which str.isdigit and int accept
+        (["verify"], {"ensemble": _TINY_GRAPH, "seeds": [1], "boundary": {"law": "poly", "terms": {"\u0663": 0.2}}}),
     ],
     ids=["dense-k1", "few-samples", "sparse-dhat0", "poly-no-terms",
          "boundary-field-type", "verify-samples", "negative-inflation", "flip-and-target", "iid-n0",
@@ -401,7 +404,8 @@ _TINY_GRAPH = {"kind": "regular-cyclic", "n": 12, "d": 2, "k": 3}
          "dense-law-k-fraction", "sparse-law-k-fraction", "mixed-law-k1-fraction",
          "dense-law-unknown-field", "poly-law-order-twice", "poly-term-order-twice",
          "verify-seeds-underscore", "moments-order-underscore", "poly-term-underscore",
-         "ensemble-unread-structural-keys", "law-unread-target-rho"],
+         "ensemble-unread-structural-keys", "law-unread-target-rho", "poly-terms-list",
+         "poly-term-non-ascii-digit"],
 )
 def test_config_errors_exit_2(tmp_path, capsys, monkeypatch, argv, config):
     _assert_exit_2_before_any_draw(tmp_path, capsys, monkeypatch, argv, config)

@@ -7,7 +7,7 @@ import trochoid.correlations
 import trochoid.pipeline
 from trochoid.correlations import DenseCyclicSpec, generate_dense_cyclic
 from trochoid.ensembles import DenseMatrix
-from trochoid.errors import CalibrationError, GenerationError, InvalidSpecError
+from trochoid.errors import CalibrationError, ConfigError, GenerationError, InvalidSpecError, TrochoidError
 from trochoid.moments import trace_power_moment
 from trochoid.pipeline import _prepare, calibrate_flip_prob, run_generate, run_moments, run_verify
 
@@ -176,6 +176,32 @@ def test_seed_failure_is_isolated(monkeypatch, fail):
     assert aggregate["mean_symmetry_residual"] == pytest.approx(
         np.mean([e["symmetry_residual"] for e in kept]), rel=1e-12
     )
+
+
+@pytest.mark.parametrize(
+    "ensemble",
+    [{"kind": "regular-cyclic", "n": 30, "d": 2, "k": 3}, {"kind": "dense-cyclic", "n": 20, "k": 3, "flip_prob": 0.5}],
+    ids=["digraph", "dense-fitted-law"],
+)
+def test_verify_refuses_when_every_seed_fails(monkeypatch, ensemble):
+    # with no seed measured there is no strength to fit a dense law to: the
+    # refusal names the failed seeds, not the law
+    def failing(ens, seed):
+        raise GenerationError(f"no draw for seed {seed}")
+
+    monkeypatch.setattr(trochoid.pipeline, "_spectrum_for", failing)
+    with pytest.raises(TrochoidError, match="every seed failed") as err:
+        run_verify({"ensemble": ensemble, "seeds": [1, 2]})
+    assert not isinstance(err.value, ConfigError)
+
+
+def test_verify_refuses_when_every_eigenvalue_is_an_outlier():
+    # at n = 3 every eigenvalue of this digraph is a deterministic outlier:
+    # both seeds are measured, and nothing is left to test for containment
+    config = {"ensemble": {"kind": "regular-cyclic", "n": 3, "d": 2, "k": 3}, "seeds": [1, 2]}
+    with pytest.raises(TrochoidError, match="no eigenvalue left to test"):
+        run_verify(config)
+    assert run_verify({**config, "exclude_outliers": False})["aggregate"]["seeds_failed"] == 0
 
 
 def test_one_worker_measures_seeds_without_a_pool(monkeypatch):
@@ -367,20 +393,22 @@ def test_symmetry_residual_is_skipped_above_its_cap(monkeypatch):
     assert "mean_symmetry_residual" not in report["aggregate"]
 
 
-def _stub_response(monkeypatch, response):
+def _stub_response(monkeypatch, response, half=None):
     """Make every calibration draw free: its strength is ``response(p, sign)``.
 
     The bases and draws are 1 x 1, whatever n says, and each draw carries
     the response as its Tr M^k, on the full draws and on their leading half
-    alike.  Returns the lists that each draw appends its flip probability
-    and its size (the spec's n) to.
+    alike, or ``half(p, sign)`` on a draw smaller than ``_N`` when given.
+    Returns the lists that each draw appends its flip probability and its
+    size (the spec's n) to.
     """
     probes, sizes = [], []
 
     def draw(spec, seed, base=None, uniforms=None):
         probes.append(spec.flip_prob)
         sizes.append(spec.n)
-        return DenseMatrix(np.ones((1, 1)), power_trace=(spec.k, response(spec.flip_prob, spec.sign)))
+        read = half if half is not None and spec.n < _N else response
+        return DenseMatrix(np.ones((1, 1)), power_trace=(spec.k, read(spec.flip_prob, spec.sign)))
 
     monkeypatch.setattr(trochoid.pipeline, "generate_base_iid", lambda n, seed: DenseMatrix(np.ones((1, 1))))
     monkeypatch.setattr(trochoid.pipeline, "generate_dense_cyclic", draw)
@@ -484,3 +512,33 @@ def test_calibration_reports_the_signed_achievable_range(monkeypatch):
     assert probes == [0.0, 1.0, 1.0]
     assert sizes == [_N, _HALF, _N]
     assert err.value.achievable == (response(0.0, -1), response(1.0, -1))
+
+
+def test_calibration_shares_one_probe_budget_across_both_sizes(monkeypatch):
+    # the leading half reaches 0.25 at its first probe, p = 0.5, but the full
+    # draws step from 0 to 1 at p = 0.6 and never come within tolerance: the
+    # secant on them gets only what the leading half left of the budget
+    probes, sizes = _stub_response(
+        monkeypatch, lambda p, sign: float(p >= 0.6), half=lambda p, sign: 0.5 * p
+    )
+    with pytest.raises(CalibrationError, match="did not converge") as err:
+        calibrate_flip_prob(_N, 3, 0.25, [1])
+    assert err.value.achievable == (0.0, 0.5)
+    # 21 draws: the ends, one probe on the leading half, then its confirmation
+    # and the 17 probes left of the 18 on the full draws
+    assert probes[:4] == [0.0, 1.0, 0.5, 0.5]
+    assert sizes == [_N, _HALF, _HALF, *[_N] * 18]
+
+
+def test_calibration_refuses_a_non_monotone_probe_on_the_full_draws(monkeypatch):
+    # the leading half reaches 0.25 at p = 1/6, whose full draws read 0.2 - 1/60:
+    # the secant on them steps to p = 7/18, which reads lower still, under its
+    # bracket's lower end by more than the noise 0.003
+    probes, sizes = _stub_response(
+        monkeypatch, lambda p, sign: 0.2 - 0.1 * p, half=lambda p, sign: 0.2 + 0.3 * p
+    )
+    with pytest.raises(CalibrationError, match="not monotone") as err:
+        calibrate_flip_prob(_N, 3, 0.25, [1])
+    assert probes == pytest.approx([0.0, 1.0, 1 / 6, 1 / 6, 7 / 18], rel=1e-12)
+    assert sizes == [_N, _HALF, _HALF, _N, _N]
+    assert err.value.achievable == (0.2, 0.5)
