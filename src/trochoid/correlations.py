@@ -34,15 +34,18 @@ O(k) matvecs per node.  The bookkeeping runs from v = 0: no k-cycle closes
 through fewer than k nodes, so the first k - 1 nodes only join the block
 and flips start at v = k - 1.
 
-The sweep also accumulates Tr M^k from the same F.  When node v joins the
-block,
+The sweep also accumulates Tr M^k from the same return series.  When node
+v joins the block, with F(x) = sum_j f_j x^j,
 
-    Tr S'^k - Tr S^k = k * [x^k] -log(1 - F(x)),
+    Tr S'^k - Tr S^k = k * [x^k] -log(1 - F(x)) = [x^(k-1)] F'(x) H(x)
+                     = sum_(j=1..k) j * f_j * h_(k-j),
 
-because det(I - x S') = det(I - x S) (1 - F(x)).  The result travels as
-``DenseMatrix.power_trace``, so the strength Tr M^k / n of a swept draw
-costs no matrix products.  A draw at p = 0 is not swept and carries no
-trace.
+because det(I - x S') = det(I - x S) (1 - F(x)) and the derivative of
+-log(1 - F) is F' H.  So h runs to degree k - 1, one term past what the
+diagonals need, and the trace costs k multiply-adds per node.  The result
+travels as ``DenseMatrix.power_trace``, so the strength Tr M^k / n of a
+swept draw costs no matrix products.  A draw at p = 0 is not swept and
+carries no trace.
 
 The sweep consumes one independent random stream per edge, keyed by the
 edge alone, so a flip decision never depends on the sweep order or on n.
@@ -97,21 +100,6 @@ def _apply_flips(
     m[:v, v][flips] *= -1.0
 
 
-def _trace_growth(f: list[float]) -> float:
-    """k * [x^k] -log(1 - F(x)) for F(x) = sum_j f[j-1] x^j, k = len(f).
-
-    The coefficients g_j of -log(1 - F) satisfy j g_j = j f_j +
-    sum_(i<j) (j - i) f_i g_(j-i), from differentiating log(1 - F).
-    """
-    g: list[float] = []
-    for j in range(1, len(f) + 1):
-        acc = 0.0
-        for i in range(1, j):
-            acc += (j - i) * f[i - 1] * g[j - i - 1]
-        g.append(f[j - 1] + acc / j)
-    return len(f) * g[-1]
-
-
 def _induce_fast(
     m: np.ndarray, spec: DenseCyclicSpec, seed: int, uniforms: list | None
 ) -> tuple[np.ndarray, float]:
@@ -159,12 +147,13 @@ def _induce_fast(
         # F's coefficients f[l-1]: the walks v -> ... -> v of length l = 1..k
         # that visit v only at their ends
         f = [float(m[v, v]), *(np.array(r) @ c).tolist()]
-        trace += _trace_growth(f)
-
-        # Grow the diagonals from the return series h[l] = [x^l] 1 / (1 - F(x))
+        # The return series h[l] = [x^l] 1 / (1 - F(x)), l = 0..k-1, grows
+        # the trace by [x^(k-1)] F'(x) H(x) and the diagonals as below
         h = [1.0]
-        for l in range(1, top + 1):
+        for l in range(1, k):
             h.append(sum(f[i - 1] * h[l - i] for i in range(1, l + 1)))
+        trace += sum(j * f[j - 1] * h[k - j] for j in range(1, k + 1))
+
         # out[j] = sum_(l+b=j) h[l] * r[b]: the walks of length j + 1 from v
         # to each older node
         out = [sum(h[l] * r[j - l] for l in range(j + 1)) for j in range(top - 1)]
