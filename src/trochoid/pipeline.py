@@ -553,7 +553,9 @@ def _measure_seed(
     # Poisson by default, regular and mixed when sym_k divides n; dense
     # ensembles and other digraphs are rotation symmetric only statistically
     sym_k = gcd(*row.cycle_lengths(ens.spec))
-    if sym_k >= 2 and spectrum.n <= SYMMETRY_MAX_N:
+    if sym_k >= 2 and spectrum.n > SYMMETRY_MAX_N:
+        entry["symmetry_skipped"] = f"n = {spectrum.n} exceeds the assignment cap {SYMMETRY_MAX_N}"
+    elif sym_k >= 2:
         entry["symmetry_residual"] = rotation_symmetry_residual(spectrum, sym_k)
     exclusions = detect_deterministic_outliers(spectrum, draw) if exclude else []
     return spectrum, exclusions, values, entry
@@ -755,16 +757,19 @@ def calibrate_flip_prob(n: int, k: int, target_rho: float, seeds: list[int]) -> 
     ``_CALIBRATION_TOLERANCE`` (relative) of the target, the upper end on a
     tie, is confirmed on the full draws.  If the confirmation misses, the
     same secant goes on there between the p = 0 end and p = 1, its first
-    step along the slope of the last two points before it.  The answer is
-    the first p whose full draws are within tolerance.  The two sizes share
-    one budget of ``_CALIBRATION_MAX_PROBES`` secant probes.
+    step along the slope of the last two points before it; but when the
+    confirmed p is 1 itself and its full draws fall short, no p is left to
+    probe: they are refused as out of range by the up-front test below, or
+    calibration stops there as not converged.  The answer is the first p
+    whose full draws are within tolerance.  The two sizes share one budget
+    of ``_CALIBRATION_MAX_PROBES`` secant probes.
 
     Every probe is on the full draws when m would not exceed k, and when
     the leading half falls short of the target at p = 1: then the full
     p = 1 draws decide whether the target is achievable.  A CalibrationError
     carries the mean strengths at the two ends as ``achievable``: the full
-    draws' on a refusal, and the p = 1 end's on the leading half when the
-    secant fails there.
+    draws' once the full p = 1 draws are measured, and the p = 1 end's on
+    the leading half when the secant fails there.
 
     Each seed's base matrix and flip-uniform table are built once and swept
     (whole, or their leading block and rows) at every p; a swept draw's
@@ -804,15 +809,21 @@ def calibrate_flip_prob(n: int, k: int, target_rho: float, seeds: list[int]) -> 
     def gap(point: _Point) -> float:
         return abs(point.rho - target)
 
+    def refuse_unreachable(top: _Point) -> None:
+        if target > top.rho * (1 + _CALIBRATION_TOLERANCE) + noise(n):
+            raise CalibrationError(f"target {target_rho} outside achievable range", achievable=ends)
+
+    def stalled(best: _Point) -> CalibrationError:
+        return CalibrationError(
+            f"calibration did not converge: best gap {gap(best):.4f} at p={best.p:.4f}", achievable=ends
+        )
+
     def secant(nodes: int, lo: _Point, hi: _Point, slope: tuple[_Point, _Point], at: _Point, best: _Point):
         """Probe ``nodes``-node draws from ``at`` until ``best`` is within
         tolerance; returns it and the slope of the last two points."""
         while gap(best) > tolerance:
             if next(budget, None) is None:
-                raise CalibrationError(
-                    f"calibration did not converge: best gap {gap(best):.4f} at p={best.p:.4f}",
-                    achievable=ends,
-                )
+                raise stalled(best)
             # the root of the line through ``at`` with the slope from a to b (the
             # secant when at is b); the strength is convex in p and close to
             # linear at small p, so the secant closes in from below; equal
@@ -840,13 +851,19 @@ def calibrate_flip_prob(n: int, k: int, target_rho: float, seeds: list[int]) -> 
         nodes = n
         hi = measure(1.0, n)
     ends = (probes[0][1], probes[-1][1])
-    if target > hi.rho * (1 + _CALIBRATION_TOLERANCE) + noise(n):
-        raise CalibrationError(f"target {target_rho} outside achievable range", achievable=ends)
+    refuse_unreachable(hi)
     best, slope = secant(nodes, lo, hi, (lo, hi), hi, min(hi, lo, key=gap))
     if nodes < n and best is not lo:
         # settled on the leading half: confirm on the full draws, and on a
         # miss go on there, where the strength at p = 1 is not measured
         best = measure(best.p, n)
+        if best.p == 1.0 and best.rho < target:
+            # the full draws fall short at p = 1 itself, so the bracket left
+            # is (1, 1): refuse as the up-front test does, or stop short
+            ends = (probes[0][1], probes[-1][1])
+            refuse_unreachable(best)
+            if gap(best) > tolerance:
+                raise stalled(best)
         lo, hi = (best, _Point(1.0, np.inf)) if best.rho < target else (lo, best)
         best, _ = secant(n, lo, hi, slope, best, best)
     # the secant stops at the first probe within tolerance: the answer is the

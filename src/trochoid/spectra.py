@@ -2,8 +2,13 @@
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
+import sys
+import threading
 from dataclasses import dataclass, field
 from functools import reduce
+from pathlib import Path
 
 import numpy as np
 
@@ -236,11 +241,50 @@ def rotation_symmetry_residual(s: Spectrum, k: int) -> float:
         raise InvalidSpecError(f"rotation order must be >= 2, got {k}")
     if s.n > SYMMETRY_MAX_N:
         raise InvalidSpecError(f"assignment cost grows as n^3; refusing n={s.n} > {SYMMETRY_MAX_N}")
-    # imported here: scipy.optimize is slow to load and nothing else needs it
-    from scipy.optimize import linear_sum_assignment
-
     ev = s.eigenvalues
     rotated = ev * np.exp(2j * np.pi / k)
     cost = np.abs(ev[:, None] - rotated[None, :])
-    rows, cols = linear_sum_assignment(cost)
+    rows, cols = _assignment_solver()(cost)
     return float(cost[rows, cols].sum() / s.n)
+
+
+_solver = None  # scipy's linear_sum_assignment, once loaded
+_solver_lock = threading.Lock()  # seed workers may ask for it at the same moment
+
+
+def _assignment_solver():
+    """scipy's compiled ``linear_sum_assignment``, loaded once per process.
+
+    ``import scipy.optimize`` takes about 0.5 s and 49 MB, because the
+    package's ``__init__`` also loads scipy.linalg, the linear programs, the
+    global optimizers and scipy.fft.  The solver itself is one extension
+    module, ``scipy/optimize/_lsap``, which needs only numpy: it is loaded
+    from its file, under its own name, so a later ``import scipy.optimize``
+    re-exports this very object.  When scipy.optimize is already loaded, or
+    no such file exists (a scipy that lays the solver out otherwise), the
+    package import gives the same routine.
+    """
+    global _solver
+    with _solver_lock:
+        if _solver is None:
+            path = None if "scipy.optimize" in sys.modules else _solver_file()
+            if path is None:
+                from scipy.optimize import linear_sum_assignment
+            else:
+                spec = importlib.util.spec_from_file_location("scipy.optimize._lsap", path)
+                module = importlib.util.module_from_spec(spec)
+                spec.loader.exec_module(module)
+                linear_sum_assignment = module.linear_sum_assignment
+            _solver = linear_sum_assignment
+        return _solver
+
+
+def _solver_file() -> Path | None:
+    """The solver's extension file, found without importing any of scipy."""
+    scipy = importlib.util.find_spec("scipy")  # a top-level spec: no package code runs
+    for root in scipy.submodule_search_locations:
+        for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+            path = Path(root, "optimize", f"_lsap{suffix}")
+            if path.is_file():
+                return path
+    return None

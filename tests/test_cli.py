@@ -605,14 +605,41 @@ def test_calibrate_seed_list_skips_empty_entries(capsys):
     assert printed["probes"] == [list(probe) for probe in calibration.probes]
 
 
+def _fresh_python(code: str, **env: str) -> str:
+    """The stdout of ``code`` run in a fresh interpreter that finds this trochoid."""
+    env = {**os.environ, "PYTHONPATH": str(Path(trochoid.__file__).parents[1]), **env}
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stdout
+
+
 def test_import_leaves_scipy_optimize_unloaded():
-    # scipy.optimize and scipy.sparse are slow to load and only the
-    # rotation-symmetry residual and the digraph path need them, so the
-    # package, the CLI and the pipeline must start without them
+    # scipy.sparse is slow to load and only the digraph path needs it, so
+    # the package, the CLI and the pipeline must start without it; the
+    # rotation-symmetry residual loads scipy's compiled assignment solver
+    # alone, so scipy.optimize (0.5 s) stays unloaded even after a residual
     code = (
-        "import sys, trochoid, trochoid.cli, trochoid.pipeline; "
-        "print([m for m in ('scipy.optimize', 'scipy.sparse', 'scipy.sparse.csgraph') if m in sys.modules])"
+        "import sys, trochoid, trochoid.cli, trochoid.pipeline\n"
+        "print([m for m in ('scipy.optimize', 'scipy.sparse', 'scipy.sparse.csgraph') if m in sys.modules])\n"
+        "for ensemble in [{'kind': 'dense-cyclic', 'n': 30, 'k': 5, 'flip_prob': 0.3},\n"
+        "                 {'kind': 'regular-cyclic', 'n': 30, 'd': 2, 'k': 3}]:\n"
+        "    report = trochoid.pipeline.run_verify({'ensemble': ensemble, 'seeds': [1]})\n"
+        "    print('symmetry_residual' in report['seeds'][0], 'scipy.optimize' in sys.modules)\n"
+        "import scipy.optimize\n"
+        "print(trochoid.spectra._solver is scipy.optimize.linear_sum_assignment)\n"
     )
-    env = {**os.environ, "PYTHONPATH": str(Path(trochoid.__file__).parents[1])}
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "[]"
+    assert _fresh_python(code).split("\n") == ["[]", "True False", "True False", "True", ""]
+
+
+def test_verify_report_is_the_same_when_two_workers_load_the_solver(tmp_path):
+    # at two seed workers the first two residuals may load the solver at the
+    # same moment, in a fresh process; the report must not notice
+    config = _write_config(
+        tmp_path, {"ensemble": {"kind": "dense-cyclic", "n": 40, "k": 5, "flip_prob": 0.3}, "seeds": [1, 2, 3, 4]}
+    )
+    reports = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        code = f"import trochoid.cli; trochoid.cli.main(['verify', '--config', {config!r}, '--out-dir', {str(out)!r}])"
+        _fresh_python(code, TROCHOID_THREADS=threads)
+        reports.append((out / "report.json").read_bytes())
+    assert reports[0] == reports[1]
+    assert all("symmetry_residual" in seed for seed in json.loads(reports[0])["seeds"])

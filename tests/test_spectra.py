@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -155,6 +160,35 @@ def test_rotation_residual_statistical_for_dense():
         means.append(np.mean(residuals))
     assert means[0] > 0
     assert means[2] < means[1] < means[0]
+
+
+def _reference_residual(ev: np.ndarray, k: int) -> float:
+    cost = np.abs(ev[:, None] - ev[None, :] * np.exp(2j * np.pi / k))
+    rows, cols = linear_sum_assignment(cost)
+    return float(cost[rows, cols].sum() / ev.size)
+
+
+# 80 points with no rotation symmetry: their residual is far from 0
+_POINTS = np.random.default_rng(5).standard_normal(80) + 1j * np.random.default_rng(6).standard_normal(80)
+
+
+def test_rotation_residual_matches_the_reference_assignment():
+    assert rotation_symmetry_residual(Spectrum(_POINTS), 3) == _reference_residual(_POINTS, 3) > 0.1
+
+
+def test_rotation_residual_falls_back_to_scipy_optimize():
+    # where no solver file is found, a fresh process imports scipy.optimize
+    # and gets the same residual
+    code = (
+        "import sys, numpy as np, trochoid.spectra as spectra\n"
+        "spectra._solver_file = lambda: None\n"
+        f"ev = np.array({_POINTS.tolist()!r})\n"
+        "print(repr(spectra.rotation_symmetry_residual(spectra.Spectrum(ev), 3)))\n"
+        "print('scipy.optimize' in sys.modules)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(trochoid.spectra.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.split() == [repr(_reference_residual(_POINTS, 3)), "True"]
 
 
 def test_rotation_residual_guards():
