@@ -615,7 +615,8 @@ def test_import_leaves_scipy_optimize_unloaded():
     # scipy.sparse is slow to load and only the digraph path needs it, so
     # the package, the CLI and the pipeline must start without it; the
     # rotation-symmetry residual loads scipy's compiled assignment solver
-    # alone, so scipy.optimize (0.5 s) stays unloaded even after a residual
+    # alone, so scipy.optimize, the slowest of all, stays unloaded even
+    # after a residual
     code = (
         "import sys, trochoid, trochoid.cli, trochoid.pipeline\n"
         "print([m for m in ('scipy.optimize', 'scipy.sparse', 'scipy.sparse.csgraph') if m in sys.modules])\n"

@@ -515,27 +515,25 @@ def test_calibration_reports_the_signed_achievable_range(monkeypatch):
     assert err.value.achievable == (response(0.0, -1), response(1.0, -1))
 
 
-def test_calibration_measures_the_full_p1_end_once(monkeypatch):
-    # the leading half settles on its p = 1 end (0.5, on the target), whose
-    # full draws read 0.3: no p is left to probe, and 0.5 is out of their reach
-    probes, sizes = _stub_response(monkeypatch, lambda p, sign: 0.3 * p, half=lambda p, sign: 0.5 * p)
-    with pytest.raises(CalibrationError, match="outside achievable range") as err:
+@pytest.mark.parametrize(
+    "full, match",
+    [
+        # 0.5 is beyond the up-front test's reach: 0.3 * 1.07 + 0.003 < 0.5
+        (0.3, "outside achievable range"),
+        # in reach (0.4648 * 1.07 + 0.003 > 0.5), but outside the tolerance 0.035
+        (0.4648, "did not converge: best gap 0.0352 at p=1.0000"),
+    ],
+    ids=["out-of-reach", "just-short"],
+)
+def test_calibration_measures_the_full_p1_end_once(monkeypatch, full, match):
+    # the leading half settles on its p = 1 end, 0.5 on the target, and the
+    # full p = 1 draws fall short of it: no p is left to probe, so they decide
+    probes, sizes = _stub_response(monkeypatch, lambda p, sign: full * p, half=lambda p, sign: 0.5 * p)
+    with pytest.raises(CalibrationError, match=match) as err:
         calibrate_flip_prob(_N, 3, 0.5, [1])
     assert probes == [0.0, 1.0, 1.0]
     assert sizes == [_N, _HALF, _N]
-    assert err.value.achievable == (0.0, 0.3)
-
-
-def test_calibration_stops_when_the_full_p1_end_falls_just_short(monkeypatch):
-    # the full p = 1 draws read 0.4648: in reach by the up-front test
-    # (0.4648 * 1.07 + 0.003 > 0.5), but 0.0352 under the target 0.5, outside
-    # its tolerance 0.035
-    probes, sizes = _stub_response(monkeypatch, lambda p, sign: 0.4648 * p, half=lambda p, sign: 0.5 * p)
-    with pytest.raises(CalibrationError, match="did not converge: best gap 0.0352 at p=1.0000") as err:
-        calibrate_flip_prob(_N, 3, 0.5, [1])
-    assert probes == [0.0, 1.0, 1.0]
-    assert sizes == [_N, _HALF, _N]
-    assert err.value.achievable == (0.0, 0.4648)
+    assert err.value.achievable == (0.0, full)
 
 
 def test_calibration_shares_one_probe_budget_across_both_sizes(monkeypatch):

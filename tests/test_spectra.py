@@ -172,23 +172,23 @@ def _reference_residual(ev: np.ndarray, k: int) -> float:
 _POINTS = np.random.default_rng(5).standard_normal(80) + 1j * np.random.default_rng(6).standard_normal(80)
 
 
-def test_rotation_residual_matches_the_reference_assignment():
-    assert rotation_symmetry_residual(Spectrum(_POINTS), 3) == _reference_residual(_POINTS, 3) > 0.1
-
-
-def test_rotation_residual_falls_back_to_scipy_optimize():
-    # where no solver file is found, a fresh process imports scipy.optimize
-    # and gets the same residual
+@pytest.mark.parametrize("found", [True, False], ids=["solver-file", "no-solver-file"])
+def test_rotation_residual_loads_its_solver_without_scipy_optimize(found):
+    # a fresh process loads the solver from its file, and imports
+    # scipy.optimize only where no such file is found; both give the
+    # reference residual
     code = (
         "import sys, numpy as np, trochoid.spectra as spectra\n"
-        "spectra._solver_file = lambda: None\n"
+        f"{'' if found else 'spectra._solver_file = lambda: None'}\n"
         f"ev = np.array({_POINTS.tolist()!r})\n"
         "print(repr(spectra.rotation_symmetry_residual(spectra.Spectrum(ev), 3)))\n"
         "print('scipy.optimize' in sys.modules)\n"
     )
     env = {**os.environ, "PYTHONPATH": str(Path(trochoid.spectra.__file__).parents[1])}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.split() == [repr(_reference_residual(_POINTS, 3)), "True"]
+    reference = _reference_residual(_POINTS, 3)
+    assert reference > 0.1
+    assert out.stdout.split() == [repr(reference), str(not found)]
 
 
 def test_rotation_residual_guards():
