@@ -7,7 +7,6 @@ adjacency, entry (u, v) is the total weight of edges u -> v.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from itertools import chain
 from math import gcd
 
@@ -55,8 +54,9 @@ class SparseDigraph:
     are derived from them: one row per ordered pair that some cycle steps
     along, carrying the sum of those steps' weights added in cycle order,
     sorted by (source, target).  Pairs whose weights cancel to 0 are dropped.
-    ``sparse_adjacency`` is their CSR form, built on first use and shared
-    by every reader: one that changes it must change a copy.
+    Sorted so, they are the sparse adjacency that the phase certificate, the
+    cyclic blocks and the moments all read, shared by every reader: one that
+    changes them must change a copy.
     """
 
     n: int
@@ -87,14 +87,6 @@ class SparseDigraph:
         kept = totals != 0.0
         self.edges = np.column_stack(np.divmod(pairs[kept], self.n))
         self.edge_weights = totals[kept]
-
-    @cached_property
-    def sparse_adjacency(self):
-        """The adjacency of ``adjacency_matrix`` as a scipy CSR array."""
-        # imported here: scipy.sparse is slow to load and only digraphs need it
-        from scipy.sparse import csr_array
-
-        return csr_array((self.edge_weights, (self.edges[:, 0], self.edges[:, 1])), shape=(self.n, self.n))
 
     def row_sums(self) -> np.ndarray:
         return np.bincount(self.edges[:, 0], weights=self.edge_weights, minlength=self.n)

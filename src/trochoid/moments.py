@@ -40,12 +40,23 @@ def empirical_pure_moment(spectrum: Spectrum, k: int) -> float:
 def empirical_mixed_moment(m: DenseMatrix | SparseDigraph, l: int) -> float:
     """Tr (M M^T)^l / n by repeated symmetric multiplication.
 
-    A digraph is multiplied as its sparse adjacency.
+    A digraph is multiplied as its sparse adjacency A: Tr A A^T adds each
+    row's squared weights in edge order, Tr (A A^T)^2 sums the squared
+    entries of A A^T (which is symmetric bit for bit), and higher orders
+    multiply A A^T.
     """
     if l < 1:
         raise InvalidSpecError(f"moment order must be >= 1, got {l}")
-    a = _operand(m)
-    return _power_trace(a @ a.T, l, m.n)
+    if isinstance(m, DenseMatrix):
+        return _power_trace(m.entries @ m.entries.T, l, m.n)
+    if l == 1:
+        return float(np.bincount(m.edges[:, 0], weights=m.edge_weights**2, minlength=m.n).sum() / m.n)
+    order = np.argsort(m.edges[:, 1], kind="stable")  # A^T's entries by row, then column
+    gram = _product((*m.edges.T, m.edge_weights), (*m.edges[order, ::-1].T, m.edge_weights[order]), m.n, l > 2)
+    if l > 2:
+        return _sparse_power_trace(gram, l, m.n)
+    squares = gram[2] ** 2  # by row, then column
+    return float(squares[squares != 0].sum() / m.n)
 
 
 def trace_power_moment(m: DenseMatrix | SparseDigraph, k: int) -> float:
@@ -57,35 +68,87 @@ def trace_power_moment(m: DenseMatrix | SparseDigraph, k: int) -> float:
     """
     if k < 1:
         raise InvalidSpecError(f"moment order must be >= 1, got {k}")
-    if isinstance(m, DenseMatrix) and m.power_trace is not None and m.power_trace[0] == k:
+    if isinstance(m, SparseDigraph):
+        return _sparse_power_trace((*m.edges.T, m.edge_weights), k, m.n)
+    if m.power_trace is not None and m.power_trace[0] == k:
         return float(m.power_trace[1] / m.n)
-    return _power_trace(_operand(m), k, m.n)
+    return _power_trace(m.entries, k, m.n)
 
 
-def _operand(m: DenseMatrix | SparseDigraph):
-    return m.sparse_adjacency if isinstance(m, SparseDigraph) else m.entries
+def _power_trace(base: np.ndarray, k: int, n: int) -> float:
+    """Tr base^k / n by the full product chain, which keeps the bits of the calibration moment."""
+    power = base
+    for _ in range(k - 1):
+        power = power @ base
+    return float(power.diagonal().sum() / n)
 
 
-def _power_trace(base, k: int, n: int) -> float:
-    """Tr base^k / n for a dense or a sparse square array.
+# The sparse products below hold an n x n matrix as (rows, cols, data): its
+# entries row by row, each with its row and column.  They form every entry
+# and every sum as scipy's CSR arrays do, term by term and in the same order,
+# so a moment keeps its bits whatever the weights.  Rows are taken in blocks
+# of at most _BLOCK dense entries.
+_BLOCK = 1 << 18
 
-    A dense input forms the full product chain, which keeps the bits of the
-    calibration moment.  A sparse input meets in the middle: with
-    H = base^floor(k/2) and B = base^ceil(k/2), Tr base^k = sum(B * H^T)
-    entrywise.  Powers of a sparse cycle graph fill in as they grow, so
-    stopping at half the order saves the densest products; for k <= 3 the
-    operations are those of the chain that stops one product early.
+
+def _sparse_power_trace(base, k: int, n: int) -> float:
+    """Tr base^k / n, meeting in the middle.
+
+    With H = base^floor(k/2) and B = base^ceil(k/2), Tr base^k is the sum of
+    B_ij H_ji.  Powers of a sparse cycle graph fill in as they grow (at
+    fig4's n = 996, A^5 has 992k nonzeros where A^3 has 397k), so stopping
+    at half the order saves the densest products; for k <= 3 the operations
+    are those of the chain that stops one product early.
     """
-    if isinstance(base, np.ndarray) or k == 1:
-        power = base
-        for _ in range(k - 1):
-            power = power @ base
-        return float(power.diagonal().sum() / n)
+    if k == 1:
+        loops = base[0] == base[1]
+        return float(np.bincount(base[0][loops], weights=base[2][loops], minlength=n).sum() / n)
     half = base
-    for _ in range(k // 2 - 1):
-        half = half @ base
-    rest = half @ base if k % 2 else half
-    return float(rest.multiply(half.T).sum() / n)
+    for i in range(k // 2 - 1):  # only a power multiplied again needs scipy's storage order
+        half = _product(half, base, n, ordered=k % 2 == 1 or i < k // 2 - 2)
+    rest = _product(half, base, n, ordered=False) if k % 2 else half
+    # B_ij H_ji over B's entries, which are by row, then column: the nonzero
+    # ones in this order are what scipy sums for B.multiply(H.T)
+    step, terms = max(1, _BLOCK // n), []
+    for r0 in range(0, n, step):
+        mirrored = (r0 <= half[1]) & (half[1] < r0 + step)  # H_ji with i in the block
+        dense = np.zeros(min(step, n - r0) * n)
+        dense[(half[1][mirrored] - r0) * n + half[0][mirrored]] = half[2][mirrored]
+        block = slice(*np.searchsorted(rest[0], [r0, r0 + step]))
+        terms.append(rest[2][block] * dense[(rest[0][block] - r0) * n + rest[1][block]])
+    terms = np.concatenate(terms)
+    return float(terms[terms != 0].sum() / n)
+
+
+def _product(x, y, n: int, ordered: bool):
+    """x @ y as scipy's ``csr_matmat`` forms it.
+
+    Entry (i, k) adds the terms x_ij y_jk to 0 in the order of x's row i; an
+    entry that sums to exactly 0 is dropped.  ``ordered`` lists each row's
+    entries in reverse order of their first term, as scipy stores them, for
+    a product that is multiplied again; otherwise by column, which is cheaper.
+    """
+    starts = np.searchsorted(y[0], np.arange(n + 1))  # where each row of y starts
+    lengths = np.diff(starts)[x[1]]  # the terms each entry of x starts
+    step, parts = max(1, _BLOCK // n), []
+    for r0 in range(0, n, step):
+        block = slice(*np.searchsorted(x[0], [r0, r0 + step]))
+        each = lengths[block]
+        at_y = np.repeat(starts[x[1][block]] - (np.cumsum(each) - each), each) + np.arange(each.sum())
+        key = np.repeat((x[0][block] - r0) * n, each) + y[1][at_y]
+        sums = np.bincount(key, weights=np.repeat(x[2][block], each) * y[2][at_y], minlength=min(step, n - r0) * n)
+        if ordered:
+            term = np.arange(key.size)
+            first = np.full(sums.size, key.size)
+            np.minimum.at(first, key, term)
+            key = key[(first[key] == term) & (sums[key] != 0)]  # each entry once, in order of its first term
+            count = np.bincount(key // n, minlength=sums.size // n)
+            ends = np.cumsum(count)
+            key = key[(2 * ends - count - 1)[key // n] - term[: key.size]]  # each row reversed
+        else:
+            key = np.flatnonzero(sums != 0)
+        parts.append((key // n + r0, key % n, sums[key]))
+    return tuple(np.concatenate(part) for part in zip(*parts))
 
 
 def fuss_catalan_prediction(l: int, rho3: float) -> float:

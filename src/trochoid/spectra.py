@@ -97,29 +97,36 @@ def phase_certificate(g: SparseDigraph) -> np.ndarray | None:
     symmetric.  Returns the phase array, or None when p < 2 or no
     consistent assignment exists.
 
-    Each weakly connected component gets phase 0 at its lowest node.  A step
-    along an edge adds 1 and a step against one adds p - 1 (that is, -1 mod
-    p), so a node's phase is its shortest-path distance from that node mod
-    p.  If a potential exists, every path sums to the potential difference
-    mod p, so the shortest one gives the same phase as any other; a final
-    check over all edges rejects the graphs that have none.
+    Each weakly connected component gets phase 0 at its lowest node, found
+    by min-label propagation with pointer jumping.  One breadth-first search
+    then runs from all of those nodes at once: a step along an edge adds 1
+    and a step against one adds p - 1 (that is, -1 mod p).  If a potential
+    exists, every path sums to the potential difference mod p, so the first
+    path found gives the phase any other would; a final check over all edges
+    rejects the graphs that have none.
     """
     p = g.cycle_length_gcd()
     if p < 2:
         return None
-    # imported here: scipy.sparse is slow to load and only digraphs need it
-    from scipy.sparse.csgraph import connected_components, dijkstra
-
-    forward = g.sparse_adjacency.copy()  # the graph's own is shared and keeps its weights
-    forward.data[:] = 1.0
-    _, labels = connected_components(forward, connection="weak")
-    _, roots = np.unique(labels, return_index=True)  # first node of each component
-    # a reciprocal pair keeps the larger step; at p = 2 both directions weigh 1
-    steps = forward.maximum(forward.T * (p - 1))
-    distance = dijkstra(steps, indices=roots, min_only=True)
-    phase = distance.astype(int) % p
-    src, dst = g.edges[:, 0], g.edges[:, 1]
-    return phase if np.array_equal(phase[dst], (phase[src] + 1) % p) else None
+    # both directions of every edge, grouped by the node they leave
+    tails, heads = np.concatenate([g.edges, g.edges[:, ::-1]]).T
+    by_tail = np.argsort(tails)
+    tails, heads, steps = tails[by_tail], heads[by_tail], np.repeat([1, p - 1], len(g.edges))[by_tail]
+    label, previous = np.arange(g.n), None
+    while not np.array_equal(label, previous):
+        previous, label = label, label.copy()
+        np.minimum.at(label, previous[tails], previous[heads])
+        label = label[label]
+    starts = np.searchsorted(tails, np.arange(g.n + 1))
+    phase = np.where(label == np.arange(g.n), 0, -1)
+    frontier = np.flatnonzero(phase == 0)
+    while frontier.size:
+        each = starts[frontier + 1] - starts[frontier]
+        at = np.repeat(starts[frontier] - (np.cumsum(each) - each), each) + np.arange(each.sum())
+        at = at[phase[heads[at]] < 0]
+        phase[heads[at]] = (phase[tails[at]] + steps[at]) % p
+        frontier = np.unique(heads[at])
+    return phase if np.array_equal(phase[heads], (phase[tails] + steps) % p) else None
 
 
 def digraph_spectrum(g: SparseDigraph) -> Spectrum:
@@ -131,8 +138,8 @@ def digraph_spectrum(g: SparseDigraph) -> Spectrum:
     Computing it that way keeps the multiset exactly rotation symmetric,
     which a direct dense solve cannot guarantee: defective zero clusters
     scatter into m-gons at the u^(1/m) scale and drown the symmetry signal.
-    The blocks are sliced from the sparse adjacency; only graphs without a
-    certificate build the dense matrix, for the dense solver.
+    Each block is filled from the edges that leave its class; only graphs
+    without a certificate build the dense matrix, for the dense solver.
     """
     phase = phase_certificate(g)
     p = g.cycle_length_gcd()
@@ -140,10 +147,16 @@ def digraph_spectrum(g: SparseDigraph) -> Spectrum:
     if sizes is None or sizes.min() == 0:
         return compute_eigenvalues(ensembles.adjacency_matrix(g))
     start = int(np.argmin(sizes))
-    classes = [np.flatnonzero(phase == (start + j) % p) for j in range(p)]
-    adjacency = g.sparse_adjacency
-    # block j maps class start + j to the next class; multiplied left to right
-    blocks = [adjacency[a][:, b].toarray() for a, b in zip(classes, classes[1:] + classes[:1])]
+    # a node's place among its class's nodes, in node order: its rank by class less its class's start
+    place = np.argsort(np.argsort(phase, kind="stable")) - (np.cumsum(sizes) - sizes)[phase]
+    # block a maps class a to the next one, and all p are views of one array
+    widths = np.roll(sizes, -1)
+    offsets = np.concatenate(([0], np.cumsum(sizes * widths)))
+    entries = np.zeros(offsets[-1])
+    src, dst = g.edges[:, 0], g.edges[:, 1]
+    entries[offsets[phase[src]] + place[src] * widths[phase[src]] + place[dst]] = g.edge_weights
+    # multiplied left to right from class start
+    blocks = [entries[offsets[a]:offsets[a + 1]].reshape(sizes[a], widths[a]) for a in (start + np.arange(p)) % p]
     product = reduce(np.matmul, blocks)
     roots = _eigvals(product).astype(complex) ** (1.0 / p)
     rotations = np.exp(2j * np.pi * np.arange(p) / p)
@@ -161,13 +174,14 @@ def detect_deterministic_outliers(
     eigenvalue r; when every recorded cycle length shares a divisor p, the
     spectrum is p-fold rotation symmetric, replicating that eigenvalue at
     r * exp(2*pi*i*j/p).  Returns the matched eigenvalues (within 1e-6), or
-    an empty list when row sums are not constant or ``draw`` is not a
-    digraph.
+    an empty list when row sums are not constant, are 0 (an eigenvalue 0 is
+    not set apart from the bulk), or ``draw`` is not a digraph.
     """
     if not isinstance(draw, SparseDigraph):
         return []
     sums = draw.row_sums()
-    if sums.size == 0 or np.ptp(sums) > 1e-9 * max(1.0, np.abs(sums).max()):
+    tolerance = 1e-9 * max(1.0, np.abs(sums).max(initial=0.0))
+    if sums.size == 0 or np.ptp(sums) > tolerance or abs(sums[0]) <= tolerance:
         return []
     r = sums[0]
     p = max(draw.cycle_length_gcd(), 1)

@@ -612,8 +612,7 @@ def _fresh_python(code: str, **env: str) -> str:
 
 
 def test_import_leaves_scipy_optimize_unloaded():
-    # scipy.sparse is slow to load and only the digraph path needs it, so
-    # the package, the CLI and the pipeline must start without it; the
+    # the package, the CLI and the pipeline start without scipy; the
     # rotation-symmetry residual loads scipy's compiled assignment solver
     # alone, so scipy.optimize, the slowest of all, stays unloaded even
     # after a residual
@@ -628,6 +627,26 @@ def test_import_leaves_scipy_optimize_unloaded():
         "print(trochoid.spectra._solver is scipy.optimize.linear_sum_assignment)\n"
     )
     assert _fresh_python(code).split("\n") == ["[]", "True False", "True False", "True", ""]
+
+
+def test_runs_load_no_scipy_but_the_assignment_solver():
+    # a digraph is certified, sliced into blocks and multiplied by numpy
+    # alone: after a regular verify, a two-species verify whose length gcd 1
+    # takes the dense fallback, a Poisson moments table and a digraph
+    # generate, the only scipy module loaded is the residual's solver
+    code = (
+        "import sys, tempfile\n"
+        "from trochoid.pipeline import run_generate, run_moments, run_verify\n"
+        "run_verify({'ensemble': {'kind': 'regular-cyclic', 'n': 60, 'd': 2, 'k': 3}, 'seeds': [1]})\n"
+        "species = [{'d': 2, 'k': 3}, {'d': 1, 'k': 4}]\n"
+        "run_verify({'ensemble': {'kind': 'mixed-cyclic', 'n': 48, 'species': species}, 'seeds': [1]})\n"
+        "poisson = {'kind': 'poisson-cyclic', 'n': 80, 'mean_degree': 3.0, 'k': 3}\n"
+        "run_moments({'ensemble': poisson, 'seeds': [1, 2]}, [3, 4], [1, 2])\n"
+        "with tempfile.TemporaryDirectory() as out:\n"
+        "    run_generate({'ensemble': {'kind': 'regular-cyclic', 'n': 30, 'd': 2, 'k': 3}, 'seeds': [1]}, out)\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    assert _fresh_python(code) == "['scipy.optimize._lsap']\n"
 
 
 def test_verify_report_is_the_same_when_two_workers_load_the_solver(tmp_path):

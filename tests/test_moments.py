@@ -1,7 +1,12 @@
 from math import comb
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import trochoid.moments
 
 from trochoid.digraphs import (
     CycleSpecies,
@@ -12,7 +17,7 @@ from trochoid.digraphs import (
     generate_poisson_cyclic,
     generate_regular_cyclic,
 )
-from trochoid.ensembles import DenseMatrix, adjacency_matrix, generate_base_iid
+from trochoid.ensembles import DenseMatrix, SparseDigraph, adjacency_matrix, generate_base_iid
 from trochoid.errors import InvalidSpecError
 from trochoid.moments import (
     empirical_mixed_moment,
@@ -174,3 +179,44 @@ def test_digraph_moments_match_dense_adjacency(weights, exact):
             np.testing.assert_array_equal(got, want)
         else:
             np.testing.assert_allclose(got, want, rtol=1e-12)
+
+
+@st.composite
+def _cycle_digraphs(draw, weights: list[float]):
+    """Random cycle digraphs on up to 24 nodes, often with merged or cancelled pairs."""
+    n = draw(st.integers(2, 24))
+    cycles = []
+    for _ in range(draw(st.integers(0, 2 * n))):
+        nodes = draw(st.permutations(range(n)))
+        cycles.append(tuple(nodes[: draw(st.integers(2, min(n, 6)))]))
+    chosen = draw(st.lists(st.sampled_from(weights), min_size=len(cycles), max_size=len(cycles)))
+    return SparseDigraph(n, cycles, chosen)
+
+
+def _scipy_moments(g: SparseDigraph) -> list[float]:
+    """Tr A^k / n for k = 1..7, then Tr (A A^T)^l / n for l = 1..3, from
+    scipy's CSR products meeting in the middle (test oracle)."""
+    from scipy.sparse import csr_array
+
+    def power_trace(base, k: int) -> float:
+        if k == 1:
+            return float(base.diagonal().sum() / g.n)
+        half = base
+        for _ in range(k // 2 - 1):
+            half = half @ base
+        rest = half @ base if k % 2 else half
+        return float(rest.multiply(half.T).sum() / g.n)
+
+    a = csr_array((g.edge_weights, (g.edges[:, 0], g.edges[:, 1])), shape=(g.n, g.n))
+    return [power_trace(a, k) for k in range(1, 8)] + [power_trace(a @ a.T, l) for l in range(1, 4)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(g=_cycle_digraphs([1.0, 2.0, -1.0, 3.0]) | _cycle_digraphs([0.7, -1.3, 0.1, 1.0]))
+@pytest.mark.parametrize("block", [trochoid.moments._BLOCK, 8])
+def test_digraph_moments_equal_scipys_bit_for_bit(g, block):
+    # every sum adds its terms in scipy's order, so even weights like 0.7 and
+    # -1.3 give the same bits; at block 8 each product row is a block of its own
+    with mock.patch.object(trochoid.moments, "_BLOCK", block):
+        got = [trace_power_moment(g, k) for k in range(1, 8)] + [empirical_mixed_moment(g, l) for l in range(1, 4)]
+    assert got == _scipy_moments(g)

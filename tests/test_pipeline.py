@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 import trochoid.correlations
+import trochoid.ensembles
 import trochoid.pipeline
 from trochoid.correlations import DenseCyclicSpec, generate_dense_cyclic
-from trochoid.ensembles import DenseMatrix
+from trochoid.ensembles import DenseMatrix, SparseDigraph
 from trochoid.errors import CalibrationError, ConfigError, GenerationError, InvalidSpecError, TrochoidError
 from trochoid.moments import trace_power_moment
 from trochoid.pipeline import _prepare, calibrate_flip_prob, run_generate, run_moments, run_verify
@@ -244,19 +245,35 @@ def test_calibrated_moments_table_carries_verifys_calibration():
 
 def test_each_verified_digraph_builds_one_sparse_adjacency(monkeypatch):
     # the phase certificate, the cyclic blocks and both mixed moment orders
-    # read the one CSR form the graph builds on first use
-    import scipy.sparse
+    # read the edge arrays the graph builds once, sorted by (source,
+    # target); a graph with a phase certificate never builds the dense
+    # adjacency
+    built, dense = [], []
+    post_init = SparseDigraph.__post_init__
 
-    built = []
-
-    def counted(*args, _csr=scipy.sparse.csr_array, **kwargs):
+    def counted(self):
         built.append(1)
-        return _csr(*args, **kwargs)
+        post_init(self)
 
-    monkeypatch.setattr(scipy.sparse, "csr_array", counted)
+    monkeypatch.setattr(SparseDigraph, "__post_init__", counted)
+    monkeypatch.setattr(trochoid.ensembles, "adjacency_matrix", lambda g: dense.append(g))
     report = run_verify({"ensemble": _WEIGHTED_GRAPH, "seeds": [1, 2]})
     assert "symmetry_residual" in report["seeds"][0]
     assert len(built) == 2
+    assert dense == []
+
+
+def test_zero_row_sums_exclude_no_outlier():
+    # species weights +1 and -1 at equal d give every row the sum 0: the
+    # eigenvalue at the origin belongs to the bulk and is not set apart
+    ensemble = {
+        "kind": "mixed-cyclic",
+        "n": 120,
+        "species": [{"d": 2, "k": 3, "weight": 1}, {"d": 2, "k": 4, "weight": -1}],
+    }
+    containment = run_verify({"ensemble": ensemble, "seeds": [1]})["seeds"][0]["containment"]
+    assert containment["excluded_outliers"] == []
+    assert containment["inside"] + containment["outside"] == containment["total"] == 120
 
 
 @pytest.mark.parametrize("n, exact", [(32, True), (30, False)])

@@ -241,16 +241,19 @@ def test_phase_certificate_on_stratified_graph():
 
 
 def test_phase_certificate_leaves_the_shared_adjacency_alone():
-    # the certificate sets its edge weights to 1 on a copy: the graph's own
-    # CSR keeps the weights that its moments and cyclic blocks read
+    # the certificate reads the graph's edges and weights, the same arrays
+    # its moments and cyclic blocks read, and changes neither of them
     from trochoid.moments import empirical_mixed_moment, trace_power_moment
 
     species = (CycleSpecies(d=2, k=3, weight=0.7), CycleSpecies(d=1, k=6, weight=-1.3))
     g = generate_mixed_cyclic(MixedCyclicSpec(n=24, species=species), seed=1)
     moments = [trace_power_moment(g, 3), trace_power_moment(g, 6), empirical_mixed_moment(g, 1)]
-    data = g.sparse_adjacency.data.copy()
+    shared = [g.edges, g.edge_weights]
+    before = [a.copy() for a in shared]
     assert phase_certificate(g) is not None
-    np.testing.assert_array_equal(g.sparse_adjacency.data, data)
+    assert [g.edges, g.edge_weights] == shared  # the very same arrays
+    for a, b in zip(shared, before):
+        np.testing.assert_array_equal(a, b)
     assert [trace_power_moment(g, 3), trace_power_moment(g, 6), empirical_mixed_moment(g, 1)] == moments
 
 
@@ -351,3 +354,40 @@ def test_phase_certificate_matches_reference_search(g):
 def test_phase_certificate_matches_reference_on_generated_graphs(make):
     for seed in range(1, 6):
         _assert_same_certificate(make(seed))
+
+
+@pytest.mark.parametrize("n", [60, 300])
+@pytest.mark.parametrize("k, stratified", [(3, True), (4, True), (4, False)])
+def test_phase_certificate_matches_reference_on_many_components(n, k, stratified):
+    # at mean degree 0.5 most nodes sit on no cycle: dozens of components,
+    # each rooted at its own lowest node
+    for seed in range(1, 6):
+        g = generate_poisson_cyclic(PoissonCyclicSpec(n=n, mean_degree=0.5, k=k, stratified=stratified), seed)
+        _assert_same_certificate(g)
+
+
+def _cycle_chain(count: int, k: int, shift: int, closing: tuple[int, ...] = ()) -> SparseDigraph:
+    """``count`` k-cycles, each sharing one node with the next, then the
+    cycle ``closing`` if given; chain position t is node (t + shift) mod n.
+    A breadth-first search walks the chain one level per step."""
+    n = count * (k - 1) + 1
+    cycles = [tuple(range(c * (k - 1), c * (k - 1) + k)) for c in range(count)]
+    cycles += [closing] if closing else []
+    return SparseDigraph(n, [tuple((t + shift) % n for t in cyc) for cyc in cycles], [1.0] * len(cycles))
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+@pytest.mark.parametrize("shift", [0, 7])
+def test_phase_certificate_matches_reference_on_long_chains(k, shift):
+    g = _cycle_chain(100, k, shift)
+    _assert_same_certificate(g)
+    assert phase_certificate(g) is not None
+    # a k-cycle back from near the far end to the start, through the middle:
+    # some of these close the chain at the phase it has, others do not
+    found = set()
+    for last in range(g.n - k - 1, g.n):
+        for mid in range(g.n // 2, g.n // 2 + k):
+            closed = _cycle_chain(100, k, shift, (0, last, *range(mid, mid + k - 2)))
+            _assert_same_certificate(closed)
+            found.add(phase_certificate(closed) is None)
+    assert found == {True, False}
