@@ -53,10 +53,8 @@ def empirical_mixed_moment(m: DenseMatrix | SparseDigraph, l: int) -> float:
         return float(np.bincount(m.edges[:, 0], weights=m.edge_weights**2, minlength=m.n).sum() / m.n)
     order = np.argsort(m.edges[:, 1], kind="stable")  # A^T's entries by row, then column
     gram = _product((*m.edges.T, m.edge_weights), (*m.edges[order, ::-1].T, m.edge_weights[order]), m.n, l > 2)
-    if l > 2:
-        return _sparse_power_trace(gram, l, m.n)
-    squares = gram[2] ** 2  # by row, then column
-    return float(squares[squares != 0].sum() / m.n)
+    squares = gram[2] ** 2  # by row, then column: at l = 2 the mirror sum's terms, with no lookup
+    return float(squares[squares != 0].sum() / m.n) if l == 2 else _sparse_power_trace(gram, l, m.n)
 
 
 def trace_power_moment(m: DenseMatrix | SparseDigraph, k: int) -> float:
@@ -86,9 +84,12 @@ def _power_trace(base: np.ndarray, k: int, n: int) -> float:
 # The sparse products below hold an n x n matrix as (rows, cols, data): its
 # entries row by row, each with its row and column.  They form every entry
 # and every sum as scipy's CSR arrays do, term by term and in the same order,
-# so a moment keeps its bits whatever the weights.  Rows are taken in blocks
-# of at most _BLOCK dense entries.
+# so a moment keeps its bits whatever the weights.  Their work grows with
+# the entries and terms, not with n: a product takes whole rows in blocks of
+# about _BLOCK terms and finds a block's entries in a table over its rows
+# when the table has at most _DENSE slots per term, else by sorting keys.
 _BLOCK = 1 << 18
+_DENSE = 8
 
 
 def _sparse_power_trace(base, k: int, n: int) -> float:
@@ -108,15 +109,13 @@ def _sparse_power_trace(base, k: int, n: int) -> float:
         half = _product(half, base, n, ordered=k % 2 == 1 or i < k // 2 - 2)
     rest = _product(half, base, n, ordered=False) if k % 2 else half
     # B_ij H_ji over B's entries, which are by row, then column: the nonzero
-    # ones in this order are what scipy sums for B.multiply(H.T)
-    step, terms = max(1, _BLOCK // n), []
-    for r0 in range(0, n, step):
-        mirrored = (r0 <= half[1]) & (half[1] < r0 + step)  # H_ji with i in the block
-        dense = np.zeros(min(step, n - r0) * n)
-        dense[(half[1][mirrored] - r0) * n + half[0][mirrored]] = half[2][mirrored]
-        block = slice(*np.searchsorted(rest[0], [r0, r0 + step]))
-        terms.append(rest[2][block] * dense[(rest[0][block] - r0) * n + rest[1][block]])
-    terms = np.concatenate(terms)
+    # ones in this order are what scipy sums for B.multiply(H.T).  H, put in
+    # order of column, then row, finds its mirror entries of B in B's order.
+    order = np.sort(half[1] * half[1].size + np.arange(half[1].size)) % half[1].size  # H by column, then row
+    keys, mirrored = np.append(rest[0] * n + rest[1], n * n), half[1][order] * n + half[0][order]
+    at = np.searchsorted(keys, mirrored)  # n * n stands after B's last entry
+    found = keys[at] == mirrored
+    terms = rest[2][at[found]] * half[2][order[found]]
     return float(terms[terms != 0].sum() / n)
 
 
@@ -130,24 +129,28 @@ def _product(x, y, n: int, ordered: bool):
     """
     starts = np.searchsorted(y[0], np.arange(n + 1))  # where each row of y starts
     lengths = np.diff(starts)[x[1]]  # the terms each entry of x starts
-    step, parts = max(1, _BLOCK // n), []
-    for r0 in range(0, n, step):
-        block = slice(*np.searchsorted(x[0], [r0, r0 + step]))
-        each = lengths[block]
-        at_y = np.repeat(starts[x[1][block]] - (np.cumsum(each) - each), each) + np.arange(each.sum())
-        key = np.repeat((x[0][block] - r0) * n, each) + y[1][at_y]
-        sums = np.bincount(key, weights=np.repeat(x[2][block], each) * y[2][at_y], minlength=min(step, n - r0) * n)
-        if ordered:
-            term = np.arange(key.size)
-            first = np.full(sums.size, key.size)
-            np.minimum.at(first, key, term)
-            key = key[(first[key] == term) & (sums[key] != 0)]  # each entry once, in order of its first term
-            count = np.bincount(key // n, minlength=sums.size // n)
-            ends = np.cumsum(count)
-            key = key[(2 * ends - count - 1)[key // n] - term[: key.size]]  # each row reversed
+    before = np.cumsum(lengths) - lengths  # the terms before each entry of x
+    # a block starts at the first entry of each row that holds a term numbered a multiple of _BLOCK
+    holders = np.searchsorted(before, np.arange(0, lengths.sum(), _BLOCK), "right") - 1
+    cuts = np.unique(np.searchsorted(x[0], x[0][holders]))
+    parts = [(x[0][:0], x[1][:0], x[2][:0])]
+    for e0, e1 in zip(cuts, [*cuts[1:], x[0].size]):
+        each = lengths[e0:e1]
+        at_y = np.repeat(starts[x[1][e0:e1]] - (before[e0:e1] - before[e0]), each) + np.arange(each.sum())
+        r0 = x[0][e0]
+        key = np.repeat(x[0][e0:e1] - r0, each) * n + y[1][at_y]  # row in the block, column
+        if (x[0][e1 - 1] - r0 + 1) * n <= _DENSE * key.size:
+            present = np.bincount(key) > 0
+            keys, entry = np.flatnonzero(present), (np.cumsum(present) - 1)[key]
         else:
-            key = np.flatnonzero(sums != 0)
-        parts.append((key // n + r0, key % n, sums[key]))
+            keys, entry = np.unique(key, return_inverse=True)
+        sums = np.bincount(entry, weights=np.repeat(x[2][e0:e1], each) * y[2][at_y], minlength=keys.size)
+        kept = np.flatnonzero(sums != 0)  # by row, then column
+        if ordered:  # each row in reverse order of first term
+            first = np.full(keys.size, entry.size)
+            np.minimum.at(first, entry, np.arange(entry.size))
+            kept = kept[np.argsort(keys[kept] // n * (entry.size + 1) - first[kept])]
+        parts.append((keys[kept] // n + r0, keys[kept] % n, sums[kept]))
     return tuple(np.concatenate(part) for part in zip(*parts))
 
 

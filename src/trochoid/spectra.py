@@ -109,24 +109,25 @@ def phase_certificate(g: SparseDigraph) -> np.ndarray | None:
     if p < 2:
         return None
     # both directions of every edge, grouped by the node they leave
-    tails, heads = np.concatenate([g.edges, g.edges[:, ::-1]]).T
-    by_tail = np.argsort(tails)
-    tails, heads, steps = tails[by_tail], heads[by_tail], np.repeat([1, p - 1], len(g.edges))[by_tail]
+    src, dst = g.edges.T
+    by_tail = np.argsort(np.concatenate([src, dst]))
+    tails, heads = np.concatenate([src, dst])[by_tail], np.concatenate([dst, src])[by_tail]
     label, previous = np.arange(g.n), None
     while not np.array_equal(label, previous):
         previous, label = label, label.copy()
         np.minimum.at(label, previous[tails], previous[heads])
         label = label[label]
-    starts = np.searchsorted(tails, np.arange(g.n + 1))
+    starts, seen = np.searchsorted(tails, np.arange(g.n + 1)), np.empty(g.n, dtype=np.int64)
     phase = np.where(label == np.arange(g.n), 0, -1)
     frontier = np.flatnonzero(phase == 0)
     while frontier.size:
         each = starts[frontier + 1] - starts[frontier]
         at = np.repeat(starts[frontier] - (np.cumsum(each) - each), each) + np.arange(each.sum())
         at = at[phase[heads[at]] < 0]
-        phase[heads[at]] = (phase[tails[at]] + steps[at]) % p
-        frontier = np.unique(heads[at])
-    return phase if np.array_equal(phase[heads], (phase[tails] + steps) % p) else None
+        phase[heads[at]] = (phase[tails[at]] + np.where(by_tail[at] < len(src), 1, p - 1)) % p
+        seen[heads[at]] = np.arange(at.size)  # one place of each node reached, to list it once
+        frontier = heads[at][seen[heads[at]] == np.arange(at.size)]
+    return phase if np.array_equal(phase[dst], (phase[src] + 1) % p) else None
 
 
 def digraph_spectrum(g: SparseDigraph) -> Spectrum:

@@ -213,10 +213,31 @@ def _scipy_moments(g: SparseDigraph) -> list[float]:
 
 @settings(max_examples=150, deadline=None)
 @given(g=_cycle_digraphs([1.0, 2.0, -1.0, 3.0]) | _cycle_digraphs([0.7, -1.3, 0.1, 1.0]))
-@pytest.mark.parametrize("block", [trochoid.moments._BLOCK, 8])
-def test_digraph_moments_equal_scipys_bit_for_bit(g, block):
+@pytest.mark.parametrize(
+    "block, dense",
+    [(trochoid.moments._BLOCK, trochoid.moments._DENSE), (8, 0), (8, 10**9)],
+    ids=["default", "sorted-keys", "dense-table"],
+)
+def test_digraph_moments_equal_scipys_bit_for_bit(g, block, dense):
     # every sum adds its terms in scipy's order, so even weights like 0.7 and
-    # -1.3 give the same bits; at block 8 each product row is a block of its own
-    with mock.patch.object(trochoid.moments, "_BLOCK", block):
+    # -1.3 give the same bits; at block 8 a product runs a few rows at a time,
+    # finding its entries by sorting their keys or in a table over its rows
+    with mock.patch.multiple(trochoid.moments, _BLOCK=block, _DENSE=dense):
         got = [trace_power_moment(g, k) for k in range(1, 8)] + [empirical_mixed_moment(g, l) for l in range(1, 4)]
     assert got == _scipy_moments(g)
+
+
+def test_sparse_trace_of_a_product_that_cancels_to_nothing():
+    # A^2 is empty: both paths from node 0 to node 3 cancel
+    a = (np.array([0, 0, 1, 2]), np.array([1, 2, 3, 3]), np.array([1.0, 1.0, 1.0, -1.0]))
+    assert trochoid.moments._product(a, a, 4, ordered=True)[0].size == 0
+    assert [trochoid.moments._sparse_power_trace(a, k, 4) for k in (2, 3, 4)] == [0.0, 0.0, 0.0]
+
+
+def test_sparse_moments_grow_with_the_entries_not_with_n():
+    # one 3-cycle among 10^6 nodes: work that grew with n^2, such as an
+    # accumulator n entries wide for each row, would take hours
+    g = SparseDigraph(10**6, [(5, 700_000, 999_999)], [0.5])
+    assert trace_power_moment(g, 3) == 0.125 * 3 / 10**6
+    assert trace_power_moment(g, 6) == 0.125**2 * 3 / 10**6
+    assert empirical_mixed_moment(g, 3) == 0.5**6 * 3 / 10**6
