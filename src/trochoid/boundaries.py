@@ -100,9 +100,12 @@ class MixedCycleParams:
 class BoundaryCurve:
     """Sampled closed curve in the complex plane, closed by wrapping.
 
-    ``states`` and ``sweep`` are set by ``mixed_cycle_boundary`` only: one
-    (t1, t2, phi2) row per sample, the continuation's solution at that
-    sample's angle, and how the continuation reached them.
+    Any number of samples is held, so a boundary CSV of any length can be
+    read back and drawn; the laws sample at least ``MIN_CURVE_SAMPLES``
+    (``_sweep`` refuses fewer).  ``states`` and ``sweep`` are set by
+    ``mixed_cycle_boundary`` only: one (t1, t2, phi2) row per sample, the
+    continuation's solution at that sample's angle, and how the
+    continuation reached them.
     """
 
     phis: np.ndarray
@@ -112,10 +115,6 @@ class BoundaryCurve:
     sweep: SweepRecord | None = None
 
     def __post_init__(self):
-        if len(self.phis) < MIN_CURVE_SAMPLES:
-            raise InvalidSpecError(
-                f"curves carry at least {MIN_CURVE_SAMPLES} samples, got {len(self.phis)}"
-            )
         if len(self.phis) != len(self.z):
             raise InvalidSpecError("phi and z sample counts differ")
 
@@ -220,33 +219,25 @@ def sparse_hypotrochoid(params: SparseCyclicParams, n_samples: int = 1024) -> Bo
 # --- mixed two-species solver -------------------------------------------------
 
 
-def _mixed_residual(params: MixedCycleParams, phi1, x: np.ndarray) -> np.ndarray:
-    """(condt, Re extracond, Im extracond) at unknowns x = (t1, t2, phi2).
+def _mixed_system(params: MixedCycleParams, phi1, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(condt, Re extracond, Im extracond) at unknowns x = (t1, t2, phi2), and its Jacobian.
 
     ``x`` is one state (3,) at the angle ``phi1``, or a stack (m, 3) with
-    one angle per row in ``phi1`` (m,); the residuals have the shape of x.
+    one angle per row in ``phi1`` (m,); the residuals have the shape of x,
+    and d(residual)/d(t1, t2, phi2) is (3, 3) for one state, (m, 3, 3) for
+    a stack.
     """
     t1, t2, phi2 = x.T  # numpy scalars for one state: far cheaper than 0-d arrays
     p = params
     s1, s2 = _sigma(t1, p.k1), _sigma(t2, p.k2)
+    e1, e2 = np.exp(-1j * phi1), np.exp(-1j * phi2)
+    a1, a2 = (p.w1 / t1) * e1, (p.w2 / t2) * e2
     f1 = (1.0 - p.d1 - p.d2) * s1 * s2 - (p.d1 - 1.0) * s1 - (p.d2 - 1.0) * s2 + 1.0
-    a1 = (p.w1 / t1) * np.exp(-1j * phi1)
-    a2 = (p.w2 / t2) * np.exp(-1j * phi2)
     fc = a1 - a2 - p.w1**p.k1 * a1 ** (1 - p.k1) + p.w2**p.k2 * a2 ** (1 - p.k2)
-    return np.array([f1, fc.real, fc.imag]).T
-
-
-def _mixed_jacobian(params: MixedCycleParams, phi1, x: np.ndarray) -> np.ndarray:
-    """d(residual)/d(t1, t2, phi2): (3, 3) for one state, (m, 3, 3) for a stack."""
-    t1, t2, phi2 = x.T
-    p = params
-    s1, s2 = _sigma(t1, p.k1), _sigma(t2, p.k2)
     ds1, ds2 = _dsigma(t1, p.k1), _dsigma(t2, p.k2)
     j = np.zeros(x.shape + (3,))
     j[..., 0, 0] = ((1.0 - p.d1 - p.d2) * s2 - (p.d1 - 1.0)) * ds1
     j[..., 0, 1] = ((1.0 - p.d1 - p.d2) * s1 - (p.d2 - 1.0)) * ds2
-    e1, e2 = np.exp(-1j * phi1), np.exp(-1j * phi2)
-    a1, a2 = (p.w1 / t1) * e1, (p.w2 / t2) * e2
     g1 = 1.0 + (p.k1 - 1.0) * p.w1**p.k1 * a1 ** (-p.k1)
     g2 = 1.0 + (p.k2 - 1.0) * p.w2**p.k2 * a2 ** (-p.k2)
     dfc_dt1 = g1 * (-(p.w1 / t1**2) * e1)
@@ -255,7 +246,7 @@ def _mixed_jacobian(params: MixedCycleParams, phi1, x: np.ndarray) -> np.ndarray
     j[..., 1, 0], j[..., 2, 0] = dfc_dt1.real, dfc_dt1.imag
     j[..., 1, 1], j[..., 2, 1] = dfc_dt2.real, dfc_dt2.imag
     j[..., 1, 2], j[..., 2, 2] = dfc_dphi2.real, dfc_dphi2.imag
-    return j
+    return np.array([f1, fc.real, fc.imag]).T, j
 
 
 _MIXED_TOL = 1e-11
@@ -308,11 +299,11 @@ def _newton_mixed(params: MixedCycleParams, phi1, x0: np.ndarray) -> tuple[np.nd
     live = np.ones(x.shape[:-1], dtype=bool)
     failed = np.zeros(x.shape[:-1], dtype=bool)
     for iteration in range(_MIXED_MAX_ITER + 1):
-        f = _mixed_residual(params, phi1, x)
+        f, jac = _mixed_system(params, phi1, x)
         live &= ~(np.linalg.norm(f, axis=-1) < _MIXED_TOL)
         if iteration == _MIXED_MAX_ITER or not live.any():
             break
-        step = _newton_steps(_mixed_jacobian(params, phi1, x), f)
+        step = _newton_steps(jac, f)
         trial = x - step
         short = live & ~_positive(trial)
         if short.any():

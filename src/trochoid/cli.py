@@ -245,10 +245,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         _emit_error("config", exc)
         return 2
-    except TrochoidError as exc:
-        _emit_error(type(exc).__name__, exc)
-        return 1
-    except (OSError, ValueError) as exc:
+    except (TrochoidError, OSError, ValueError) as exc:
         _emit_error(type(exc).__name__, exc)
         return 1
 

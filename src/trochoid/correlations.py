@@ -168,7 +168,7 @@ def _induce_fast(
 
 def flip_uniforms(seed: int, n: int) -> list[np.ndarray]:
     """The flip-uniform table that every sweep of an n x n draw of ``seed`` reads."""
-    return edge_flip_uniforms(normalize_seed(seed), n)
+    return edge_flip_uniforms(seed, n)
 
 
 def induce_cyclic_correlations(
@@ -202,7 +202,6 @@ def generate_dense_cyclic(
     ``flip_uniforms(seed, spec.n)`` when the caller already holds them
     (calibration sweeps one base at several p); neither is modified.
     """
-    seed = normalize_seed(seed)
     if base is None:
         base = generate_base_iid(spec.n, seed)
     return induce_cyclic_correlations(base, spec, seed, uniforms)

@@ -32,7 +32,7 @@ import numpy as np
 
 from .ensembles import SparseDigraph
 from .errors import GenerationError, InvalidSpecError, require_finite
-from .rng import TAG_GRAPH, Stream, normalize_seed
+from .rng import TAG_GRAPH, Stream
 
 
 @dataclass(frozen=True)
@@ -216,7 +216,7 @@ def _species_graph(n: int, species: list, streams: list[Stream]) -> SparseDigrap
 
 def generate_regular_cyclic(spec: RegularCyclicSpec, seed: int) -> SparseDigraph:
     """Digraph in which every node belongs to exactly ``d`` k-cycles: one species."""
-    return _species_graph(spec.n, [spec], [Stream.derived(normalize_seed(seed), TAG_GRAPH, 1)])
+    return _species_graph(spec.n, [spec], [Stream.derived(seed, TAG_GRAPH, 1)])
 
 
 def generate_poisson_cyclic(spec: PoissonCyclicSpec, seed: int) -> SparseDigraph:
@@ -225,7 +225,6 @@ def generate_poisson_cyclic(spec: PoissonCyclicSpec, seed: int) -> SparseDigraph
     Unlike the regular ensemble, phase stratification here never needs the
     class sizes to match exactly, so it is applied for every k > 1.
     """
-    seed = normalize_seed(seed)
     stream = Stream.derived(seed, TAG_GRAPH, 2)
     c = spec.cycle_count
     cycles: list[tuple[int, ...]] = []
@@ -241,7 +240,6 @@ def generate_poisson_cyclic(spec: PoissonCyclicSpec, seed: int) -> SparseDigraph
 
 def generate_mixed_cyclic(spec: MixedCyclicSpec, seed: int) -> SparseDigraph:
     """Digraph carrying two cycle species; a species with d = 0 is omitted."""
-    seed = normalize_seed(seed)
     active = [s for s in spec.species if s.d > 0]
     if not active:
         raise InvalidSpecError("at least one species must have d >= 1")

@@ -13,7 +13,7 @@ from math import gcd
 import numpy as np
 
 from .errors import InvalidSpecError
-from .rng import TAG_IID, VectorStreams, normalize_seed
+from .rng import TAG_IID, VectorStreams
 
 
 @dataclass
@@ -104,7 +104,6 @@ def generate_base_iid(n: int, seed: int) -> DenseMatrix:
     """
     if n < 1:
         raise InvalidSpecError(f"dimension must be >= 1, got {n}")
-    seed = normalize_seed(seed)
     streams = VectorStreams.for_indices(seed, TAG_IID, np.arange(n))
     m = np.empty((n, n))
     col = 0

@@ -534,12 +534,12 @@ def _moment_rows(ens: Ensemble, seeds: list[Moments], orders: Iterable[tuple[str
 
 def _measure_seed(
     ens: Ensemble, seed: int, exclude: bool
-) -> tuple[Spectrum, list[complex], Moments, dict]:
+) -> tuple[Spectrum, list[int], Moments, dict]:
     """Everything one seed reports that does not need the boundary curve.
 
-    Returns the spectrum, the outliers to exclude from containment, the
-    moment values by (kind, order) and the seed's report entry; the draw
-    goes out of scope here.
+    Returns the spectrum, the positions of the outliers to exclude from
+    containment, the moment values by (kind, order) and the seed's report
+    entry; the draw goes out of scope here.
     """
     row = _KINDS[ens.kind]
     spectrum, draw = _spectrum_for(ens, seed)

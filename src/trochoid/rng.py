@@ -32,7 +32,15 @@ TAG_GRAPH = 0x03
 
 
 def normalize_seed(seed: int) -> int:
-    """Validate and reduce a user seed to 64 bits."""
+    """Validate and reduce a user seed to 64 bits.
+
+    Seeds are checked here and nowhere else in the generators: every stream
+    is keyed through ``derive_key``, which calls this first, so a seed that
+    is not an integer raises TypeError before any draw.  The exception is a
+    caller that may never key a stream from its seed:
+    ``correlations.induce_cyclic_correlations`` reads none at flip
+    probability 0 or 1 or when handed a flip table, and checks it itself.
+    """
     if not isinstance(seed, (int, np.integer)):
         raise TypeError(f"seed must be an integer, got {type(seed).__name__}")
     return int(seed) & _MASK

@@ -166,17 +166,18 @@ def digraph_spectrum(g: SparseDigraph) -> Spectrum:
     return _checked(ev, 0.0)  # phase structure forbids self-loops, so the trace is 0
 
 
-def detect_deterministic_outliers(
-    s: Spectrum, draw: DenseMatrix | SparseDigraph | None
-) -> list[complex]:
-    """Eigenvalues forced by constant row sums of the digraph ``draw``.
+def detect_deterministic_outliers(s: Spectrum, draw: DenseMatrix | SparseDigraph | None) -> list[int]:
+    """Positions in ``s.eigenvalues`` of the eigenvalues forced by constant row sums of ``draw``.
 
     A digraph whose rows all sum to r has the all-ones right eigenvector with
     eigenvalue r; when every recorded cycle length shares a divisor p, the
     spectrum is p-fold rotation symmetric, replicating that eigenvalue at
-    r * exp(2*pi*i*j/p).  Returns the matched eigenvalues (within 1e-6), or
-    an empty list when row sums are not constant, are 0 (an eigenvalue 0 is
-    not set apart from the bulk), or ``draw`` is not a digraph.
+    r * exp(2*pi*i*j/p).  For j = 0, ..., p - 1 in turn, the nearest
+    eigenvalue not yet taken is taken when it lies within 1e-6 of that
+    point, so a repeated r (a draw of disjoint regular parts) gives p
+    positions, not p copies of one.  Returns the positions in that order,
+    or an empty list when row sums are not constant, are 0 (an eigenvalue 0
+    is not set apart from the bulk), or ``draw`` is not a digraph.
     """
     if not isinstance(draw, SparseDigraph):
         return []
@@ -186,17 +187,12 @@ def detect_deterministic_outliers(
         return []
     r = sums[0]
     p = max(draw.cycle_length_gcd(), 1)
-    found: list[complex] = []
-    taken: set[int] = set()
+    found: list[int] = []
     for j in range(p):
-        target = r * np.exp(2j * np.pi * j / p)
-        dist = np.abs(s.eigenvalues - target)
-        for idx in np.argsort(dist):
-            if idx not in taken:
-                break
+        dist = np.abs(s.eigenvalues - r * np.exp(2j * np.pi * j / p))
+        idx = next(int(i) for i in np.argsort(dist) if i not in found)
         if dist[idx] < 1e-6:
-            taken.add(int(idx))
-            found.append(complex(s.eigenvalues[idx]))
+            found.append(idx)
     return found
 
 
@@ -204,43 +200,35 @@ def containment(
     s: Spectrum,
     curve: BoundaryCurve,
     inflation: float = 0.0,
-    exclusions: list[complex] | None = None,
+    exclusions: list[int] | None = None,
 ) -> ContainmentReport:
     """Count eigenvalues inside the curve scaled by (1 + inflation).
 
     Membership uses the nonzero winding rule, so curves that self-intersect
     past their cusp threshold still define a region.  ``exclusions`` are
-    removed from the census before counting; ``worst_violation`` is the
-    largest distance from an outside point to the inflated curve, in units
-    of the curve's mean radius.
+    positions in ``s.eigenvalues`` (as ``detect_deterministic_outliers``
+    returns them), left out of the census and listed in their given order
+    as ``excluded_outliers``; ``worst_violation`` is the largest distance
+    from an outside point to the inflated curve, in units of the curve's
+    mean radius.
     """
     if s.n == 0:
         raise InvalidSpecError("cannot test an empty spectrum")
     if inflation < 0:
         raise InvalidSpecError(f"inflation must be >= 0, got {inflation}")
-    ev = list(s.eigenvalues)
-    excluded: list[complex] = []
-    for target in exclusions or []:
-        dist = [abs(e - target) for e in ev]
-        idx = int(np.argmin(dist))
-        if dist[idx] < 1e-6:
-            excluded.append(complex(ev.pop(idx)))
-    points = np.array(ev, dtype=complex)
+    exclusions = exclusions or []
+    points = np.delete(s.eigenvalues, exclusions)
     poly = inflate(curve.polygon(), inflation)
-    if points.size:
-        mask = contains(points, poly)
-        inside = int(mask.sum())
-        outside_pts = points[~mask]
-    else:
-        inside, outside_pts = 0, points
+    mask = contains(points, poly)
+    inside, outside_pts = int(mask.sum()), points[~mask]
     worst = 0.0
     if outside_pts.size:
         worst = float(distance_to_polygon(outside_pts, poly).max() / curve.mean_radius())
     return ContainmentReport(
         total=s.n,
         inside=inside,
-        outside=len(ev) - inside,
-        excluded_outliers=excluded,
+        outside=points.size - inside,
+        excluded_outliers=[complex(s.eigenvalues[i]) for i in exclusions],
         worst_violation=worst,
     )
 

@@ -41,8 +41,12 @@ def test_dense_k2_is_the_classical_ellipse():
 def test_minimum_sample_count_enforced():
     with pytest.raises(InvalidSpecError):
         dense_hypotrochoid(HypotrochoidParams(k=3, rho=0.1), 100)
-    with pytest.raises(InvalidSpecError):
-        BoundaryCurve(np.zeros(10), np.zeros(10, dtype=complex))
+
+
+def test_curve_holds_any_length_but_pairs_each_angle_with_a_point():
+    assert len(BoundaryCurve(np.zeros(10), np.zeros(10, dtype=complex)).polygon()) == 11
+    with pytest.raises(InvalidSpecError, match="sample counts differ"):
+        BoundaryCurve(np.zeros(10), np.zeros(9, dtype=complex))
 
 
 def test_polytrochoid_single_term_matches_hypotrochoid():
@@ -199,12 +203,12 @@ def test_mixed_large_degree_asymptotics():
 
 
 def test_mixed_residual_small_along_continuation():
-    from trochoid.boundaries import _mixed_residual
+    from trochoid.boundaries import _mixed_system
 
     curve = mixed_cycle_boundary(FIG4, 512)
     assert curve.states.shape == (512, 3)
     for phi1, x in zip(curve.phis, curve.states):
-        assert np.linalg.norm(_mixed_residual(FIG4, phi1, x)) < 1e-10
+        assert np.linalg.norm(_mixed_system(FIG4, phi1, x)[0]) < 1e-10
 
 
 def test_mixed_boundary_closes_and_is_finite():

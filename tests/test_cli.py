@@ -143,6 +143,18 @@ def test_render_subcommand(tmp_path):
     assert rc == 0
 
 
+def test_render_draws_a_boundary_of_any_length(tmp_path, capsys):
+    # the 512-sample floor is a rule for sampling a law, not for reading a curve back
+    phi = np.linspace(0.0, 2.0 * np.pi, 100, endpoint=False)
+    rows = "".join(f"{p},{np.cos(p)},{-np.sin(p)}\n" for p in phi)
+    (tmp_path / "c.csv").write_text("phi,re,im\n" + rows)
+    (tmp_path / "s.csv").write_text("re,im\n0.3,0.1\n")
+    rc = main(["render", "--spectrum", str(tmp_path / "s.csv"), "--boundary", str(tmp_path / "c.csv"), "--out", str(tmp_path / "f.svg")])
+    assert rc == 0, capsys.readouterr().out
+    path = re.search(r'<path d="M ([^"]*) Z"', (tmp_path / "f.svg").read_text())
+    assert path and path.group(1).count(" L ") == 99
+
+
 def test_render_missing_file_exits_1(tmp_path, capsys):
     rc = main(["render", "--spectrum", "/nonexistent.csv", "--boundary", "/nope.csv", "--out", str(tmp_path / "f.svg")])
     assert rc == 1

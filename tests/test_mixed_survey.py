@@ -20,3 +20,8 @@ def test_survey_counts_a_curve_and_a_refusal(capsys):
     assert lines["refusals"] == "1"
     assert lines["mismatches"] == "0"
     assert float(lines["worst"].split()[1]) <= 1e-9
+    # the digest folds in both outcomes of every law, and is the same on a second call
+    assert len(lines["digest"]) == 16
+    assert tool.main(argv) == 0
+    again = dict(line.split(None, 1) for line in capsys.readouterr().out.splitlines())
+    assert again["digest"] == lines["digest"]

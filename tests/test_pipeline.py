@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import trochoid.correlations
 import trochoid.ensembles
@@ -567,6 +569,53 @@ def test_calibration_shares_one_probe_budget_across_both_sizes(monkeypatch):
     # and the 17 probes left of the 18 on the full draws
     assert probes[:4] == [0.0, 1.0, 0.5, 0.5]
     assert sizes == [_N, _HALF, _HALF, *[_N] * 18]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    a=st.floats(0.01, 4.0),
+    b=st.floats(0.0, 4.0),
+    e=st.floats(1.0, 4.0),
+    c=st.floats(0.3, 1.5),
+    share=st.floats(0.001, 3.0),
+    count=st.integers(1, 3),
+    sign=st.sampled_from([1, -1]),
+)
+def test_calibration_lands_or_names_its_measured_ends(a, b, e, c, share, count, sign):
+    # any increasing convex response a p + b p^e on the full draws, c times
+    # that on their leading half, and targets up to three times r(1)
+    def full(p, sign):
+        return a * p + b * p**e
+
+    seeds = list(range(1, count + 1))
+    target = share * full(1.0, sign)
+    with pytest.MonkeyPatch.context() as mp:
+        probes, sizes = _stub_response(mp, full, half=lambda p, sign: c * full(p, sign))
+        try:
+            landed, refusal = calibrate_flip_prob(_N, 3, sign * target, seeds).flip_prob, None
+        except CalibrationError as exc:
+            landed, refusal = None, exc
+
+    def mean(value):  # a probe's strength, averaged over the seeds as calibration does
+        return float(np.mean([value] * count))
+
+    calls = list(zip(probes[::count], sizes[::count]))
+    full_p1 = (1.0, _N) in calls
+    if refusal is None:
+        assert abs(mean(full(landed, sign)) - target) <= trochoid.pipeline._CALIBRATION_TOLERANCE * target
+    else:
+        top = full(1.0, sign) if full_p1 else c * full(1.0, sign)
+        assert refusal.achievable == (mean(0.0), mean(top))
+        if "outside achievable range" in str(refusal):
+            assert full_p1 and mean(full(1.0, sign)) < target
+        else:
+            assert "did not converge" in str(refusal)
+    # the ends (p = 0, p = 1 on the leading half, and p = 1 on the full draws
+    # when the half falls short) and the confirmation of a settled half are
+    # not secant probes
+    ends = 3 if calls[2:3] == [(1.0, _N)] else 2
+    confirmed = ends == 2 and any(size == _N for _, size in calls[ends:])
+    assert len(calls) - ends - confirmed <= trochoid.pipeline._CALIBRATION_MAX_PROBES
 
 
 def test_calibration_refuses_a_non_monotone_probe_on_the_full_draws(monkeypatch):

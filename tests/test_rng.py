@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
 
+import trochoid.correlations
+import trochoid.digraphs
+import trochoid.ensembles
 import trochoid.rng
 
 from trochoid.rng import (
@@ -28,6 +31,36 @@ def test_normalize_seed_masks_to_64_bits():
     assert normalize_seed(7) == 7
     with pytest.raises(TypeError):
         normalize_seed("7")
+
+
+@pytest.mark.parametrize(
+    "draw",
+    [
+        lambda seed: trochoid.ensembles.generate_base_iid(5, seed),
+        lambda seed: trochoid.correlations.flip_uniforms(seed, 0),
+        lambda seed: trochoid.correlations.generate_dense_cyclic(
+            trochoid.correlations.DenseCyclicSpec(n=5, k=3, flip_prob=0.5), seed
+        ),
+        lambda seed: trochoid.correlations.induce_cyclic_correlations(
+            trochoid.ensembles.DenseMatrix(np.eye(5)), trochoid.correlations.DenseCyclicSpec(n=5, k=3, flip_prob=0.0), seed
+        ),
+        lambda seed: trochoid.digraphs.generate_regular_cyclic(trochoid.digraphs.RegularCyclicSpec(n=30, d=2, k=3), seed),
+        lambda seed: trochoid.digraphs.generate_poisson_cyclic(
+            trochoid.digraphs.PoissonCyclicSpec(n=30, mean_degree=2.0, k=3), seed
+        ),
+        lambda seed: trochoid.digraphs.generate_mixed_cyclic(
+            trochoid.digraphs.MixedCyclicSpec(
+                n=12, species=(trochoid.digraphs.CycleSpecies(d=1, k=3), trochoid.digraphs.CycleSpecies(d=1, k=4))
+            ),
+            seed,
+        ),
+    ],
+    ids=["base-iid", "flip-uniforms", "dense-cyclic", "induce-unswept", "regular", "poisson", "mixed"],
+)
+def test_every_generator_refuses_a_seed_that_is_not_an_integer(draw):
+    # checked where the first stream is keyed; an unswept induce keys none and checks it itself
+    with pytest.raises(TypeError, match="^seed must be an integer, got str$"):
+        draw("7")
 
 
 def test_derive_key_is_order_sensitive():

@@ -83,11 +83,30 @@ def test_symmetry_residual_cap(monkeypatch):
 def test_outliers_on_regular_graph():
     g = generate_regular_cyclic(RegularCyclicSpec(n=300, d=2, k=3), seed=1)
     s = compute_eigenvalues(adjacency_matrix(g))
-    outliers = detect_deterministic_outliers(s, g)
-    assert len(outliers) == 3
+    positions = detect_deterministic_outliers(s, g)
+    assert len(positions) == 3
+    outliers = s.eigenvalues[positions]
     targets = 2.0 * np.exp(2j * np.pi * np.arange(3) / 3)
     for t in targets:
         assert min(abs(o - t) for o in outliers) < 1e-6
+
+
+def test_double_perron_eigenvalue_excludes_one_copy():
+    # two disjoint copies of one regular draw: r = 2 and its rotations are double
+    g = generate_regular_cyclic(RegularCyclicSpec(n=30, d=2, k=3), seed=1)
+    twin = SparseDigraph(60, g.cycles + [tuple(v + 30 for v in c) for c in g.cycles], g.cycle_weights * 2)
+    s = compute_eigenvalues(adjacency_matrix(twin))
+    targets = 2.0 * np.exp(2j * np.pi * np.arange(3) / 3)
+    assert all(np.sum(np.abs(s.eigenvalues - t) < 1e-6) == 2 for t in targets)
+    positions = detect_deterministic_outliers(s, twin)
+    assert len(positions) == 3 and len(set(positions)) == 3
+    np.testing.assert_array_less(np.abs(s.eigenvalues[positions] - targets), 1e-6)
+    report = containment(s, UNIT_CIRCLE, 0.0, positions)
+    assert report.excluded_outliers == [complex(s.eigenvalues[i]) for i in positions]
+    assert (report.total, len(report.excluded_outliers)) == (60, 3)
+    assert report.inside + report.outside == 57
+    # the twin copies stay in the census, outside the unit circle
+    assert report.outside >= 3
 
 
 def test_outliers_empty_for_dense_source():

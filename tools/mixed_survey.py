@@ -12,14 +12,18 @@ same refusal (error type and message).  The default grid has 486 laws:
 Usage: python tools/mixed_survey.py [--samples N] [--law d1,k1,w1,d2,k2,w2 ...]
 
 Prints each mismatch, then the curve and refusal counts, how many curves
-took the fast path, the worst state gap and the time each side took.
-Exits 1 on any mismatch.  Run with OPENBLAS_NUM_THREADS=1 for timings
-comparable with perfbench's.
+took the fast path, the worst state gap, a digest and the time each side
+took.  The digest is a sha256 over every law's outcome on both paths (the
+states, z and sweep record of a curve, or the refusal's type and message),
+so two checkouts that print the same digest draw every law bit for bit
+alike.  Exits 1 on any mismatch.  Run with OPENBLAS_NUM_THREADS=1 for
+timings comparable with perfbench's.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import itertools
 import sys
 import time
@@ -60,10 +64,16 @@ def survey(laws: list[tuple], n_samples: int) -> dict:
 
     tally = {"curves": 0, "refusals": 0, "fast": 0, "mismatches": 0, "worst_gap": 0.0,
              "fast_s": 0.0, "per_sample_s": 0.0}
+    digest = hashlib.sha256()
     for law in laws:
         params = MixedCycleParams(*law)
         curve, refusal, fast_s = _outcome(mixed_cycle_boundary, params, n_samples)
         ref_curve, ref_refusal, ref_s = _outcome(per_sample, params, n_samples)
+        for c, r in ((curve, refusal), (ref_curve, ref_refusal)):
+            if c is None:
+                digest.update(r.encode())
+            else:
+                digest.update(c.states.tobytes() + c.z.tobytes() + repr(c.sweep).encode())
         tally["fast_s"] += fast_s
         tally["per_sample_s"] += ref_s
         if curve is not None and ref_curve is not None:
@@ -80,6 +90,7 @@ def survey(laws: list[tuple], n_samples: int) -> dict:
         if not same:
             tally["mismatches"] += 1
             print(f"MISMATCH {law}: {detail}")
+    tally["digest"] = digest.hexdigest()[:16]
     return tally
 
 
@@ -95,6 +106,7 @@ def main(argv: list[str]) -> int:
     print(f"refusals    {t['refusals']}")
     print(f"mismatches  {t['mismatches']}")
     print(f"worst gap   {t['worst_gap']:.3g}")
+    print(f"digest      {t['digest']}")
     print(f"time        {t['fast_s']:.2f} s mixed_cycle_boundary, "
           f"{t['per_sample_s']:.2f} s per-sample sweep")
     return 1 if t["mismatches"] else 0
