@@ -67,10 +67,8 @@ class SparseCyclicParams:
 
     def __post_init__(self):
         require_finite(d_hat=self.d_hat, weight=self.weight)
-        if self.d_hat <= 0:
-            raise InvalidSpecError(f"d_hat must be positive, got {self.d_hat}")
-        if self.k < 2:
-            raise InvalidSpecError(f"cycle length must be >= 2, got {self.k}")
+        if self.weight == 0:
+            raise InvalidSpecError("edge weight must be nonzero")
         object.__setattr__(self, "t", solve_segment_depth(self.d_hat, self.k))
 
 
@@ -329,32 +327,6 @@ def _symmetric_seed(params: MixedCycleParams) -> np.ndarray:
     return x
 
 
-def _continue(
-    params: MixedCycleParams, x: np.ndarray, start: float, stop: float, max_halvings: int = 8
-) -> tuple[np.ndarray, int]:
-    """Continue the solution ``x`` at phi1 = ``start`` to phi1 = ``stop``.
-
-    Tries the whole step first; each failed Newton solve halves the step
-    for the rest of the way, up to ``max_halvings`` times.  Works in either
-    direction.  Returns the solution at ``stop`` and the halvings made.
-    """
-    span, current, halvings = stop - start, start, 0
-    while abs(stop - current) > 1e-12:
-        rest, step = stop - current, span / 2**halvings
-        step = rest if abs(rest) <= abs(step) else step
-        trial, ok = _newton_mixed(params, current + step, x)
-        if ok:
-            x, current = trial, current + step
-        else:
-            halvings += 1
-            if halvings > max_halvings:
-                raise ContinuationError(
-                    f"continuation stalled at phi1 = {current + step:.6f}",
-                    last_good_phi=float(current),
-                )
-    return x, halvings
-
-
 def _mixed_point(params: MixedCycleParams, phi1: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Boundary points at the angles ``phi1`` (m,) from their states x (m, 3)."""
     t1, t2, phi2 = x.T
@@ -391,21 +363,31 @@ class SweepRecord:
 def _stepped(
     params: MixedCycleParams, angles: np.ndarray, seed: np.ndarray, max_halvings: int = 8
 ) -> tuple[np.ndarray, int]:
-    """States continued from ``seed`` at angles[0] through each later angle, and the halvings made."""
+    """States continued from ``seed`` at angles[0] through each later angle, and the halvings made.
+
+    Each interval tries its whole step first; each failed Newton solve
+    halves the step for the rest of that interval, up to ``max_halvings``
+    times.  Works in either direction.
+    """
     states = np.empty((len(angles), 3))
     states[0], halvings = seed, 0
     for i in range(1, len(angles)):
-        states[i], made = _continue(params, states[i - 1], angles[i - 1], angles[i], max_halvings)
-        halvings += made
+        x, current, stop = states[i - 1], angles[i - 1], angles[i]
+        span, made = stop - current, 0
+        while abs(stop - current) > 1e-12:
+            rest, step = stop - current, span / 2**made
+            step = rest if abs(rest) <= abs(step) else step
+            trial, ok = _newton_mixed(params, current + step, x)
+            if ok:
+                x, current = trial, current + step
+            else:
+                made += 1
+                if made > max_halvings:
+                    raise ContinuationError(
+                        f"continuation stalled at phi1 = {current + step:.6f}", last_good_phi=float(current)
+                    )
+        states[i], halvings = x, halvings + made
     return states, halvings
-
-
-def _points_and_winding(
-    params: MixedCycleParams, phi: np.ndarray, states: np.ndarray
-) -> tuple[np.ndarray, int]:
-    """The curve's points and its winding number about the origin."""
-    z = _mixed_point(params, phi, states)
-    return z, int(winding_numbers(np.zeros(1), np.append(z, z[0]))[0])
 
 
 def _coarse_refined(
@@ -483,7 +465,8 @@ def _mixed_boundary(params: MixedCycleParams, n_samples: int, coarse: bool) -> B
         if states is None:
             states, halvings = _stepped(params, phi, seed)
             record = replace(record, step_halvings=halvings)
-        z, winding = _points_and_winding(params, phi, states)
+        z = _mixed_point(params, phi, states)
+        winding = int(winding_numbers(np.zeros(1), np.append(z, z[0]))[0])
     if winding != -1:
         raise ContinuationError(
             f"sweep left the boundary branch: its curve winds {winding} times "

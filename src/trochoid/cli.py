@@ -78,7 +78,7 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
 def _cmd_generate(args) -> int:
     config = _load_config(args)
     manifest = run_generate(config, args.out_dir)
-    print(json.dumps(manifest, sort_keys=True))
+    print(json.dumps(manifest, sort_keys=True, allow_nan=False))
     return 0
 
 
@@ -94,7 +94,7 @@ def _cmd_verify(args) -> int:
     if agg["seeds_failed"]:
         print(f"seeds_failed: {agg['seeds_failed']}")
     if args.out_dir is None and not config.get("outputs"):
-        print(json.dumps(report, sort_keys=True))
+        print(json.dumps(report, sort_keys=True, allow_nan=False))
     return 0
 
 
@@ -155,7 +155,7 @@ def _cmd_moments(args) -> int:
     table = run_moments(config, pure, mixed)
     if args.out:
         write_json(table, args.out)
-    print(json.dumps(table, sort_keys=True))
+    print(json.dumps(table, sort_keys=True, allow_nan=False))
     return 0
 
 
@@ -171,13 +171,13 @@ def _cmd_calibrate(args) -> int:
     print(json.dumps({
         "flip_prob": calibration.flip_prob, "n": args.n, "k": args.k, "target_rho": args.target_rho,
         "probes": [list(probe) for probe in calibration.probes],
-    }))
+    }, allow_nan=False))
     return 0
 
 
 def _cmd_preset(args) -> int:
     config = get_preset(args.name)
-    print(json.dumps(config, indent=2, sort_keys=True))
+    print(json.dumps(config, indent=2, sort_keys=True, allow_nan=False))
     return 0
 
 

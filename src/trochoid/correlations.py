@@ -89,17 +89,6 @@ class DenseCyclicSpec:
             raise InvalidSpecError(f"target sign must be +1 or -1, got {self.sign}")
 
 
-def _apply_flips(
-    m: np.ndarray, v: int, w: np.ndarray, spec: DenseCyclicSpec, uniforms: list | None
-) -> None:
-    """Flip, each with probability p, the in-edges of v whose cycles have the
-    unwanted sign; ``uniforms`` is the flip-uniform table, or None at p = 1."""
-    flips = spec.sign * w < 0
-    if uniforms is not None:
-        flips &= uniforms[v] < spec.flip_prob
-    m[:v, v][flips] *= -1.0
-
-
 def _induce_fast(
     m: np.ndarray, spec: DenseCyclicSpec, seed: int, uniforms: list | None
 ) -> tuple[np.ndarray, float]:
@@ -142,7 +131,12 @@ def _induce_fast(
 
         w = u * m[:v, v]
         if v >= k - 1:  # no k-cycle closes through fewer than k nodes
-            _apply_flips(m, v, w, spec, uniforms)
+            # flip, each with probability p, the in-edges of v whose cycles
+            # have the unwanted sign (no uniforms are read at p = 1)
+            flips = spec.sign * w < 0
+            if uniforms is not None:
+                flips &= uniforms[v] < spec.flip_prob
+            m[:v, v][flips] *= -1.0
         c = m[:v, v]
         # F's coefficients f[l-1]: the walks v -> ... -> v of length l = 1..k
         # that visit v only at their ends

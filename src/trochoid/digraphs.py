@@ -92,6 +92,8 @@ class PoissonCyclicSpec:
             raise InvalidSpecError(f"cycle length {self.k} exceeds node count {self.n}")
         if self.cycle_count < 1:
             raise InvalidSpecError("parameters round to zero cycles")
+        if self.weight == 0:
+            raise InvalidSpecError("edge weight must be nonzero")
 
     @property
     def cycle_count(self) -> int:

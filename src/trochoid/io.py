@@ -94,11 +94,14 @@ def _read_csv(path: str | Path, expected_header: str) -> list[tuple[float, ...]]
         raise ValueError(
             f"{path}:1: expected header {expected_header!r}, got {text[0]!r}"
         )
+    width = expected_header.count(",") + 1
     rows = []
     for lineno, ln in enumerate(text[1:], start=2):
         if not ln.strip():
             continue
         parts = ln.split(",")
+        if len(parts) != width:
+            raise ValueError(f"{path}:{lineno}: expected {width} values, got {len(parts)} in {ln!r}")
         try:
             rows.append(tuple(float(x) for x in parts))
         except ValueError as exc:
@@ -107,4 +110,4 @@ def _read_csv(path: str | Path, expected_header: str) -> list[tuple[float, ...]]
 
 
 def write_json(payload: dict, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n")

@@ -22,7 +22,7 @@ from __future__ import annotations
 import os
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
-from dataclasses import MISSING, dataclass, field, fields, replace
+from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from math import gcd, isfinite
 from pathlib import Path
 from typing import Any, Callable, Iterable, NamedTuple, Sequence
@@ -573,9 +573,8 @@ def run_verify(config: dict, out_dir: str | Path | None = None) -> dict:
     the aggregate.
     """
     ens, seeds, out, svg = _prepare(config, out_dir)
-    with _config_errors("config"):
-        inflation = _real(config.get("inflation", 0.03), "inflation")
-        n_samples = _whole(config.get("samples", 1024), "samples")
+    inflation = _real(config.get("inflation", 0.03), "inflation")
+    n_samples = _whole(config.get("samples", 1024), "samples")
     workers = max_workers()
     if inflation < 0:
         raise ConfigError(f"inflation must be >= 0, got {inflation}")
@@ -592,7 +591,12 @@ def run_verify(config: dict, out_dir: str | Path | None = None) -> dict:
     curve = None if fitted else boundary_for(ens, section, n_samples)
     ens = _calibrated(ens, seeds)
 
-    task = _isolate(lambda seed: _measure_seed(ens, seed, exclude))
+    def task(seed):
+        try:
+            return _measure_seed(ens, seed, exclude)
+        except TrochoidError as exc:
+            return exc
+
     if workers == 1:
         # a one-worker pool overlaps nothing, and its thread frees its malloc
         # arena only after the join returns: the next call's thread may then
@@ -663,16 +667,6 @@ def run_verify(config: dict, out_dir: str | Path | None = None) -> dict:
     return report
 
 
-def _isolate(fn):
-    def wrapped(seed):
-        try:
-            return fn(seed)
-        except TrochoidError as exc:
-            return exc
-
-    return wrapped
-
-
 def _describe_curve(curve: BoundaryCurve) -> dict:
     params: dict = {}
     for key, value in vars(curve.law).items():
@@ -688,9 +682,7 @@ def _describe_curve(curve: BoundaryCurve) -> dict:
             "t1_at_zero": t1,
             "t2_at_zero": t2,
             "phi2_at_zero": phi2,
-            "coarse_steps": curve.sweep.coarse_steps,
-            "step_halvings": curve.sweep.step_halvings,
-            "fallback": curve.sweep.fallback,
+            **asdict(curve.sweep),
         }
     return out
 

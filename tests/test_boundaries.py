@@ -7,6 +7,7 @@ from trochoid.boundaries import (
     MixedCycleParams,
     PolytrochoidParams,
     SparseCyclicParams,
+    SweepRecord,
     dense_hypotrochoid,
     dense_polytrochoid,
     mixed_cycle_asymptotic,
@@ -148,6 +149,24 @@ def test_sparse_law_is_a_scaled_hypotrochoid(d_hat, k, weight):
     # k = 2 is a segment through 0, where only an absolute tolerance can hold
     scale = np.abs(sparse.z).max()
     np.testing.assert_allclose(sparse.z, (weight / t) * dense.z, rtol=1e-14, atol=1e-14 * scale)
+
+
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ({"d_hat": 0.0, "k": 3}, "d_hat must be positive, got 0.0"),
+        ({"d_hat": -1.0, "k": 3}, "d_hat must be positive, got -1.0"),
+        ({"d_hat": 1.0, "k": 1}, "cycle length must be >= 2, got 1"),
+        ({"d_hat": 1.0, "k": 3, "weight": 0.0}, "edge weight must be nonzero"),
+    ],
+    ids=["d_hat-0", "d_hat-negative", "k-1", "weight-0"],
+)
+def test_sparse_law_refusals(fields, message):
+    # a zero weight would collapse the curve to the origin, whose mean radius
+    # of 0 turns the containment report's relative violations into NaN
+    with pytest.raises(InvalidSpecError) as refused:
+        SparseCyclicParams(**fields)
+    assert str(refused.value) == message
 
 
 def curve_turning_number(params: HypotrochoidParams, n_samples: int = 65536) -> int:
@@ -352,6 +371,20 @@ def test_doubt_sends_the_law_to_the_per_sample_sweep():
     sweep = mixed_cycle_boundary(MixedCycleParams(2, 3, 1.0, 1, 4, 1.0), 512).sweep
     assert sweep.coarse_steps == 32
     assert sweep.fallback == "a refined sample is not the step from its predecessor"
+
+
+def test_a_failed_coarse_step_sends_the_law_to_the_halving_sweep():
+    # the coarse sweep solves 34 whole steps; the per-sample sweep then
+    # halves its step 8 times, summed over the intervals that needed it
+    sweep = mixed_cycle_boundary(MixedCycleParams(1, 4, 1.0, 1, 3, 1.0), 1024).sweep
+    assert sweep == SweepRecord(34, 8, "a coarse step needed a halving")
+
+
+def test_a_stalled_sweep_names_the_angle_and_its_last_good_one():
+    with pytest.raises(ContinuationError) as stalled:
+        mixed_cycle_boundary(MixedCycleParams(1, 2, 1.0, 1, 3, 0.5), 512)
+    assert str(stalled.value) == "continuation stalled at phi1 = 0.424481"
+    assert stalled.value.last_good_phi == 0.42443330924810835
 
 
 def test_a_diverging_coarse_step_warns_nothing():

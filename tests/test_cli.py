@@ -160,6 +160,33 @@ def test_render_missing_file_exits_1(tmp_path, capsys):
     assert rc == 1
 
 
+@pytest.mark.parametrize(
+    "which, text",
+    [
+        ("boundary", "phi,re,im\n0.0,1.0,0.0\n0.5,1.0\n"),
+        ("boundary", "phi,re,im\n0.0,1.0,0.0\n0.5,1.0,0.0,5.0\n"),
+        ("spectrum", "re,im\n0.1,0.2\n0.0\n"),
+        ("spectrum", "re,im\n0.1,0.2\n0.0,0.1,0.2\n"),
+    ],
+    ids=["boundary-short", "boundary-long", "spectrum-short", "spectrum-long"],
+)
+def test_render_refuses_a_row_with_the_wrong_number_of_values(tmp_path, capsys, which, text):
+    # a short row once ended in an IndexError traceback, a long one was read
+    # with its extra values dropped
+    files = {"boundary": "phi,re,im\n0.0,1.0,0.0\n1.0,0.0,1.0\n3.0,-1.0,0.0\n", "spectrum": "re,im\n0.1,0.2\n"}
+    files[which] = text
+    for name, content in files.items():
+        (tmp_path / f"{name}.csv").write_text(content)
+    argv = ["render", "--out", str(tmp_path / "f.svg")]
+    for name in files:
+        argv += [f"--{name}", str(tmp_path / f"{name}.csv")]
+    assert main(argv) == 1
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert error["type"] == "ValueError"
+    assert error["message"].startswith(f"{tmp_path / which}.csv:3: expected ")
+    assert not (tmp_path / "f.svg").exists()
+
+
 def test_calibrate_zero_target_is_zero():
     assert calibrate_flip_prob(100, 3, 0.0, [1]).flip_prob == 0.0
 
@@ -407,6 +434,12 @@ _TINY_GRAPH = {"kind": "regular-cyclic", "n": 12, "d": 2, "k": 3}
         (["verify"], {"ensemble": _TINY_GRAPH, "seeds": [1], "boundary": {"law": "poly", "terms": [3, 0.2]}}),
         # an Arabic-Indic three, which str.isdigit and int accept
         (["verify"], {"ensemble": _TINY_GRAPH, "seeds": [1], "boundary": {"law": "poly", "terms": {"\u0663": 0.2}}}),
+        # a zero weight collapses the law to the origin: NaN or Infinity in
+        # the report, or a CSV of zero rows
+        (["verify"], {"ensemble": {"kind": "poisson-cyclic", "n": 30, "mean_degree": 2.0, "k": 3, "weight": 0.0},
+                      "seeds": [1]}),
+        (["verify"], {"ensemble": _TINY_GRAPH, "seeds": [1], "boundary": {"law": "sparse", "d_hat": 1, "k": 3, "weight": 0}}),
+        (["boundary", "--law", "sparse", "--d-hat", "1", "--k", "3", "--weight", "0"], None),
     ],
     ids=["dense-k1", "few-samples", "sparse-dhat0", "poly-no-terms",
          "boundary-field-type", "verify-samples", "negative-inflation", "flip-and-target", "iid-n0",
@@ -417,7 +450,7 @@ _TINY_GRAPH = {"kind": "regular-cyclic", "n": 12, "d": 2, "k": 3}
          "dense-law-unknown-field", "poly-law-order-twice", "poly-term-order-twice",
          "verify-seeds-underscore", "moments-order-underscore", "poly-term-underscore",
          "ensemble-unread-structural-keys", "law-unread-target-rho", "poly-terms-list",
-         "poly-term-non-ascii-digit"],
+         "poly-term-non-ascii-digit", "poisson-weight-0", "sparse-law-weight-0", "boundary-sparse-weight-0"],
 )
 def test_config_errors_exit_2(tmp_path, capsys, monkeypatch, argv, config):
     _assert_exit_2_before_any_draw(tmp_path, capsys, monkeypatch, argv, config)
@@ -529,6 +562,17 @@ def test_seeds_given_as_text_are_named_as_given(tmp_path, capsys, monkeypatch):
 )
 def test_non_finite_numbers_exit_2(tmp_path, capsys, monkeypatch, argv, config):
     _assert_exit_2_before_any_draw(tmp_path, capsys, monkeypatch, argv, config)
+
+
+def test_a_report_that_would_not_be_strict_json_is_not_written(tmp_path, capsys):
+    # an inflation this large turns the containment's relative distances into NaN
+    config = {"ensemble": _TINY_GRAPH, "seeds": [1], "inflation": 1e308}
+    argv = ["verify", "--config", _write_config(tmp_path, config)]
+    for out in (["--out-dir", str(tmp_path / "out")], []):
+        assert main(argv + out) == 1
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert error["type"] == "ValueError" and "JSON" in error["message"]
+    assert not (tmp_path / "out" / "report.json").exists()
 
 
 @pytest.mark.parametrize(

@@ -166,6 +166,20 @@ def test_mixed_rejects_equal_lengths_and_all_zero():
         generate_mixed_cyclic(spec, seed=1)
 
 
+@pytest.mark.parametrize(
+    "spec",
+    [
+        lambda: RegularCyclicSpec(n=12, d=2, k=3, weight=0.0),
+        lambda: PoissonCyclicSpec(n=30, mean_degree=2.0, k=3, weight=0.0),
+        lambda: CycleSpecies(2, 3, weight=0.0),
+    ],
+    ids=["regular", "poisson", "species"],
+)
+def test_every_digraph_refuses_a_zero_weight(spec):
+    with pytest.raises(InvalidSpecError, match="^edge weight must be nonzero$"):
+        spec()
+
+
 def test_mixed_common_divisor_keeps_rotation_symmetry():
     # lengths 2 and 4 share divisor 2, so the spectrum must be 2-fold symmetric
     spec = MixedCyclicSpec(n=48, species=(CycleSpecies(1, 2), CycleSpecies(1, 4)))

@@ -21,10 +21,13 @@ Usage: python tools/output_digests.py [group ...]   (default: every group)
 Prints one "<sha256>  <file>" line per file, files in sorted order relative
 to the output directory, then "<sha256>  combined" over those lines.
 tests/output_digests.txt records this output, and tests/test_output_digests.py
-compares against it.  To compare two checkouts, run it in each: each imports
-trochoid from its own src/.  The script pins OPENBLAS_NUM_THREADS and
-TROCHOID_THREADS to 1 for its own process before numpy loads, since reports
-are byte-reproducible only for a fixed BLAS thread count.
+compares against it.  Bytes hold per numpy and OpenBLAS build only:
+fingerprint() names the build, and the tests that pin bytes skip on any
+build other than the recorded one (foreign_fingerprint()).  To compare two
+checkouts, run it in each: each imports trochoid from its own src/.  The
+script pins OPENBLAS_NUM_THREADS and TROCHOID_THREADS to 1 for its own
+process before numpy loads, since reports are byte-reproducible only for a
+fixed BLAS thread count.
 """
 
 from __future__ import annotations
@@ -37,6 +40,9 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+# this tool's output at the last change that moved bytes, after "# " lines
+# naming the fingerprint() it was recorded under
+RECORDED = ROOT / "tests" / "output_digests.txt"
 
 _WEIGHTED_SPECIES = [{"d": 2, "k": 3, "weight": 0.7}, {"d": 1, "k": 4, "weight": -1.3}]
 VERIFY = {
@@ -114,6 +120,31 @@ def _moments(out: Path) -> None:
     (out / "moments").mkdir()
     for name, (config, pure, mixed) in MOMENTS.items():
         write_json(run_moments(config, pure, mixed), out / "moments" / f"{name}.json")
+
+
+def fingerprint() -> list[str]:
+    """The numpy version and the config string of its bundled OpenBLAS, kernel included."""
+    import ctypes
+
+    import numpy as np
+
+    libs = sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("libscipy_openblas64_*.so"))
+    blas = "no bundled OpenBLAS"
+    if libs:
+        get_config = ctypes.CDLL(str(libs[0])).scipy_openblas_get_config64_
+        get_config.argtypes, get_config.restype = [], ctypes.c_char_p
+        blas = get_config().decode()
+    return [f"numpy {np.__version__}", blas]
+
+
+def foreign_fingerprint() -> str | None:
+    """Why recorded bytes cannot be compared here, or None on the fingerprint RECORDED names.
+
+    Outputs are byte-reproducible per machine and BLAS build only.
+    """
+    recorded = [line[2:] for line in RECORDED.read_text().splitlines() if line.startswith("# ")]
+    here = fingerprint()
+    return None if here == recorded else f"digests recorded under {recorded}, this machine is {here}"
 
 
 GROUPS = {"verify": _verify, "laws": _laws, "generate": _generate, "moments": _moments}
