@@ -131,6 +131,8 @@ class MixedCyclicSpec:
         s1, s2 = self.species
         if s1.k == s2.k:
             raise InvalidSpecError("species must have distinct cycle lengths")
+        if s1.d == s2.d == 0:
+            raise InvalidSpecError("at least one species must have d >= 1")
         for s in self.species:
             if s.d > 0 and (s.d * self.n) % s.k != 0:
                 raise InvalidSpecError(
@@ -243,7 +245,5 @@ def generate_poisson_cyclic(spec: PoissonCyclicSpec, seed: int) -> SparseDigraph
 def generate_mixed_cyclic(spec: MixedCyclicSpec, seed: int) -> SparseDigraph:
     """Digraph carrying two cycle species; a species with d = 0 is omitted."""
     active = [s for s in spec.species if s.d > 0]
-    if not active:
-        raise InvalidSpecError("at least one species must have d >= 1")
     streams = [Stream.derived(seed, TAG_GRAPH, 3, idx) for idx in range(len(active))]
     return _species_graph(spec.n, active, streams)

@@ -608,7 +608,8 @@ def run_verify(config: dict, out_dir: str | Path | None = None) -> dict:
 
     entries = [o[3] for o in outcomes if not isinstance(o, Exception)]
     if not entries:
-        raise TrochoidError("every seed failed; nothing to report")
+        failed = "; ".join(f"seed {seed}: {outcome}" for seed, outcome in zip(seeds, outcomes))
+        raise TrochoidError(f"every seed failed; nothing to report ({failed})")
     measured = [entry["measured_rho"] for entry in entries if "measured_rho" in entry]
     measured_rho = float(np.mean(measured)) if measured else None
     if curve is None:
@@ -659,11 +660,10 @@ def run_verify(config: dict, out_dir: str | Path | None = None) -> dict:
         out.mkdir(parents=True, exist_ok=True)
         write_json(report, out / "report.json")
         write_curve_csv(curve, out / "boundary.csv")
-        if pooled_eigenvalues:
-            allev = np.concatenate(pooled_eigenvalues)
-            write_spectrum_csv(allev, out / "spectrum.csv")
-            if svg:
-                render_svg_data(allev, curve.z, out / "figure.svg")
+        allev = np.concatenate(pooled_eigenvalues)
+        write_spectrum_csv(allev, out / "spectrum.csv")
+        if svg:
+            render_svg_data(allev, curve.z, out / "figure.svg")
     return report
 
 
@@ -728,8 +728,8 @@ class _Point(NamedTuple):
 def calibrate_flip_prob(n: int, k: int, target_rho: float, seeds: list[int]) -> Calibration:
     """Find the flip probability whose mean measured strength hits the target.
 
-    The ensemble is swept toward the sign of ``target_rho``.  The secant
-    runs on the leading half of the draws.  With m = n // 2, the leading
+    The ensemble is swept toward the sign of ``target_rho``.  The search
+    starts on the leading half of the draws.  With m = n // 2, the leading
     m x m block of a seed's base, scaled by sqrt(n / m), is that seed's
     m x m base up to the last bit of the scale (each row has its own
     stream), and its sweep flips the signs the full sweep flips in that
@@ -740,28 +740,34 @@ def calibrate_flip_prob(n: int, k: int, target_rho: float, seeds: list[int]) -> 
     noise; at p = 1 it grows with n.
 
     Measures the strength at p = 0 on the full bases (no sweep) and at
-    p = 1 on the leading half.  Each next probe is the secant root through
-    the two most recent points, starting from the two ends; where that root
-    leaves the open bracket (or the two strengths are equal) the bracket's
-    midpoint is probed instead.  Each probe must lie between its bracket
-    ends within the sampling noise 3 / sqrt(seeds * nodes).  The first p,
-    of the ends and the probes, whose mean over ``seeds`` is within
-    ``_CALIBRATION_TOLERANCE`` (relative) of the target, the upper end on a
-    tie, is confirmed on the full draws.  If the confirmation misses, the
-    same secant goes on there between the p = 0 end and p = 1, its first
-    step along the slope of the last two points before it; but when the
-    confirmed p is 1 itself and its full draws fall short, no p is left to
-    probe: they are refused as out of range by the up-front test below, or
-    calibration stops there as not converged.  The answer is the first p
-    whose full draws are within tolerance.  The two sizes share one budget
-    of ``_CALIBRATION_MAX_PROBES`` secant probes.
+    p = 1 on the leading half, or on the full draws when m would not exceed
+    k or when the leading half falls short of the target at p = 1 (only
+    the full draws can reach it then).  One secant loop then probes: each
+    next p is the secant root through the two most recent points, starting
+    from the two ends; where that root leaves the open bracket (or the two
+    strengths are equal) the bracket's midpoint is probed instead.  Each
+    probe must lie between its bracket ends within the sampling noise
+    3 / sqrt(seeds * nodes).  The first p, of the ends and the probes,
+    whose mean over ``seeds`` is within ``_CALIBRATION_TOLERANCE``
+    (relative) of the target, the upper end on a tie, settles the size it
+    was measured on.  A p settled on the leading half is confirmed on the
+    full draws; on a miss the loop goes on there, bracketed by the p = 0
+    end and the confirmed point (or the confirmed point and p = 1 when it
+    reads low), its first step along the slope of the last two points
+    before it.  The answer is the first p whose full draws are within
+    tolerance.  The two sizes share one budget of
+    ``_CALIBRATION_MAX_PROBES`` secant probes.
 
-    Every probe is on the full draws when m would not exceed k, and when
-    the leading half falls short of the target at p = 1: then the full
-    p = 1 draws decide whether the target is achievable.  A CalibrationError
-    carries the mean strengths at the two ends as ``achievable``: the full
-    draws' once the full p = 1 draws are measured, and the p = 1 end's on
-    the leading half when the secant fails there.
+    One rule judges the full draws at p = 1, wherever they are measured
+    (up front, or as a confirmation): within tolerance of the target they
+    are the answer, and when they fall short of it by more, calibration
+    stops there, refusing a target beyond their strength times
+    1 + tolerance plus the noise 3 / sqrt(seeds * n) as outside the
+    achievable range and any other as not converged.  It stops even where
+    a p just below 1 would read within tolerance on these seeds, as a
+    sweep's strength can by seed noise.  A CalibrationError carries as
+    ``achievable`` the mean strengths at p = 0 and at the p = 1 end
+    measured last.
 
     Each seed's base matrix and flip-uniform table are built once and swept
     (whole, or their leading block and rows) at every p; a swept draw's
@@ -783,6 +789,19 @@ def calibrate_flip_prob(n: int, k: int, target_rho: float, seeds: list[int]) -> 
     latest: dict[int, DenseMatrix] = {}  # the full draws at the last p measured on them
     budget = iter(range(_CALIBRATION_MAX_PROBES))  # the secant probes both sizes share
 
+    def noise(nodes: int) -> float:
+        return 3.0 / np.sqrt(len(seeds) * nodes)
+
+    def gap(point: _Point) -> float:
+        return abs(point.rho - target)
+
+    def fail(reason: str | _Point) -> CalibrationError:
+        # a point is where calibration stopped short of the tolerance;
+        # achievable: the mean strengths at p = 0 and at the p = 1 end measured last
+        if isinstance(reason, _Point):
+            reason = f"calibration did not converge: best gap {gap(reason):.4f} at p={reason.p:.4f}"
+        return CalibrationError(reason, achievable=(probes[0][1], next(m for p, m, _ in reversed(probes) if p == 1.0)))
+
     def measure(p: float, nodes: int) -> _Point:
         spec = replace(unswept, n=nodes, flip_prob=p)
         # full draws replace the latest one by one: at most one more is alive
@@ -793,72 +812,47 @@ def calibrate_flip_prob(n: int, k: int, target_rho: float, seeds: list[int]) -> 
                 base = DenseMatrix(base.entries[:nodes, :nodes] * np.sqrt(n / nodes))
             draws[seed] = generate_dense_cyclic(spec, seed, base=base, uniforms=tables[seed][:nodes])
         probes.append((p, float(np.mean([trace_power_moment(draws[s], k) for s in seeds])), nodes))
-        return _Point(p, abs(probes[-1][1]))
+        point = _Point(p, abs(probes[-1][1]))
+        if nodes == n and p == 1.0 and target - point.rho > tolerance:
+            # the full draws at p = 1 reach farthest and no p is left beyond
+            # them: a target they fall short of by more than the tolerance is
+            # out of reach, or missed when within the noise of their reach
+            out_of_reach = target > point.rho * (1 + _CALIBRATION_TOLERANCE) + noise(n)
+            raise fail(f"target {target_rho} outside achievable range" if out_of_reach else point)
+        return point
 
-    def noise(nodes: int) -> float:
-        return 3.0 / np.sqrt(len(seeds) * nodes)
-
-    def gap(point: _Point) -> float:
-        return abs(point.rho - target)
-
-    def refuse_unreachable(top: _Point) -> None:
-        if target > top.rho * (1 + _CALIBRATION_TOLERANCE) + noise(n):
-            raise CalibrationError(f"target {target_rho} outside achievable range", achievable=ends)
-
-    def stalled(best: _Point) -> CalibrationError:
-        return CalibrationError(
-            f"calibration did not converge: best gap {gap(best):.4f} at p={best.p:.4f}", achievable=ends
-        )
-
-    def secant(nodes: int, lo: _Point, hi: _Point, slope: tuple[_Point, _Point], at: _Point, best: _Point):
-        """Probe ``nodes``-node draws from ``at`` until ``best`` is within
-        tolerance; returns it and the slope of the last two points."""
-        while gap(best) > tolerance:
-            if next(budget, None) is None:
-                raise stalled(best)
-            # the root of the line through ``at`` with the slope from a to b (the
-            # secant when at is b); the strength is convex in p and close to
-            # linear at small p, so the secant closes in from below; equal
-            # strengths have no root, and lo.p sends the probe to the midpoint
-            a, b = slope
-            p = at.p + (target - at.rho) * (a.p - b.p) / (a.rho - b.rho) if a.rho != b.rho else lo.p
-            probe = measure(p if lo.p < p < hi.p else 0.5 * (lo.p + hi.p), nodes)
-            if not lo.rho - noise(nodes) <= probe.rho <= hi.rho + noise(nodes):
-                raise CalibrationError(
-                    f"response is not monotone: |rho| = {probe.rho:.4f} at p={probe.p} is outside "
-                    f"[{lo.rho:.4f}, {hi.rho:.4f}], its bracket's values at p={lo.p} and p={hi.p}",
-                    achievable=ends,
-                )
-            best = min(best, probe, key=gap)
-            lo, hi = (probe, hi) if probe.rho < target else (lo, probe)
-            slope, at = (at, probe), probe
-        return best, slope
-
-    # the bracket ends, and the size the first secant probes at
-    nodes = n // 2 if n // 2 > k else n
-    lo, hi = measure(0.0, n), measure(1.0, nodes)
+    nodes = n // 2 if n // 2 > k else n  # the size the search probes first
+    zero = lo = measure(0.0, n)  # the p = 0 end, whose draws are the bases themselves
+    hi = measure(1.0, nodes)
     if hi.rho < target and nodes < n:
-        # the leading half falls short: the full draws decide whether the
-        # target is in reach, and only they can reach it
-        nodes = n
-        hi = measure(1.0, n)
-    ends = (probes[0][1], probes[-1][1])
-    refuse_unreachable(hi)
-    best, slope = secant(nodes, lo, hi, (lo, hi), hi, min(hi, lo, key=gap))
-    if nodes < n and best is not lo:
-        # settled on the leading half: confirm on the full draws, and on a
-        # miss go on there, where the strength at p = 1 is not measured
-        best = measure(best.p, n)
-        if best.p == 1.0 and best.rho < target:
-            # the full draws fall short at p = 1 itself, so the bracket left
-            # is (1, 1): refuse as the up-front test does, or stop short
-            ends = (probes[0][1], probes[-1][1])
-            refuse_unreachable(best)
-            if gap(best) > tolerance:
-                raise stalled(best)
-        lo, hi = (best, _Point(1.0, np.inf)) if best.rho < target else (lo, best)
-        best, _ = secant(n, lo, hi, slope, best, best)
-    # the secant stops at the first probe within tolerance: the answer is the
-    # last p measured on the full draws, or the unswept p = 0 end, whose
-    # draws are the bases themselves
-    return Calibration(best.p, tuple(probes), bases if best.p == 0.0 else latest)
+        # the leading half falls short: only the full draws can reach the target
+        nodes, hi = n, measure(1.0, n)
+    best, slope, at = min(hi, zero, key=gap), (zero, hi), hi
+    while gap(best) > tolerance or nodes < n and best is not zero:
+        if gap(best) <= tolerance:
+            # settled on the leading half: confirm on the full draws, and on
+            # a miss go on there from the slope of the half's last two points
+            nodes = n
+            best = at = measure(best.p, n)
+            lo, hi = (best, _Point(1.0, np.inf)) if best.rho < target else (zero, best)
+            continue
+        if next(budget, None) is None:
+            raise fail(best)
+        # the root of the line through ``at`` with the slope from a to b (the
+        # secant when at is b); the strength is convex in p and close to
+        # linear at small p, so the secant closes in from below; equal
+        # strengths have no root, and lo.p sends the probe to the midpoint
+        a, b = slope
+        p = at.p + (target - at.rho) * (a.p - b.p) / (a.rho - b.rho) if a.rho != b.rho else lo.p
+        probe = measure(p if lo.p < p < hi.p else 0.5 * (lo.p + hi.p), nodes)
+        if not lo.rho - noise(nodes) <= probe.rho <= hi.rho + noise(nodes):
+            raise fail(
+                f"response is not monotone: |rho| = {probe.rho:.4f} at p={probe.p} is outside "
+                f"[{lo.rho:.4f}, {hi.rho:.4f}], its bracket's values at p={lo.p} and p={hi.p}"
+            )
+        best = min(best, probe, key=gap)
+        lo, hi = (probe, hi) if probe.rho < target else (lo, probe)
+        slope, at = (at, probe), probe
+    # the loop stops at the first point within tolerance on the full draws:
+    # the last p measured on them, or the p = 0 end
+    return Calibration(best.p, tuple(probes), bases if best is zero else latest)

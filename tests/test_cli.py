@@ -440,6 +440,10 @@ _TINY_GRAPH = {"kind": "regular-cyclic", "n": 12, "d": 2, "k": 3}
                       "seeds": [1]}),
         (["verify"], {"ensemble": _TINY_GRAPH, "seeds": [1], "boundary": {"law": "sparse", "d_hat": 1, "k": 3, "weight": 0}}),
         (["boundary", "--law", "sparse", "--d-hat", "1", "--k", "3", "--weight", "0"], None),
+        # a mixed ensemble with no cycles; the explicit law lets it reach the draw
+        *[(argv, {"ensemble": {"kind": "mixed-cyclic", "n": 12, "species": [{"d": 0, "k": 3}, {"d": 0, "k": 4}]},
+                  "seeds": [1], "boundary": {"law": "dense", "k": 3, "rho": 0.1}})
+          for argv in (["verify"], ["generate"], ["moments", "--pure", "3"])],
     ],
     ids=["dense-k1", "few-samples", "sparse-dhat0", "poly-no-terms",
          "boundary-field-type", "verify-samples", "negative-inflation", "flip-and-target", "iid-n0",
@@ -450,7 +454,8 @@ _TINY_GRAPH = {"kind": "regular-cyclic", "n": 12, "d": 2, "k": 3}
          "dense-law-unknown-field", "poly-law-order-twice", "poly-term-order-twice",
          "verify-seeds-underscore", "moments-order-underscore", "poly-term-underscore",
          "ensemble-unread-structural-keys", "law-unread-target-rho", "poly-terms-list",
-         "poly-term-non-ascii-digit", "poisson-weight-0", "sparse-law-weight-0", "boundary-sparse-weight-0"],
+         "poly-term-non-ascii-digit", "poisson-weight-0", "sparse-law-weight-0", "boundary-sparse-weight-0",
+         "mixed-no-cycles-verify", "mixed-no-cycles-generate", "mixed-no-cycles-moments"],
 )
 def test_config_errors_exit_2(tmp_path, capsys, monkeypatch, argv, config):
     _assert_exit_2_before_any_draw(tmp_path, capsys, monkeypatch, argv, config)

@@ -161,9 +161,9 @@ def test_mixed_degenerate_species_reduces_to_regular():
 def test_mixed_rejects_equal_lengths_and_all_zero():
     with pytest.raises(InvalidSpecError):
         MixedCyclicSpec(n=12, species=(CycleSpecies(1, 3), CycleSpecies(1, 3)))
-    spec = MixedCyclicSpec(n=12, species=(CycleSpecies(0, 3), CycleSpecies(0, 4)))
-    with pytest.raises(InvalidSpecError):
-        generate_mixed_cyclic(spec, seed=1)
+    # refused by the spec, so every runner exits 2 before any draw
+    with pytest.raises(InvalidSpecError, match="at least one species must have d >= 1"):
+        MixedCyclicSpec(n=12, species=(CycleSpecies(0, 3), CycleSpecies(0, 4)))
 
 
 @pytest.mark.parametrize(

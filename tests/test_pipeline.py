@@ -2,7 +2,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import trochoid.correlations
@@ -196,6 +196,7 @@ def test_verify_refuses_when_every_seed_fails(monkeypatch, ensemble):
     with pytest.raises(TrochoidError, match="every seed failed") as err:
         run_verify({"ensemble": ensemble, "seeds": [1, 2]})
     assert not isinstance(err.value, ConfigError)
+    assert "(seed 1: no draw for seed 1; seed 2: no draw for seed 2)" in str(err.value)
 
 
 def test_verify_refuses_when_every_eigenvalue_is_an_outlier():
@@ -404,6 +405,38 @@ def test_calibration_reaches_targets_only_the_full_draws_reach(target):
     assert mean == np.mean([trace_power_moment(calibration.draws[s], 5) for s in [1, 2, 3]])
 
 
+@pytest.mark.parametrize(
+    "n, target, gap",
+    [(200, 4.0, "0.3148"), (160, 3.3, "0.2819")],
+    ids=["n200-target-4.0", "n160-target-3.3"],
+)
+def test_calibration_stops_where_the_full_p1_draws_fall_short(monkeypatch, n, target, gap):
+    # the full p = 1 draws read 3.685 at n = 200 and 3.018 at n = 160
+    # (k = 5): each target is in reach by the noise slack (3.685 * 1.07 +
+    # 3 / sqrt(600) > 4.0) but 8 % above them, so calibration stops after
+    # the ends and names them.  It stops although the full draws at
+    # p = 127/128 read within tolerance by seed noise (3.836 and 3.101):
+    # probing toward p = 1 reached that p and refused it as not monotone at
+    # n = 200, and landed on it at n = 160
+    drawn = []
+    generate = trochoid.pipeline.generate_dense_cyclic
+
+    def recorded(spec, seed, base=None, uniforms=None):
+        drawn.append((spec.flip_prob, spec.n))
+        return generate(spec, seed, base=base, uniforms=uniforms)
+
+    monkeypatch.setattr(trochoid.pipeline, "generate_dense_cyclic", recorded)
+    with pytest.raises(CalibrationError, match=f"did not converge: best gap {gap} at p=1.0000") as err:
+        calibrate_flip_prob(n, 5, target, [1, 2, 3])
+    assert drawn[::3] == [(0.0, n), (1.0, n // 2), (1.0, n)]
+    means = [
+        np.mean([trace_power_moment(generate(DenseCyclicSpec(n=n, k=5, flip_prob=p), s), 5) for s in [1, 2, 3]])
+        for p in (0.0, 1.0, 127 / 128)
+    ]
+    assert err.value.achievable == tuple(means[:2])
+    assert abs(means[2] - target) <= 0.07 * target
+
+
 def test_symmetry_residual_is_skipped_above_its_cap(monkeypatch):
     monkeypatch.setattr(trochoid.pipeline, "SYMMETRY_MAX_N", 20)
     config = {"ensemble": {"kind": "regular-cyclic", "n": 30, "d": 2, "k": 3}, "seeds": [1]}
@@ -535,24 +568,41 @@ def test_calibration_reports_the_signed_achievable_range(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "full, match",
+    "half, full, match",
     [
-        # 0.5 is beyond the up-front test's reach: 0.3 * 1.07 + 0.003 < 0.5
-        (0.3, "outside achievable range"),
+        # 0.5 is beyond the reach of the full p = 1 draws: 0.3 * 1.07 + 0.003 < 0.5
+        (0.5, 0.3, "outside achievable range"),
         # in reach (0.4648 * 1.07 + 0.003 > 0.5), but outside the tolerance 0.035
-        (0.4648, "did not converge: best gap 0.0352 at p=1.0000"),
+        (0.5, 0.4648, "did not converge: best gap 0.0352 at p=1.0000"),
+        (0.3, 0.4648, "did not converge: best gap 0.0352 at p=1.0000"),
     ],
-    ids=["out-of-reach", "just-short"],
+    ids=["out-of-reach", "just-short", "half-short-just-short"],
 )
-def test_calibration_measures_the_full_p1_end_once(monkeypatch, full, match):
-    # the leading half settles on its p = 1 end, 0.5 on the target, and the
-    # full p = 1 draws fall short of it: no p is left to probe, so they decide
-    probes, sizes = _stub_response(monkeypatch, lambda p, sign: full * p, half=lambda p, sign: 0.5 * p)
+def test_calibration_measures_the_full_p1_end_once(monkeypatch, half, full, match):
+    # the leading half settles on its p = 1 end, 0.5 on the target, or falls
+    # short there; either way the full p = 1 draws are measured next and fall
+    # short of the target: no p is left to probe, so they decide
+    probes, sizes = _stub_response(monkeypatch, lambda p, sign: full * p, half=lambda p, sign: half * p)
     with pytest.raises(CalibrationError, match=match) as err:
         calibrate_flip_prob(_N, 3, 0.5, [1])
     assert probes == [0.0, 1.0, 1.0]
     assert sizes == [_N, _HALF, _N]
     assert err.value.achievable == (0.0, full)
+
+
+def test_calibration_names_the_full_p1_end_it_measured(monkeypatch):
+    # the leading half settles on its p = 1 end, 0.5; the full draws read 0.9
+    # there and 0 below it, so the search on them runs out of probes: the
+    # achievable range names the full p = 1 end, not the half's
+    probes, sizes = _stub_response(
+        monkeypatch, lambda p, sign: 0.9 * (p == 1.0), half=lambda p, sign: 0.5 * p
+    )
+    with pytest.raises(CalibrationError, match="did not converge: best gap 0.4000 at p=1.0000") as err:
+        calibrate_flip_prob(_N, 3, 0.5, [1])
+    assert err.value.achievable == (0.0, 0.9)
+    # the confirmation steps along the half's slope from (1, 0.9) to p = 0.2
+    assert probes[:4] == pytest.approx([0.0, 1.0, 1.0, 0.2], rel=1e-12)
+    assert sizes == [_N, _HALF, *[_N] * (1 + trochoid.pipeline._CALIBRATION_MAX_PROBES)]
 
 
 def test_calibration_shares_one_probe_budget_across_both_sizes(monkeypatch):
@@ -572,6 +622,13 @@ def test_calibration_shares_one_probe_budget_across_both_sizes(monkeypatch):
 
 
 @settings(max_examples=200, deadline=None)
+# the full p = 1 draws read 0.4648: in reach of 0.5 by the noise slack, but
+# outside its tolerance, whether the half falls short (0.3) or settles (0.51)
+@example(a=0.4648, b=0.0, e=1.0, c=0.3 / 0.4648, share=0.5 / 0.4648, count=1, sign=1)
+@example(a=0.4648, b=0.0, e=1.0, c=0.51 / 0.4648, share=0.5 / 0.4648, count=1, sign=1)
+# the full p = 1 draws read 1.0, 6.9 % short of 1.074: within its
+# tolerance, though beyond 1.0 * 1.07 + the noise 0.003
+@example(a=1.0, b=0.0, e=1.0, c=1.074, share=1.074, count=1, sign=1)
 @given(
     a=st.floats(0.01, 4.0),
     b=st.floats(0.0, 4.0),
@@ -606,6 +663,8 @@ def test_calibration_lands_or_names_its_measured_ends(a, b, e, c, share, count, 
     else:
         top = full(1.0, sign) if full_p1 else c * full(1.0, sign)
         assert refusal.achievable == (mean(0.0), mean(top))
+        # full p = 1 draws within tolerance are an answer, never refused
+        assert not full_p1 or target - mean(full(1.0, sign)) > trochoid.pipeline._CALIBRATION_TOLERANCE * target
         if "outside achievable range" in str(refusal):
             assert full_p1 and mean(full(1.0, sign)) < target
         else:
@@ -616,6 +675,10 @@ def test_calibration_lands_or_names_its_measured_ends(a, b, e, c, share, count, 
     ends = 3 if calls[2:3] == [(1.0, _N)] else 2
     confirmed = ends == 2 and any(size == _N for _, size in calls[ends:])
     assert len(calls) - ends - confirmed <= trochoid.pipeline._CALIBRATION_MAX_PROBES
+    # the full p = 1 draws reach farthest: nothing is probed after them when
+    # they fall short of the target
+    if full_p1 and mean(full(1.0, sign)) < target:
+        assert calls[-1] == (1.0, _N)
 
 
 def test_calibration_refuses_a_non_monotone_probe_on_the_full_draws(monkeypatch):
